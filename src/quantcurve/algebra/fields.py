@@ -146,6 +146,9 @@ class QuadExtElement:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
+        # equal to a base element when b == 0, so it must hash like one
+        if not self.b:
+            return hash(self.a)
         return hash((id(self.field), self.a, self.b))
 
     def __bool__(self):

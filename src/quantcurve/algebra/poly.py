@@ -503,6 +503,9 @@ class FracFuncElement:
         return self.rf == o.rf
 
     def __hash__(self):
+        # a constant equals its base value, so it must hash like one
+        if self.rf.is_poly() and self.rf.num.degree <= 0:
+            return hash(self.rf.num.leading())
         return hash(self.rf)
 
     def __bool__(self):

@@ -39,7 +39,7 @@ class TruncSeries:
             coeffs.pop(0)
             val += 1
         if val + len(coeffs) - 1 > order:
-            coeffs = coeffs[: order - val + 1]
+            coeffs = coeffs[: max(0, order - val + 1)]
         while coeffs and field.is_zero(coeffs[-1]):
             coeffs.pop()
         if not coeffs:
@@ -415,18 +415,28 @@ def expand_ratfunc(f, place, order, e=1, var="t"):
 
     The result is a series in the local parameter tau with tau**e equal to
     the uniformizer (x - place, or 1/x at INF); rational functions only
-    produce exponents divisible by e.
+    produce exponents divisible by e.  It is exact through ``order``: the
+    local coefficients N of num and D of den are taken exactly, without
+    padding, and the quotient follows q_k = (N_k - sum_i D_i q_{k-i}) / D_0,
+    so n terms cost O(n * deg den).
     """
+    field = f.field
     if f.is_zero():
-        return TruncSeries.zero(f.field, order * e, e=e, var=var)
-    # generous working order so the quotient is guaranteed through `order`
-    shift = f.num.degree + f.den.degree + 2
-    num = expand_poly(f.num, place, order + shift, var=var)
-    den = expand_poly(f.den, place, order + shift, var=var)
-    out = (num / den).truncate(order)
+        return TruncSeries.zero(field, order * e, e=e, var=var)
+    num = expand_poly(f.num, place, f.num.degree)
+    den = expand_poly(f.den, place, f.den.degree)
+    val = num.val - den.val
+    n, d = num.coeffs, den.coeffs
+    inv0 = field.one() / d[0]
+    q = []
+    for k in range(order - val + 1):
+        acc = n[k] if k < len(n) else field.zero()
+        for i in range(1, min(k, len(d) - 1) + 1):
+            acc = acc - d[i] * q[k - i]
+        q.append(acc * inv0)
+    out = TruncSeries(field, val, q, order, var=var)
     if e != 1:
-        out = out.scale_exponents(e)
-        out = out.copy(e=e)
+        out = out.scale_exponents(e).copy(e=e)
     return out
 
 

@@ -32,6 +32,9 @@ from .wkb import verify_operator
 MAX_ORDER = 64
 MAX_DEPTH = 12
 MAX_LEVEL = 6
+# the cross suite specializes S_2 .. S_depth, which reads levels up to depth - 1
+MAX_VERIFY_DEPTH = MAX_LEVEL + 1
+MAX_SAMPLES = 10000
 
 
 def _coeff_repr(field, c):
@@ -41,6 +44,11 @@ def _coeff_repr(field, c):
         base = c.field.base
         return [base.to_str(c.a), base.to_str(c.b), base.to_str(c.field.d)]
     return str(c)
+
+
+def _check_size(flag, value, cap):
+    if value is not None and not 1 <= value <= cap:
+        raise ValueError(f"{flag} must be between 1 and {cap}, got {value}")
 
 
 def _parse_place(text):
@@ -243,6 +251,7 @@ def main(argv=None):
                 raise ValueError(f"--depth capped at {MAX_LEVEL}")
             payload = {"report": toprec_report(spec, level=args.depth)}
         elif args.command == "plotdata":
+            _check_size("--samples", args.samples, MAX_SAMPLES)
             text = emit_plotdata(spec, args.xmin, args.xmax, args.samples)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
@@ -251,6 +260,7 @@ def main(argv=None):
                 sys.stdout.write(text)
             return 0
         elif args.command == "verify":
+            _check_size("--depth", args.depth, MAX_VERIFY_DEPTH)
             names = [s.strip() for s in args.suite.split(",") if s.strip()]
             records = run_suites(names, depth=args.depth)
             all_ok = all(r["passed"] for r in records)

@@ -61,14 +61,6 @@ def eval_extended(f, p):
     raise ValueError("unreduced rational function")
 
 
-def expand_at(f, p, order):
-    """Series of f in the local coordinate at p (t - p, or 1/t at INF)."""
-    if p is INF:
-        return expand_ratfunc(f, INF, order)
-    shifted = f.compose(RatFunc.from_coeffs(f.field, [p, 1]))
-    return expand_ratfunc(shifted, Fraction(0), order)
-
-
 def ratfunc_at_series(f, s):
     """Evaluate a rational function at a Laurent series argument."""
     field = s.field
@@ -288,6 +280,19 @@ def _merge_binomial(k1, k2):
 # the recursion engine
 
 
+def _per_point(build):
+    """Build a method's local data once per (point, working order, side)."""
+
+    def cached(self, p, order, *side):
+        key = (build.__name__, p, order) + side
+        out = self._local_cache.get(key)
+        if out is None:
+            out = self._local_cache[key] = build(self, p, order, *side)
+        return out
+
+    return cached
+
+
 class TopRecEngine:
     def __init__(self, curve):
         self.curve = curve
@@ -295,6 +300,8 @@ class TopRecEngine:
         self._f = {}
         self._series_cache = {}
         self._transform_cache = {}
+        self._local_cache = {}
+        self._phis_fn = {}
         self._prim_cache = {}
         self._odd_prim_cache = {}
 
@@ -358,39 +365,48 @@ class TopRecEngine:
         return s
 
     def _inv_omega(self, p, order):
+        # Omega through order + 2 val inverts to exactly `order`
         return self._series(
-            "invw", p, order, lambda o: expand_at(self.curve.omega, p, o + 2 * abs(self._omega_val(p)) + 2).inverse().truncate(o)
+            "invw", p, order, lambda o: expand_ratfunc(self.curve.omega, p, o + 2 * self._omega_val(p)).inverse()
         )
 
     def _sigma_prime_series(self, p, order):
-        return self._series("sigp", p, order, lambda o: expand_at(self.curve.sigma_prime, p, o))
+        return self._series("sigp", p, order, lambda o: expand_ratfunc(self.curve.sigma_prime, p, o))
 
     def _phi_series(self, b, p, order):
-        return self._series(("phi", b), p, order, lambda o: expand_at(basis_function(b), p, o))
+        return self._series(("phi", b), p, order, lambda o: expand_ratfunc(basis_function(b), p, o))
 
     def _phi_sigma_series(self, b, p, order):
-        fn = basis_function(b).compose(self.curve.sigma)
-        return self._series(("phis", b), p, order, lambda o: expand_at(fn, p, o))
-
-    def _sigma_local(self, p, order):
-        """(image point p', series of the local coordinate of sigma(z) at p)."""
-
         def build(o):
-            pp = self.curve.sigma_image(p)
-            if p is INF:
-                arg = self.curve.sigma.compose(RatFunc.from_coeffs(QQ, [1], [0, 1]))
-            else:
-                arg = self.curve.sigma.compose(RatFunc.from_coeffs(QQ, [p, 1]))
-            if pp is INF:
-                loc = RatFunc.const(QQ, 1) / arg
-            else:
-                loc = arg - RatFunc.const(QQ, pp)
-            return expand_ratfunc(loc, Fraction(0), o)
+            fn = self._phis_fn.get(b)
+            if fn is None:
+                fn = self._phis_fn[b] = basis_function(b).compose(self.curve.sigma)
+            return expand_ratfunc(fn, p, o)
 
-        return self.curve.sigma_image(p), self._series("sigloc", p, order, build)
+        return self._series(("phis", b), p, order, build)
+
+    @_per_point
+    def _sigma_powers(self, p, order):
+        """(image point p', {m: {exponent: coeff}}) for the powers of the
+        local coordinate at p' of sigma(z), expanded at p."""
+        pp = self.curve.sigma_image(p)
+        sigma = self.curve.sigma
+        loc = RatFunc.const(QQ, 1) / sigma if pp is INF else sigma - RatFunc.const(QQ, pp)
+        s = expand_ratfunc(loc, p, order)
+        out = {0: {0: Fraction(1)}}
+        cur = TruncSeries.const(QQ, Fraction(1), s.order)
+        m = 1
+        while m * max(1, s.val) <= order:
+            cur = cur * s
+            out[m] = {k: c for k, c in cur.items() if k <= order}
+            if not out[m]:
+                break
+            m += 1
+        return pp, out
 
     # -- kernel and coupled factors as vector-valued series -------------------
 
+    @_per_point
     def _kernel_vectors(self, p, order):
         """List kv[j] = dict(basis key -> Fraction): coefficient of u^j."""
         kv = [defaultdict(Fraction) for _ in range(order + 1)]
@@ -402,8 +418,7 @@ class TopRecEngine:
             for k in range(order + 1):
                 kv[k][(p, k + 1)] -= 1
         # +1/(t1 - sigma(z))
-        pp, loc = self._sigma_local(p, order)
-        powers = self._power_list(loc, order)
+        pp, powers = self._sigma_powers(p, order)
         if pp is INF:
             # 1/(t1 - 1/v) = -sum t1^k v^(k+1)
             for k in range(order):
@@ -423,19 +438,7 @@ class TopRecEngine:
                         kv[j][(pp, m + 1)] += c
         return kv
 
-    def _power_list(self, s, order):
-        """{m: {exponent: coeff}} for powers of a valuation >= 1 series."""
-        out = {0: {0: Fraction(1)}}
-        cur = TruncSeries.const(QQ, Fraction(1), s.order)
-        m = 1
-        while m * max(1, s.val) <= order:
-            cur = cur * s
-            out[m] = {k: c for k, c in cur.items() if k <= order}
-            if not out[m]:
-                break
-            m += 1
-        return out
-
+    @_per_point
     def _coupled_vectors(self, p, order, side):
         """1/(arg - t_j)^2 as a vector series; arg = z or sigma(z)."""
         vec = [defaultdict(Fraction) for _ in range(order + 1)]
@@ -447,8 +450,7 @@ class TopRecEngine:
                 for k in range(order + 1):
                     vec[k][(p, k + 2)] += k + 1
             return vec
-        pp, loc = self._sigma_local(p, order)
-        powers = self._power_list(loc, order)
+        pp, powers = self._sigma_powers(p, order)
         if pp is INF:
             for k in range(order):
                 v = powers.get(k + 2)
@@ -480,6 +482,9 @@ class TopRecEngine:
         if cached is not None and cached[0] >= order:
             return cached[1]
         result = {}
+        if fspec[0] == "diag":
+            diff = RatFunc.x(QQ) - self.curve.sigma
+            core = self.curve.sigma_prime / (diff * diff)
         for p in self.curve.support:
             entries = defaultdict(Fraction)
             invw = self._inv_omega(p, order)
@@ -490,9 +495,7 @@ class TopRecEngine:
             scalar = invw
             coupled = []
             if fspec[0] == "diag":
-                diff = RatFunc.x(QQ) - self.curve.sigma
-                core = self.curve.sigma_prime / (diff * diff)
-                scalar = scalar * expand_at(core, p, order + 2 * abs(self._omega_val(p)) + 6).truncate(invw.order)
+                scalar = scalar * expand_ratfunc(core, p, invw.order)
             else:
                 if fspec[0] == "phi":
                     scalar = scalar * self._phi_series(fspec[1], p, order)

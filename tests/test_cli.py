@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 
 from quantcurve.algebra import QQ, RatFunc
-from quantcurve.cli import analyze_report, emit_plotdata, main, toprec_report, wkb_report
+from quantcurve.cli import (
+    MAX_SAMPLES,
+    MAX_VERIFY_DEPTH,
+    analyze_report,
+    emit_plotdata,
+    main,
+    toprec_report,
+    wkb_report,
+)
 from quantcurve.curvespec import (
     BUILTIN_NAMES,
     CurveSpecError,
@@ -160,6 +168,29 @@ def test_cli_unknown_curve_exit_code():
 def test_cli_wkb_guards():
     assert main(["wkb", "--curve", "gauss", "--order", "999"]) == 2
     assert main(["wkb", "--curve", "gauss", "--depth", "999"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "cross", "--depth", str(MAX_VERIFY_DEPTH + 1)],
+    ["verify", "--suite", "cross", "--depth", "40"],
+    ["verify", "--suite", "cross", "--depth", "0"],
+    ["verify", "--suite", "cross", "--depth", "-1"],
+    ["plotdata", "--curve", "airy", "--samples", str(MAX_SAMPLES + 1)],
+    ["plotdata", "--curve", "airy", "--samples", "0"],
+    ["plotdata", "--curve", "airy", "--samples", "-5"],
+])
+def test_cli_size_knobs_capped(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and argv[-2] in err
+
+
+def test_cli_plotdata_samples_at_cap(tmp_path):
+    out = tmp_path / "plot.csv"
+    assert main(["plotdata", "--curve", "airy", "--samples", str(MAX_SAMPLES),
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * (MAX_SAMPLES // 2 + 1)
 
 
 def test_cli_verify_suite_exit(tmp_path):

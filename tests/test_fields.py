@@ -99,3 +99,15 @@ def test_reverse_operator_coercion():
     assert 2 / (E.of(1) + s) == E.of(2) / (E.of(1) + s)
     assert (3 * s) == (s * 3)
     assert 1 + s == s + 1
+
+
+def test_equal_elements_hash_alike():
+    E = QuadExtField(QQ, 3)
+    assert E.of(3) == 3 and E.of(3) in {3}
+    assert E.of(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert E.gen in {E.gen} and E.gen + 1 not in {1}
+    h = HBAR_FIELD.gen
+    assert HBAR_FIELD.of(3) in {3} and HBAR_FIELD.of(0) in {0}
+    assert h * h / h in {h}
+    G = QuadExtField(HBAR_FIELD, h)
+    assert G.of(3) == 3 and G.of(3) in {3}

@@ -2,8 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quantcurve.algebra import INF, LogSeries, QQ, RatFunc, TruncSeries, expand_ratfunc
+from quantcurve.algebra import (
+    HBAR_FIELD,
+    INF,
+    LogSeries,
+    Poly,
+    QQ,
+    QuadExtField,
+    RatFunc,
+    TruncSeries,
+    expand_poly,
+    expand_ratfunc,
+)
 
 
 def rf(num, den=(1,)):
@@ -160,3 +172,69 @@ def test_log_exp_random_roundtrips():
         assert u.log1().exp().eq_through(u)
         v = TruncSeries(QQ, 1, coeffs, 6)
         assert (v.exp() - 1).is_zero() or v.exp().log1().eq_through(v)
+
+
+def test_truncate_below_valuation_is_zero():
+    s = TruncSeries(QQ, 3, [1, 2, 3, 4, 5], 7).truncate(0)
+    assert s.is_zero() and s.val == 1 and s.order == 0
+
+
+# expand_ratfunc against the division it replaced: both local expansions
+# padded by `shift`, divided through TruncSeries.inverse, then truncated
+
+SQRT2 = QuadExtField(QQ, 2)
+SMALL_QQ = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+ELEMENTS = {
+    "QQ": SMALL_QQ,
+    "QQ(sqrt 2)": st.builds(lambda a, b: SQRT2.of(a) + SQRT2.gen * b, SMALL_QQ, SMALL_QQ),
+    "QQ(h)": st.builds(lambda a, b: HBAR_FIELD.of(a) + HBAR_FIELD.gen * b, SMALL_QQ, SMALL_QQ),
+}
+FIELDS = {"QQ": QQ, "QQ(sqrt 2)": SQRT2, "QQ(h)": HBAR_FIELD}
+
+
+def _division_reference(f, place, order, e, shift):
+    if f.is_zero():
+        return TruncSeries.zero(f.field, order * e, e=e)
+    num = expand_poly(f.num, place, order + shift)
+    den = expand_poly(f.den, place, order + shift)
+    out = (num / den).truncate(order)
+    return out.scale_exponents(e).copy(e=e) if e != 1 else out
+
+
+def _fields(s):
+    return s.val, s.coeffs, s.order, s.e
+
+
+@st.composite
+def ratfunc_at_place(draw):
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    field, elem = FIELDS[name], ELEMENTS[name]
+    num = Poly(field, draw(st.lists(elem, max_size=3)))
+    den = Poly(field, draw(st.lists(elem, min_size=1, max_size=3)))
+    if den.is_zero():
+        den = Poly.const(field, 1)
+    where = draw(st.sampled_from(["inf", "zero", "num root", "den root"]))
+    place = {"inf": INF, "zero": Fraction(0)}.get(where)
+    if place is None:
+        place = draw(elem)
+        lin = Poly(field, [-place, 1])
+        for _ in range(draw(st.integers(1, 3))):
+            if where == "num root":
+                num = num * lin if not num.is_zero() else lin
+            else:
+                den = den * lin
+    return RatFunc(num, den), place
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ratfunc_at_place(), st.integers(-2, 8), st.sampled_from([1, 2]))
+def test_expand_ratfunc_matches_padded_division(fp, order, e):
+    f, place = fp
+    got = expand_ratfunc(f, place, order, e=e)
+    n, d = f.num.degree, f.den.degree
+    # padding by deg den more makes the division exact through `order`
+    assert _fields(got) == _fields(_division_reference(f, place, order, e, n + 2 * d + 2))
+    assert got.order == order * e and got.e == e
+    # the old padding loses order at a pole of order >= 3 and agrees below it
+    old = _division_reference(f, place, order, e, n + d + 2)
+    assert _fields(got.truncate(old.order)) == _fields(old)

@@ -15,7 +15,12 @@ from quantcurve.toprec import (
     ratfunc_at_series,
     w02,
 )
-from quantcurve.verify import airy_table_as_exponents, catalan_mu_coefficient, wkb_state_for
+from quantcurve.verify import (
+    airy_table_as_exponents,
+    catalan_mu_coefficient,
+    engine_for,
+    wkb_state_for,
+)
 from quantcurve.curvespec import load_curve
 
 
@@ -102,6 +107,20 @@ def test_catalan_triangulation_small(catalan_engine):
         for m in mu:
             want /= m
         assert got == want, (g, n, mu)
+
+
+@pytest.mark.parametrize("name", ["airy", "catalan"])
+def test_tables_do_not_depend_on_history(name):
+    _, cold = engine_for(load_curve(name))
+    _, used = engine_for(load_curve(name))
+    used.compute_level(5)
+    # recompute levels 1-4 at the working order level 5 set, on local caches
+    # that already hold the lower working orders
+    for key in [k for k in used._w if 2 * k[0] - 2 + k[1] <= 4]:
+        del used._w[key]
+    for level in range(1, 5):
+        for (g, n), tab in used.compute_level(level):
+            assert tab.table == cold.W(g, n).table, (g, n)
 
 
 def test_stable_range_guard(airy_engine):
