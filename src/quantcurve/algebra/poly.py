@@ -56,7 +56,9 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(str(c) for c in self.coeffs))
+        # equal coefficients hash alike across the tower (QQ(sqrt d) elements
+        # with b == 0 hash like their base value), so equal polys do too
+        return hash(tuple(self.coeffs))
 
     def __add__(self, other):
         f = self.field
@@ -87,13 +89,7 @@ class Poly:
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return Poly(f, [])
-            out = [f.zero()] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if f.is_zero(ca):
-                    continue
-                for j, cb in enumerate(b):
-                    out[i + j] = out[i + j] + ca * cb
-            return Poly(f, out, normalize=False)._trim()
+            return Poly(f, f.convolve(a, b, len(a) + len(b) - 1), normalize=False)._trim()
         c = f.of(other)
         return Poly(f, [ci * c for ci in self.coeffs], normalize=False)._trim()
 
@@ -562,6 +558,20 @@ class FractionField:
     def to_str(self, v):
         rf = self.of(v).rf
         return rf.to_str(self.var)
+
+    def convolve(self, a, b, n):
+        """The first ``n`` coefficients of the product of coefficient lists.
+
+        Schoolbook, O(len(a) len(b)) exact RatFunc products: the only
+        coefficient field without an integer kernel.
+        """
+        out = [self.zero()] * n
+        for i, x in enumerate(a[:n]):
+            if not self.is_zero(x):
+                for j, y in enumerate(b[: n - i]):
+                    if not self.is_zero(y):
+                        out[i + j] = out[i + j] + x * y
+        return out
 
     def __repr__(self):
         return self.name

@@ -13,6 +13,7 @@ series body; antiderivatives produce it, derivatives fold it back.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .poly import Poly
@@ -158,40 +159,32 @@ class TruncSeries:
             return TruncSeries.zero(f, order, e=self.e, var=self.var)
         order = min(self.order + other.val, other.order + self.val)
         val = self.val + other.val
-        n = order - val + 1
-        out = [f.zero()] * n
-        for i, a in enumerate(self.coeffs):
-            if f.is_zero(a):
-                continue
-            ka = self.val + i
-            jmax = min(len(other.coeffs), order - ka - other.val + 1)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if f.is_zero(b):
-                    continue
-                out[ka + other.val + j - val] = out[ka + other.val + j - val] + a * b
+        out = f.convolve(self.coeffs, other.coeffs, order - val + 1)
         return TruncSeries(f, val, out, order, e=self.e, var=self.var)
 
     __rmul__ = __mul__
 
     def inverse(self):
+        """Multiplicative inverse, exact through the order this series allows.
+
+        Newton iteration g <- g - g (u g - 1) on the unit part u: each step
+        doubles the number of correct coefficients with two ``convolve``
+        calls, so the cost is a constant times one full-length product.
+        """
         f = self.field
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero series")
         v = self.val
         unit = self.shift(-v)  # valuation 0, known through order - v
         n = unit.order + 1
-        a = [unit.coefficient(k) for k in range(n)]
-        inv0 = f.one() / a[0]
-        out = [f.zero()] * n
-        out[0] = inv0
-        for k in range(1, n):
-            acc = f.zero()
-            for j in range(1, k + 1):
-                if j < len(a):
-                    acc = acc + a[j] * out[k - j]
-            out[k] = -inv0 * acc
-        res = TruncSeries(f, 0, out, unit.order, e=self.e, var=self.var)
+        g, m = [f.one() / unit.coeffs[0]], 1
+        while m < n:
+            m2 = min(2 * m, n)
+            # u g = 1 + O(tau^m): only coefficients m .. m2 - 1 of u g - 1 remain
+            err = f.convolve(unit.coeffs, g, m2)[m:]
+            g = g + [-c for c in f.convolve(g, err, m2 - m)]
+            m = m2
+        res = TruncSeries(f, 0, g, unit.order, e=self.e, var=self.var)
         return res.shift(-v)
 
     def __truediv__(self, other):
@@ -267,7 +260,7 @@ class TruncSeries:
             term = term * self
             if term.is_zero() or term.val > self.order:
                 break
-            out = out + term * f.of(Fraction(1, _factorial(k)))
+            out = out + term * f.of(Fraction(1, math.factorial(k)))
             k += 1
         return out.truncate(self.order)
 
@@ -376,13 +369,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self.to_str()})"
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def expand_poly(p, place, order, var="t"):

@@ -9,6 +9,7 @@ two pipelines is meaningful evidence.
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -285,18 +286,11 @@ def gauss_pi_product_series(order):
         m = n
         num = num * (F.one() + F.of(8 * (m - 1)) * h + F.of(4 * (m - 1) * (m - 2)) * h * h)
         den = den * (F.one() + F.of(m - 1) * h)
-        fact = Fraction(4) ** n * _fact(n)
+        fact = Fraction(4) ** n * math.factorial(n)
         coeff = num / (den * F.of(fact))
         for _ in range(n):
             coeff = coeff / h
         out.append(coeff)
-    return out
-
-
-def _fact(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 

@@ -205,21 +205,6 @@ def build_curve(x, y, sigma, normalization_point, spectral=None):
     return ParamCurve(x, y, sigma, normalization_point, spectral)
 
 
-class CauchyKernel:
-    """The genus-zero two-point form dt1 dt2 / (t1 - t2)^2."""
-
-    def value(self, t1, t2):
-        return Fraction(1) / (Fraction(t1) - Fraction(t2)) ** 2
-
-    def primitive_log_derivative(self, t1, t2):
-        # d/dt2 of d/dt1 log(t1 - t2) recovers the kernel
-        return Fraction(1) / (Fraction(t1) - Fraction(t2)) ** 2
-
-
-def w02(curve):
-    return CauchyKernel()
-
-
 # ---------------------------------------------------------------------------
 # symmetric separable tables
 
@@ -239,17 +224,6 @@ class SymTable:
         for M in self.table:
             for (_, d) in M:
                 out = max(out, d)
-        return out
-
-    def distinct_removals(self, M):
-        """Distinct (b, rest) pairs from a sorted multiset."""
-        seen = set()
-        out = []
-        for i, b in enumerate(M):
-            if b in seen:
-                continue
-            seen.add(b)
-            out.append((b, M[:i] + M[i + 1:]))
         return out
 
 
@@ -902,28 +876,6 @@ def _symmon_value(M, points, engine, primitive=None):
         return acc
 
     return rec(0, counts)
-
-
-# ---------------------------------------------------------------------------
-# operation-level conveniences over a shared engine
-
-
-def toprec_step(engine, g, n):
-    """One recursion output W_{g,n} (lower entries computed as needed)."""
-    return engine.W(g, n)
-
-
-def free_energy(engine, g, n):
-    """The free-energy table entry for a stable (g, n)."""
-    return engine.F(g, n)
-
-
-def diff_recursion_check(engine, g, n, points):
-    return engine.diff_recursion_check(g, n, points)
-
-
-def principal_specialize(engine, m, branch_series):
-    return engine.principal_specialize(m, branch_series)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import INF, LogSeries, QuadExtField, QQ, RatFunc, TruncSeries, expand_ratfunc
 
@@ -40,17 +41,28 @@ class WkbConfig:
 
 
 class WkbState:
-    """S_0 .. S_M as LogSeries plus their x-derivatives as plain series."""
+    """S_0 .. S_M as LogSeries plus their x-derivatives as plain series,
+    with the local expansions a1s, a2s of the operator's coefficients."""
 
-    def __init__(self, config, field, S, S_prime):
+    def __init__(self, config, field, S, S_prime, a1s, a2s):
         self.config = config
         self.field = field
         self.S = S
         self.S_prime = S_prime
+        self.a1s = a1s
+        self.a2s = a2s
 
     @property
     def depth(self):
         return len(self.S) - 1
+
+    @cached_property
+    def inv_denom(self):
+        """1 / (2 S0' + a1), the divisor of every S_m' with m >= 1."""
+        denom = 2 * self.S_prime[0] + self.a1s
+        if denom.is_zero():
+            raise ValueError("2 S0' + a1 vanishes: reducible curve")
+        return denom.inverse()
 
 
 def _ddx(series, place, e):
@@ -109,10 +121,7 @@ def semiclassical_root(cfg, _work_order=None):
     else:
         s0p = (-sq - a1s) * field.of(Fraction(1, 2))
     lam, body = _antiderivative_x(s0p, cfg.place, cfg.e)
-    state = WkbState(cfg, field, [LogSeries(lam, body)], [s0p])
-    state._a1s = a1s
-    state._a2s = a2s
-    return state
+    return WkbState(cfg, field, [LogSeries(lam, body)], [s0p], a1s, a2s)
 
 
 def consistency_s1(state):
@@ -120,11 +129,7 @@ def consistency_s1(state):
     if state.depth != 0:
         raise ValueError("S1 must be computed on a fresh semiclassical state")
     cfg = state.config
-    s0p = state.S_prime[0]
-    denom = 2 * s0p + state._a1s
-    if denom.is_zero():
-        raise ValueError("2 S0' + a1 vanishes: reducible curve")
-    s1p = -_ddx(s0p, cfg.place, cfg.e) / denom
+    s1p = -_ddx(state.S_prime[0], cfg.place, cfg.e) * state.inv_denom
     lam, body = _antiderivative_x(s1p, cfg.place, cfg.e)
     state.S.append(LogSeries(lam, body))
     state.S_prime.append(s1p)
@@ -137,15 +142,10 @@ def wkb_extend(state, depth=None):
     depth = cfg.depth if depth is None else depth
     if state.depth < 1:
         raise ValueError("extend requires S0 and S1")
-    denom = 2 * state.S_prime[0] + state._a1s
     while state.depth < depth:
         m = state.depth
-        rhs = _ddx(state.S_prime[m], cfg.place, cfg.e)
-        for a in range(1, m + 1):
-            b = m + 1 - a
-            if b >= 1 and b <= m:
-                rhs = rhs + state.S_prime[a] * state.S_prime[b]
-        sp = -rhs / denom
+        rhs = _pair_products(state.S_prime, m + 1, 1, _ddx(state.S_prime[m], cfg.place, cfg.e))
+        sp = -rhs * state.inv_denom
         if sp.order < cfg.order:
             raise ValueError(
                 f"truncation exhausted at depth {m + 1}: guaranteed order "
@@ -155,6 +155,15 @@ def wkb_extend(state, depth=None):
         state.S.append(LogSeries(lam, body))
         state.S_prime.append(sp)
     return state
+
+
+def _pair_products(sp, total, lo, acc):
+    """acc + sum of sp[a] * sp[b] over ordered pairs a + b = total with
+    lo <= a, b < len(sp); each unordered product is computed once."""
+    for a in range(max(lo, total - len(sp) + 1), total // 2 + 1):
+        p = sp[a] * sp[total - a]
+        acc = acc + (p if 2 * a == total else 2 * p)
+    return acc
 
 
 def solve_wkb(cfg):
@@ -180,17 +189,14 @@ def verify_operator(state, max_level=None):
     report = []
     ok = True
     for k in range(M + 1):
-        resid = TruncSeries.zero(state.field, state.S_prime[0].order)
-        for a in range(0, k + 1):
-            b = k - a
-            if a <= state.depth and b <= state.depth:
-                resid = resid + state.S_prime[a] * state.S_prime[b]
+        resid = _pair_products(state.S_prime, k, 0,
+                               TruncSeries.zero(state.field, state.S_prime[0].order))
         if k >= 1 and k - 1 <= state.depth:
             resid = resid + _ddx(state.S_prime[k - 1], cfg.place, cfg.e)
         if k <= state.depth:
-            resid = resid + state._a1s * state.S_prime[k]
+            resid = resid + state.a1s * state.S_prime[k]
         if k == 0:
-            resid = resid + state._a2s
+            resid = resid + state.a2s
         zero = resid.is_zero()
         report.append({"h_power": k, "zero": zero, "through_order": resid.order})
         ok = ok and zero

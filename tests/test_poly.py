@@ -7,6 +7,7 @@ from quantcurve.algebra import (
     INF,
     Poly,
     QQ,
+    QuadExtField,
     RatFunc,
     factor_rational_poly,
     partial_fractions,
@@ -154,3 +155,11 @@ def test_partial_fractions_repeated_quadratic():
     for fac, terms in parts:
         for j, num in terms:
             assert num.degree < fac.degree
+
+
+def test_equal_polys_and_ratfuncs_hash_alike():
+    K = QuadExtField(QQ, 2)
+    p, q = P(1, 2), Poly(K, [1, 2])
+    assert p == q and hash(p) == hash(q) and q in {p}
+    r, s = RatFunc(p, P(1, 1)), RatFunc(q, Poly(K, [1, 1]))
+    assert r == s and hash(r) == hash(s) and s in {r}

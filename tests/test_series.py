@@ -238,3 +238,81 @@ def test_expand_ratfunc_matches_padded_division(fp, order, e):
     # the old padding loses order at a pole of order >= 3 and agrees below it
     old = _division_reference(f, place, order, e, n + d + 2)
     assert _fields(got.truncate(old.order)) == _fields(old)
+
+
+# field.convolve, Poly.__mul__ and the Newton inverse against the schoolbook
+# loop and the inverse recurrence they replaced
+
+SQRT_1H = QuadExtField(HBAR_FIELD, HBAR_FIELD.one() + HBAR_FIELD.gen)
+MIXED_QQ = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+KERNEL_ELEMENTS = {
+    "QQ": MIXED_QQ,
+    "QQ(sqrt 2)": st.builds(lambda a, b: SQRT2.of(a) + SQRT2.gen * b, MIXED_QQ, MIXED_QQ),
+    "QQ(h)": ELEMENTS["QQ(h)"],
+    "QQ(h)(sqrt(1 + h))": st.builds(lambda a, b: SQRT_1H.of(a) + SQRT_1H.gen * b,
+                                    ELEMENTS["QQ(h)"], ELEMENTS["QQ(h)"]),
+}
+KERNEL_FIELDS = {"QQ": QQ, "QQ(sqrt 2)": SQRT2, "QQ(h)": HBAR_FIELD,
+                 "QQ(h)(sqrt(1 + h))": SQRT_1H}
+
+
+def _schoolbook(field, a, b, n):
+    out = [field.zero()] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _recurrence_inverse(s):
+    f = s.field
+    v = s.val
+    unit = s.shift(-v)
+    n = unit.order + 1
+    a = [unit.coefficient(k) for k in range(n)]
+    inv0 = f.one() / a[0]
+    out = [inv0]
+    for k in range(1, n):
+        acc = f.zero()
+        for j in range(1, k + 1):
+            acc = acc + a[j] * out[k - j]
+        out.append(-inv0 * acc)
+    return TruncSeries(f, 0, out, unit.order).shift(-v)
+
+
+@st.composite
+def coefficient_lists(draw, min_size=0):
+    name = draw(st.sampled_from(sorted(KERNEL_FIELDS)))
+    elem = KERNEL_ELEMENTS[name]
+    a = draw(st.lists(elem, min_size=min_size, max_size=12))
+    b = draw(st.lists(elem, max_size=12))
+    return KERNEL_FIELDS[name], a, b
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coefficient_lists(), st.data())
+def test_convolve_matches_schoolbook(fab, data):
+    field, a, b = fab
+    n = data.draw(st.integers(0, len(a) + len(b)))
+    got = field.convolve(a, b, n)
+    assert len(got) == n and got == _schoolbook(field, a, b, n)
+    prod = Poly(field, a) * Poly(field, b)
+    assert prod == Poly(field, _schoolbook(field, a, b, max(0, len(a) + len(b) - 1)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coefficient_lists(min_size=1), st.integers(-3, 3), st.integers(0, 4),
+       st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12)))
+def test_newton_inverse_matches_recurrence(fab, val, extra, lead):
+    field, coeffs, _ = fab
+    # over the QQ(h) towers a non-constant leading coefficient gives
+    # coefficients of growing degree in h: 8 terms over QQ(h)(sqrt(1 + h))
+    # take 6 s in either inverse, 12 terms over two minutes
+    if field.is_zero(coeffs[0]) or field in (HBAR_FIELD, SQRT_1H):
+        coeffs[0] = field.of(lead)
+    s = TruncSeries(field, val, coeffs, val + len(coeffs) - 1 + extra)
+    inv = s.inverse()
+    assert _fields(inv) == _fields(_recurrence_inverse(s))
+    prod = s * inv
+    assert prod.order == s.order - s.val and (prod - 1).is_zero()

@@ -13,7 +13,6 @@ from quantcurve.toprec import (
     build_curve,
     matching_branch_map,
     ratfunc_at_series,
-    w02,
 )
 from quantcurve.verify import (
     airy_table_as_exponents,
@@ -60,14 +59,6 @@ def test_conjugate_root_validation_catches_wrong_parametrization():
     y = rf([-1, -1], [-1, 1])
     with pytest.raises(ValueError, match="conjugate root"):
         build_curve(bad_x, y, rf([0, -1]), Fraction(-1), spectral=sd)
-
-
-def test_w02_cauchy_kernel(airy_engine):
-    curve, _ = airy_engine
-    k = w02(curve)
-    assert k.value(Fraction(3), Fraction(1)) == Fraction(1, 4)
-    assert k.value(Fraction(1), Fraction(3)) == k.value(Fraction(3), Fraction(1))
-    assert k.primitive_log_derivative(Fraction(3), Fraction(1)) == k.value(Fraction(3), Fraction(1))
 
 
 def test_airy_w11_w03(airy_engine):

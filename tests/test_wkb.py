@@ -45,8 +45,8 @@ def test_airy_oddness_parity():
 def test_airy_branch_swap_vieta():
     minus = solve_wkb(WkbConfig(*AIRY, INF, e=2, branch="minus", order=10, depth=0))
     plus = solve_wkb(WkbConfig(*AIRY, INF, e=2, branch="plus", order=10, depth=0))
-    a1s = minus._a1s
-    a2s = minus._a2s
+    a1s = minus.a1s
+    a2s = minus.a2s
     total = plus.S_prime[0] + minus.S_prime[0]
     assert (total + a1s).is_zero()
     prod = plus.S_prime[0] * minus.S_prime[0]
@@ -96,7 +96,7 @@ def test_field_extension_on_demand():
     st = solve_wkb(cfg)
     assert isinstance(st.field, QuadExtField)
     sq = st.S_prime[0] * st.S_prime[0]
-    assert sq.eq_through(st._a2s * (-1), 6)
+    assert sq.eq_through(st.a2s * (-1), 6)
     assert verify_operator(st)["ok"]
 
 
