@@ -7,7 +7,9 @@ from .poly import (
     factor_over,
     factor_rational_poly,
     partial_fractions,
+    poly_pow,
     residue_at,
+    root_multiplicity,
 )
 from .series import INF, LogSeries, TruncSeries, expand_poly, expand_ratfunc
 
@@ -27,7 +29,9 @@ __all__ = [
     "factor_over",
     "factor_rational_poly",
     "partial_fractions",
+    "poly_pow",
     "residue_at",
+    "root_multiplicity",
     "INF",
     "LogSeries",
     "TruncSeries",

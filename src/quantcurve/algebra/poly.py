@@ -407,8 +407,8 @@ class RatFunc:
             raise ValueError("zero function has no order")
         f = self.field
         lin = Poly(f, [-f.of(c), f.one()])
-        ordn = _root_multiplicity(self.num, lin)
-        ordd = _root_multiplicity(self.den, lin)
+        ordn = root_multiplicity(self.num, lin)
+        ordd = root_multiplicity(self.den, lin)
         return ordn - ordd
 
     def to_str(self, var="x"):
@@ -420,12 +420,13 @@ class RatFunc:
         return f"RatFunc({self.to_str()})"
 
 
-def _root_multiplicity(p, lin):
+def root_multiplicity(p, fac):
+    """Multiplicity of the irreducible factor ``fac`` in ``p`` (0 for p = 0)."""
     if p.is_zero():
         return 0
     m = 0
     while True:
-        q, r = p.divrem(lin)
+        q, r = p.divrem(fac)
         if not r.is_zero():
             return m
         m += 1
@@ -594,7 +595,7 @@ def partial_fractions(f):
     num_left = rem
     den_left = f.den
     for fac, mult in factors:
-        fm = _poly_pow(fac, mult)
+        fm = poly_pow(fac, mult)
         other = den_left // fm
         # split num_left/(fm*other) = a/fm + b/other via Bezout
         g, s, t = _xgcd(fm, other)
@@ -615,7 +616,8 @@ def partial_fractions(f):
     return poly_part, parts
 
 
-def _poly_pow(p, k):
+def poly_pow(p, k):
+    """p**k for k >= 0."""
     out = Poly.const(p.field, 1)
     for _ in range(k):
         out = out * p

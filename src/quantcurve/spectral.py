@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .algebra import INF, Poly, QQ, RatFunc, factor_over
+from .algebra import INF, Poly, QQ, RatFunc, factor_over, root_multiplicity
 
 
 def _place_degree(place):
@@ -30,18 +30,7 @@ def _order_at_place(rf, place):
         raise ValueError("zero function has no order")
     if place is INF:
         return rf.order_at_infinity()
-
-    def mult(poly):
-        m = 0
-        while not poly.is_zero():
-            q, r = poly.divrem(place)
-            if not r.is_zero():
-                return m
-            m += 1
-            poly = q
-        return m
-
-    return mult(rf.num) - mult(rf.den)
+    return root_multiplicity(rf.num, place) - root_multiplicity(rf.den, place)
 
 
 @dataclass(frozen=True)

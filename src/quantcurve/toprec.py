@@ -24,8 +24,9 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
-from .algebra import INF, LogSeries, Poly, QQ, RatFunc, TruncSeries, factor_over, expand_ratfunc
+from .algebra import INF, LogSeries, Poly, QQ, RatFunc, TruncSeries, factor_over, expand_ratfunc, poly_pow
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +103,7 @@ def basis_function(key):
     if q is INF:
         out = RatFunc(Poly(QQ, [0] * (d - 2) + [1])) if d > 2 else RatFunc.const(QQ, 1)
     else:
-        den = Poly(QQ, [-q, 1])
-        pw = Poly.const(QQ, 1)
-        for _ in range(d):
-            pw = pw * den
-        out = RatFunc(Poly.const(QQ, 1), pw, reduce=False)
+        out = RatFunc(Poly.const(QQ, 1), poly_pow(Poly(QQ, [-q, 1]), d), reduce=False)
     _basis_cache[key] = out
     return out
 
@@ -121,11 +118,7 @@ def basis_antiderivative(key, normpt):
         return prim - RatFunc.const(QQ, prim(normpt))
     if d == 1:
         raise ValueError("first-order pole integrates to a log in the stable range")
-    den = Poly(QQ, [-q, 1])
-    pw = Poly.const(QQ, 1)
-    for _ in range(d - 1):
-        pw = pw * den
-    prim = RatFunc(Poly.const(QQ, Fraction(-1, d - 1)), pw)
+    prim = RatFunc(Poly.const(QQ, Fraction(-1, d - 1)), poly_pow(Poly(QQ, [-q, 1]), d - 1))
     if normpt is INF:
         return prim
     return prim - RatFunc.const(QQ, prim(normpt))
@@ -234,20 +227,76 @@ def _multiset_counts(M):
     return out
 
 
-def _binomial(a, b):
-    from math import comb
-
-    return comb(a, b)
-
-
 def _merge_binomial(k1, k2):
     """Number of slot splittings realizing the (K1, K2) decomposition."""
     c1 = _multiset_counts(k1)
     cc = _multiset_counts(k1 + k2)
     out = 1
     for v, m in c1.items():
-        out *= _binomial(cc[v], m)
+        out *= comb(cc[v], m)
     return out
+
+
+def arrangement_sum(M, value, last=None):
+    """Sum over the distinct orderings k of the multiset M of the products
+    value(k[0], 0) * ... * value(k[n-1], n-1).
+
+    A dynamic program over the counts of the keys not yet placed: each
+    sub-multiset is visited once and each value(key, slot) is evaluated
+    once.  The slot ``last`` is filled last, so a value of another type
+    there (a RatFunc for a symbolic slot) multiplies in once per distinct
+    key and every other step stays in Fraction arithmetic.
+    """
+    counts = _multiset_counts(M)
+    keys = list(counts)
+    slots = [i for i in range(len(M)) if i != last]
+    if last is not None:
+        slots.append(last)
+    partial = {tuple(counts.values()): Fraction(1)}
+    for i in slots:
+        vals = [value(key, i) for key in keys]
+        nxt = {}
+        for left, acc in partial.items():
+            for j, v in enumerate(vals):
+                if left[j]:
+                    rest = left[:j] + (left[j] - 1,) + left[j + 1:]
+                    term = v * acc
+                    nxt[rest] = nxt[rest] + term if rest in nxt else term
+        partial = nxt
+    (out,) = partial.values()
+    return out
+
+
+def _residue(entries, factors, scalar, target, sign):
+    """Add sign * (coefficient of u^target in scalar * prod(factors)) to entries.
+
+    Each factor is a vector series: its j-th item maps a basis key to the
+    coefficient of u^j.  The factors fold one at a time into one vector
+    series keyed by tuples of basis keys, one key per factor, which then
+    pairs with the scalar coefficient at the complementary exponent.
+    """
+    top = target - scalar.val
+    acc = {0: {(): Fraction(1)}}
+    for vec in factors:
+        nxt = {}
+        for j, part in acc.items():
+            for m in range(min(len(vec), top - j + 1)):
+                if not vec[m]:
+                    continue
+                dst = nxt.setdefault(j + m, defaultdict(Fraction))
+                for keys, c in part.items():
+                    for b, vc in vec[m].items():
+                        dst[keys + (b,)] += c * vc
+        acc = nxt
+    for j, part in acc.items():
+        k = target - j
+        if k > scalar.order:
+            continue
+        c = scalar.coefficient(k)
+        if c:
+            c *= sign
+            for keys, v in part.items():
+                entries[keys] += v * c
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +320,6 @@ class TopRecEngine:
     def __init__(self, curve):
         self.curve = curve
         self._w = {}
-        self._f = {}
         self._series_cache = {}
         self._transform_cache = {}
         self._local_cache = {}
@@ -291,18 +339,10 @@ class TopRecEngine:
         return self._w[key]
 
     def F(self, g, n):
-        """Free energy table entry; same keys, slotwise primitives at read time."""
+        """Free energy table: the W table, read with slotwise primitives."""
         if 2 * g - 2 + n <= 0:
             raise ValueError("free energies are tabulated only in the stable range")
-        key = (g, n)
-        if key not in self._f:
-            w = self.W(g, n)
-            for M in w.table:
-                for (q, d) in M:
-                    if q is not INF and d == 1:
-                        raise ValueError("first-order pole in the stable range")
-            self._f[key] = SymTable(n, w.table)
-        return self._f[key]
+        return self.W(g, n)
 
     def compute_level(self, level):
         """All (g, n) with 2g - 2 + n == level."""
@@ -380,68 +420,42 @@ class TopRecEngine:
 
     # -- kernel and coupled factors as vector-valued series -------------------
 
+    def _pole_vectors(self, p, order, side, r):
+        """1/(t1 - w)^r at p as a vector series, w = z ("z") or sigma(z)
+        ("s"): vec[j] maps a basis key in t1 to the coefficient of u^j.
+
+        With l = w - pp the local coordinate of w at its image pp, the key
+        (pp, m + r) carries C(m+r-1, r-1) l^m; at pp = INF, with v = 1/w,
+        the key (INF, k + 2) carries (-1)^r C(k+r-1, r-1) v^(k+r)."""
+        if side == "z":
+            pp, powers = p, {m: {m: Fraction(1)} for m in range(order + 1)}
+        else:
+            pp, powers = self._sigma_powers(p, order)
+        vec = [{} for _ in range(order + 1)]
+        for m, pw in powers.items():
+            if pp is INF:
+                if m < r:
+                    continue
+                key, scale = (INF, m - r + 2), (-1) ** r * comb(m - 1, r - 1)
+            else:
+                key, scale = (pp, m + r), comb(m + r - 1, r - 1)
+            for j, c in pw.items():
+                vec[j][key] = scale * c
+        return vec
+
     @_per_point
     def _kernel_vectors(self, p, order):
-        """List kv[j] = dict(basis key -> Fraction): coefficient of u^j."""
-        kv = [defaultdict(Fraction) for _ in range(order + 1)]
-        # -1/(t1 - z)
-        if p is INF:
-            for k in range(order):
-                kv[k + 1][(INF, k + 2)] += 1
-        else:
-            for k in range(order + 1):
-                kv[k][(p, k + 1)] -= 1
-        # +1/(t1 - sigma(z))
-        pp, powers = self._sigma_powers(p, order)
-        if pp is INF:
-            # 1/(t1 - 1/v) = -sum t1^k v^(k+1)
-            for k in range(order):
-                v = powers.get(k + 1)
-                if v is None:
-                    break
-                for j, c in v.items():
-                    if j <= order:
-                        kv[j][(INF, k + 2)] -= c
-        else:
-            for m in range(order + 1):
-                v = powers.get(m)
-                if v is None:
-                    break
-                for j, c in v.items():
-                    if j <= order:
-                        kv[j][(pp, m + 1)] += c
+        """1/(t1 - sigma(z)) - 1/(t1 - z) as a vector series at p."""
+        kv = self._pole_vectors(p, order, "s", 1)
+        for part, zpart in zip(kv, self._pole_vectors(p, order, "z", 1)):
+            for key, c in zpart.items():
+                part[key] = part.get(key, 0) - c
         return kv
 
     @_per_point
     def _coupled_vectors(self, p, order, side):
-        """1/(arg - t_j)^2 as a vector series; arg = z or sigma(z)."""
-        vec = [defaultdict(Fraction) for _ in range(order + 1)]
-        if side == "z":
-            if p is INF:
-                for m in range(2, order + 1):
-                    vec[m][(INF, m)] += m - 1
-            else:
-                for k in range(order + 1):
-                    vec[k][(p, k + 2)] += k + 1
-            return vec
-        pp, powers = self._sigma_powers(p, order)
-        if pp is INF:
-            for k in range(order):
-                v = powers.get(k + 2)
-                if v is None:
-                    break
-                for j, c in v.items():
-                    if j <= order:
-                        vec[j][(INF, k + 2)] += (k + 1) * c
-        else:
-            for m in range(order + 1):
-                v = powers.get(m)
-                if v is None:
-                    break
-                for j, c in v.items():
-                    if j <= order:
-                        vec[j][(pp, m + 2)] += (m + 1) * c
-        return vec
+        """1/(w - t_j)^2 as a vector series at p, w = z or sigma(z)."""
+        return self._pole_vectors(p, order, side, 2)
 
     # -- transforms ------------------------------------------------------------
 
@@ -463,88 +477,26 @@ class TopRecEngine:
             entries = defaultdict(Fraction)
             invw = self._inv_omega(p, order)
             sigp = self._sigma_prime_series(p, order)
-            kv = self._kernel_vectors(p, order)
-
-            # scalar part of H and list of coupled vector factors
+            # scalar part of H; vector factors: the kernel, then coupled slots
             scalar = invw
-            coupled = []
+            factors = [self._kernel_vectors(p, order)]
             if fspec[0] == "diag":
                 scalar = scalar * expand_ratfunc(core, p, invw.order)
             else:
                 if fspec[0] == "phi":
                     scalar = scalar * self._phi_series(fspec[1], p, order)
                 else:
-                    coupled.append(("z", None))
+                    factors.append(self._coupled_vectors(p, order, "z"))
                 if gspec[0] == "phi":
                     scalar = scalar * self._phi_sigma_series(gspec[1], p, order) * sigp
                 else:
                     scalar = scalar * sigp
-                    coupled.append(("s", None))
-
-            target = 1 if p is INF else -1
-            sign = -1 if p is INF else 1
-
-            if not coupled:
-                if target <= scalar.order:
-                    self._res_scalar(entries, kv, scalar, target, sign)
-            elif len(coupled) == 1:
-                side = coupled[0][0]
-                vec = self._coupled_vectors(p, order, "z" if side == "z" else "s")
-                self._res_vec1(entries, kv, scalar, vec, target, sign)
-            else:
-                vz = self._coupled_vectors(p, order, "z")
-                vs = self._coupled_vectors(p, order, "s")
-                self._res_vec2(entries, kv, scalar, vz, vs, target, sign)
+                    factors.append(self._coupled_vectors(p, order, "s"))
+            target, sign = (1, -1) if p is INF else (-1, 1)
+            _residue(entries, factors, scalar, target, sign)
             result[p] = {k: v for k, v in entries.items() if v}
         self._transform_cache[ckey] = (order, result)
         return result
-
-    def _res_scalar(self, entries, kv, scalar, target, sign):
-        for j in range(len(kv)):
-            c = scalar.coefficient(target - j) if scalar.val <= target - j <= scalar.order else Fraction(0)
-            if not c:
-                continue
-            for b, kc in kv[j].items():
-                entries[(b,)] += sign * kc * c
-
-    def _res_vec1(self, entries, kv, scalar, vec, target, sign):
-        # residue of kv * scalar * vec: convolution over three indices
-        for j in range(len(kv)):
-            if not kv[j]:
-                continue
-            for m in range(len(vec)):
-                if not vec[m]:
-                    continue
-                k = target - j - m
-                if k < scalar.val or k > scalar.order:
-                    continue
-                c = scalar.coefficient(k)
-                if not c:
-                    continue
-                for b, kc in kv[j].items():
-                    for r, vc in vec[m].items():
-                        entries[(b, r)] += sign * kc * vc * c
-
-    def _res_vec2(self, entries, kv, scalar, vz, vs, target, sign):
-        for j in range(len(kv)):
-            if not kv[j]:
-                continue
-            for m1 in range(len(vz)):
-                if not vz[m1]:
-                    continue
-                for m2 in range(len(vs)):
-                    if not vs[m2]:
-                        continue
-                    k = target - j - m1 - m2
-                    if k < scalar.val or k > scalar.order:
-                        continue
-                    c = scalar.coefficient(k)
-                    if not c:
-                        continue
-                    for b, kc in kv[j].items():
-                        for r1, c1 in vz[m1].items():
-                            for r2, c2 in vs[m2].items():
-                                entries[(b, r1, r2)] += sign * kc * c1 * c2 * c
 
     # -- bracket assembly -------------------------------------------------------
 
@@ -719,9 +671,7 @@ class TopRecEngine:
             fgn = self.F(g, n)
             if not fgn.table:
                 continue
-            nfact = 1
-            for i in range(2, n + 1):
-                nfact *= i
+            nfact = factorial(n)
             prim_cache = {}
             for M, c in fgn.items():
                 perm = _permutation_count(M)
@@ -741,53 +691,17 @@ class TopRecEngine:
     def _eval_table(self, tab, values, deriv=None, primitive=None):
         """Sum over labeled monomials; values[i] may be a Fraction or None
         for one symbolic slot (result is then a RatFunc in that slot)."""
-        sym_slot = None
-        for i, v in enumerate(values):
-            if v is None:
-                sym_slot = i
+        primitive = primitive or self.f_primitive
+        sym_slot = values.index(None) if None in values else None
+
+        def value(key, i):
+            fn = basis_function(key) if i == deriv else primitive(key)
+            return fn if i == sym_slot else fn(values[i])
+
         total = RatFunc.const(QQ, 0) if sym_slot is not None else Fraction(0)
         for M, c in tab.items():
-            contrib = self._eval_monomial(M, values, deriv, sym_slot, primitive)
-            if sym_slot is not None:
-                total = total + contrib * RatFunc.const(QQ, c)
-            else:
-                total += c * contrib
+            total = total + arrangement_sum(M, value, sym_slot) * c
         return total
-
-    def _eval_monomial(self, M, values, deriv, sym_slot, primitive=None):
-        n = len(values)
-        counts = list(_multiset_counts(M).items())
-        primitive = primitive or self.f_primitive
-        vcache = {}
-
-        def slot_value(key, i):
-            got = vcache.get((key, i))
-            if got is not None:
-                return got
-            if deriv == i:
-                fn = basis_function(key)
-            else:
-                fn = primitive(key)
-            out = fn if i == sym_slot else RatFunc.const(QQ, fn(values[i]))
-            vcache[(key, i)] = out
-            return out
-
-        def rec(i, counts):
-            if i == n:
-                return RatFunc.const(QQ, 1)
-            acc = RatFunc.const(QQ, 0)
-            for ci, (key, m) in enumerate(counts):
-                if m == 0:
-                    continue
-                nxt = [(k, mm - (1 if k == key else 0)) for k, mm in counts]
-                acc = acc + slot_value(key, i) * rec(i + 1, nxt)
-            return acc
-
-        out = rec(0, counts)
-        if sym_slot is None:
-            assert out.is_poly() and out.num.degree <= 0
-            return out.num.coeffs[0] if out.num.coeffs else Fraction(0)
-        return out
 
     def diff_recursion_check(self, g, n, points, rng=None):
         """Compare d1 F_{g,n} with the right side of the differential recursion.
@@ -823,13 +737,16 @@ class TopRecEngine:
         # quadratic terms
         quad = RatFunc.const(QQ, 0)
         if g >= 1:
+            def at_points(key, i):
+                return prim(key)(points[i])
+
             tab = self.F(g - 1, n + 1)
             for M, c in tab.items():
                 for i, b1 in self._distinct(M):
                     rest1 = M[:i] + M[i + 1:]
                     for jj, b2 in self._distinct(rest1):
                         rest = rest1[:jj] + rest1[jj + 1:]
-                        val = _symmon_value(rest, points, self, prim)
+                        val = arrangement_sum(rest, at_points)
                         quad = quad + RatFunc.const(QQ, c * val) * basis_function(b1) * basis_function(b2)
         idx = list(range(n - 1))
         for g1 in range(0, g + 1):
@@ -848,34 +765,10 @@ class TopRecEngine:
 
 
 def _permutation_count(M):
-    from math import factorial
-
     out = factorial(len(M))
     for _, m in _multiset_counts(M).items():
         out //= factorial(m)
     return out
-
-
-def _symmon_value(M, points, engine, primitive=None):
-    """Sum over distinct labeled arrangements of primitives at the points."""
-    counts = list(_multiset_counts(M).items())
-    n = len(M)
-    primitive = primitive or engine.f_primitive
-    if len(points) != n:
-        raise ValueError("arity mismatch")
-
-    def rec(i, counts):
-        if i == n:
-            return Fraction(1)
-        acc = Fraction(0)
-        for key, m in counts:
-            if m == 0:
-                continue
-            nxt = [(k, mm - (1 if k == key else 0)) for k, mm in counts]
-            acc += primitive(key)(points[i]) * rec(i + 1, nxt)
-        return acc
-
-    return rec(0, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,13 @@ from .oracles import (
 from .spectral import genus_report
 from .toprec import (
     TopRecEngine,
+    arrangement_sum,
     build_curve,
     matching_branch_map,
     ratfunc_at_series,
     branch_maps,
 )
 from .wkb import WkbConfig, assemble_wavefunction, solve_wkb, verify_operator
-from .toprec import _multiset_counts  # internal, reused for coefficient extraction
 
 
 def _check(records, name, passed, detail=""):
@@ -296,27 +296,16 @@ def catalan_mu_coefficient(eng, curve, g, n, mu, order=None):
     order = order or (max(mu) + 4)
     bm = branch_maps(curve, INF, 1, order)[0]
     series = {}
+
+    def coefficient(key, i):
+        s = series.get(key)
+        if s is None:
+            s = series[key] = ratfunc_at_series(eng.f_primitive(key), bm)
+        return s.coefficient(mu[i]) if s.val <= mu[i] <= s.order else Fraction(0)
+
     total = Fraction(0)
     for M, c in eng.F(g, n).items():
-        counts = list(_multiset_counts(M).items())
-
-        def rec(i, counts):
-            if i == n:
-                return Fraction(1)
-            acc = Fraction(0)
-            for key, m in counts:
-                if m == 0:
-                    continue
-                if key not in series:
-                    series[key] = ratfunc_at_series(eng.f_primitive(key), bm)
-                s = series[key]
-                co = s.coefficient(mu[i]) if s.val <= mu[i] <= s.order else Fraction(0)
-                if co:
-                    nxt = [(k, mm - (1 if k == key else 0)) for k, mm in counts]
-                    acc += co * rec(i + 1, nxt)
-            return acc
-
-        total += c * rec(0, counts)
+        total += c * arrangement_sum(M, coefficient)
     return total
 
 

@@ -1,13 +1,18 @@
+import gc
 import random
+from collections import defaultdict
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantcurve.algebra import INF, QQ, RatFunc
 from quantcurve.oracles import airy_closed_free_energy, enumerate_cellular
 from quantcurve.spectral import SpectralData
 from quantcurve.toprec import (
     TopRecEngine,
+    arrangement_sum,
     basis_function,
     branch_maps,
     build_curve,
@@ -15,6 +20,7 @@ from quantcurve.toprec import (
     ratfunc_at_series,
 )
 from quantcurve.verify import (
+    DIFF_SAMPLE_POINTS,
     airy_table_as_exponents,
     catalan_mu_coefficient,
     engine_for,
@@ -240,3 +246,147 @@ def test_airy_level_5_recovers_genus_3_correlator(airy_engine):
     assert exps == (15,)
     corr = coeff / Fraction(-1, 2 ** 5) / Fraction(double_factorial(13), 2 ** 15)
     assert corr == Fraction(1, 82944) == dvv_intersection(3, (7,))
+
+
+# ---------------------------------------------------------------------------
+# arrangement sum, pole expansions and reference cycles
+
+
+def _brute_arrangement_sum(M, value):
+    total = 0
+    for perm in set(permutations(M)):
+        term = Fraction(1)
+        for i, key in enumerate(perm):
+            term = value(key, i) * term
+        total = total + term
+    return total
+
+
+_ARRANGEMENT_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None)
+_FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@_ARRANGEMENT_SETTINGS
+@given(M=st.lists(st.sampled_from("abc"), max_size=6),
+       table=st.lists(_FRACTIONS, min_size=18, max_size=18))
+def test_arrangement_sum_matches_permutations(M, table):
+    calls = []
+
+    def value(key, i):
+        calls.append((key, i))
+        return table[6 * "abc".index(key) + i]
+
+    got = arrangement_sum(tuple(M), value)
+    assert len(calls) == len(set(calls)) == len(set(M)) * len(M)
+    assert got == _brute_arrangement_sum(M, value)
+
+
+@_ARRANGEMENT_SETTINGS
+@given(M=st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
+       table=st.lists(_FRACTIONS, min_size=18, max_size=18),
+       data=st.data())
+def test_arrangement_sum_with_symbolic_slot(M, table, data):
+    last = data.draw(st.integers(0, len(M) - 1))
+
+    def value(key, i):
+        c = table[6 * "abc".index(key) + i]
+        if i != last:
+            return c
+        # c / (t + index of key): one rational function per key
+        return rf([c], ["abc".index(key), 1])
+
+    got = arrangement_sum(tuple(M), value, last)
+    assert isinstance(got, RatFunc)
+    assert got == _brute_arrangement_sum(M, value)
+
+
+def _reference_kernel_vectors(eng, p, order):
+    # 1/(t1 - sigma(z)) - 1/(t1 - z), one hand-written loop per case
+    kv = [defaultdict(Fraction) for _ in range(order + 1)]
+    if p is INF:
+        for k in range(order):
+            kv[k + 1][(INF, k + 2)] += 1
+    else:
+        for k in range(order + 1):
+            kv[k][(p, k + 1)] -= 1
+    pp, powers = eng._sigma_powers(p, order)
+    if pp is INF:
+        for k in range(order):
+            v = powers.get(k + 1)
+            if v is None:
+                break
+            for j, c in v.items():
+                if j <= order:
+                    kv[j][(INF, k + 2)] -= c
+    else:
+        for m in range(order + 1):
+            v = powers.get(m)
+            if v is None:
+                break
+            for j, c in v.items():
+                if j <= order:
+                    kv[j][(pp, m + 1)] += c
+    return kv
+
+
+def _reference_coupled_vectors(eng, p, order, side):
+    # 1/(arg - t_j)^2 with arg = z or sigma(z), one hand-written loop per case
+    vec = [defaultdict(Fraction) for _ in range(order + 1)]
+    if side == "z":
+        if p is INF:
+            for m in range(2, order + 1):
+                vec[m][(INF, m)] += m - 1
+        else:
+            for k in range(order + 1):
+                vec[k][(p, k + 2)] += k + 1
+        return vec
+    pp, powers = eng._sigma_powers(p, order)
+    if pp is INF:
+        for k in range(order):
+            v = powers.get(k + 2)
+            if v is None:
+                break
+            for j, c in v.items():
+                if j <= order:
+                    vec[j][(INF, k + 2)] += (k + 1) * c
+    else:
+        for m in range(order + 1):
+            v = powers.get(m)
+            if v is None:
+                break
+            for j, c in v.items():
+                if j <= order:
+                    vec[j][(pp, m + 2)] += (m + 1) * c
+    return vec
+
+
+@pytest.mark.parametrize("name", ["airy", "catalan"])
+def test_pole_vectors_match_reference_loops(name):
+    _, eng = engine_for(load_curve(name))
+    for p in eng.curve.support:
+        for order in (1, 2, 5, 12, 34):
+            assert eng._kernel_vectors(p, order) == _reference_kernel_vectors(eng, p, order), (p, order)
+            for side in ("z", "s"):
+                assert (eng._coupled_vectors(p, order, side)
+                        == _reference_coupled_vectors(eng, p, order, side)), (p, order, side)
+
+
+def test_reads_leave_no_reference_cycles(catalan_engine):
+    curve, eng = catalan_engine
+    points = DIFF_SAMPLE_POINTS
+
+    def reads():
+        catalan_mu_coefficient(eng, curve, 0, 3, (1, 1, 2))
+        eng.diff_recursion_check(0, 4, points[:3])
+        eng.diff_recursion_check(1, 3, points[:2])
+        eng.f_evaluate(0, 3, [None, Fraction(2), Fraction(3)])
+        eng.f_evaluate(1, 2, [Fraction(2), Fraction(3)])
+
+    reads()  # fill the tables and caches first
+    gc.collect()
+    gc.disable()
+    try:
+        reads()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
