@@ -4,6 +4,9 @@ Reports are JSON with every exact number rendered as a string; runs are
 deterministic byte-for-byte (timing is available behind --timing and kept
 out of the deterministic payload).  plotdata is the one floating-point
 output, for display only.
+
+Exit codes: 0 ok, 1 a verify check failed, 2 bad input, 3 an internal
+invariant broke; every failure is one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -274,6 +277,10 @@ def main(argv=None):
     except (CurveSpecError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except (AssertionError, ZeroDivisionError) as exc:
+        detail = " ".join(str(exc).split())
+        sys.stderr.write(f"error: internal: {args.command}: {type(exc).__name__}: {detail}\n")
+        return 3
     if args.timing:
         payload["meta"] = {"seconds": round(time.perf_counter() - t0, 3)}
     _emit(args, payload)

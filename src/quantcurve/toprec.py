@@ -16,7 +16,9 @@ sorted tuples of pole-basis keys (place, order) to the coefficient of each
 labeled monomial product.  The basis function of (q, d) is dt/(t-q)^d, and
 (INF, d) stands for t^(d-2) dt.  Residues are extracted from local series
 whose coefficients are vectors over the same basis in the external
-variables, so each step stays one-dimensional.
+variables, so each step stays one-dimensional.  Each residue transform is
+computed once per engine, from local series taken through the exact order
+that the valuations of its inputs fix; an input shorter than that raises.
 """
 
 from __future__ import annotations
@@ -189,14 +191,6 @@ class ParamCurve:
     def sigma_image(self, p):
         return eval_extended(self.sigma, INF if p is INF else p)
 
-    def w01(self):
-        """y dx as a rational function times dt."""
-        return self.y * self.xprime
-
-
-def build_curve(x, y, sigma, normalization_point, spectral=None):
-    return ParamCurve(x, y, sigma, normalization_point, spectral)
-
 
 # ---------------------------------------------------------------------------
 # symmetric separable tables
@@ -211,13 +205,6 @@ class SymTable:
 
     def items(self):
         return self.table.items()
-
-    def max_order(self):
-        out = 2
-        for M in self.table:
-            for (_, d) in M:
-                out = max(out, d)
-        return out
 
 
 def _multiset_counts(M):
@@ -273,14 +260,21 @@ def _residue(entries, factors, scalar, target, sign):
     Each factor is a vector series: its j-th item maps a basis key to the
     coefficient of u^j.  The factors fold one at a time into one vector
     series keyed by tuples of basis keys, one key per factor, which then
-    pairs with the scalar coefficient at the complementary exponent.
+    pairs with the scalar coefficient at the complementary exponent.  The
+    scalar must be known through u^target and each factor through
+    u^(target - val(scalar)); a shorter input is an error, not a truncation.
     """
     top = target - scalar.val
+    if scalar.order < target:
+        raise AssertionError(f"residue needs the scalar through u^{target}, not u^{scalar.order}")
+    for vec in factors:
+        if len(vec) <= top:
+            raise AssertionError(f"residue needs {top + 1} terms of each vector factor, one has {len(vec)}")
     acc = {0: {(): Fraction(1)}}
     for vec in factors:
         nxt = {}
         for j, part in acc.items():
-            for m in range(min(len(vec), top - j + 1)):
+            for m in range(top - j + 1):
                 if not vec[m]:
                     continue
                 dst = nxt.setdefault(j + m, defaultdict(Fraction))
@@ -289,10 +283,7 @@ def _residue(entries, factors, scalar, target, sign):
                         dst[keys + (b,)] += c * vc
         acc = nxt
     for j, part in acc.items():
-        k = target - j
-        if k > scalar.order:
-            continue
-        c = scalar.coefficient(k)
+        c = scalar.coefficient(target - j)
         if c:
             c *= sign
             for keys, v in part.items():
@@ -304,14 +295,15 @@ def _residue(entries, factors, scalar, target, sign):
 
 
 def _per_point(build):
-    """Build a method's local data once per (point, working order, side)."""
+    """Build a method's local data once per (point, side), again only when a
+    longer expansion is asked for: callers read the first order + 1 terms."""
 
     def cached(self, p, order, *side):
-        key = (build.__name__, p, order) + side
-        out = self._local_cache.get(key)
-        if out is None:
-            out = self._local_cache[key] = build(self, p, order, *side)
-        return out
+        key = (build.__name__, p) + side
+        hit = self._local_cache.get(key)
+        if hit is None or hit[0] < order:
+            hit = self._local_cache[key] = (order, build(self, p, order, *side))
+        return hit[1]
 
     return cached
 
@@ -320,10 +312,11 @@ class TopRecEngine:
     def __init__(self, curve):
         self.curve = curve
         self._w = {}
+        self._fns = {}
+        self._vals = {}
         self._series_cache = {}
         self._transform_cache = {}
         self._local_cache = {}
-        self._phis_fn = {}
         self._prim_cache = {}
         self._odd_prim_cache = {}
 
@@ -353,51 +346,56 @@ class TopRecEngine:
                 out.append(((g, n), self.W(g, n)))
         return out
 
-    # -- local expansions ----------------------------------------------------
+    # -- scalar factors: exact valuations and local expansions ---------------
 
-    def _ord(self):
-        maxd = 4
-        for t in self._w.values():
-            maxd = max(maxd, t.max_order())
-        zmax = 0
-        for p in self.curve.support:
-            zmax = max(zmax, abs(self._omega_val(p)))
-        return 2 * maxd + zmax + 10
+    def _factor_fn(self, tag):
+        """The rational function of a scalar factor ("invw" stands for
+        1/Omega and names Omega itself)."""
+        fn = self._fns.get(tag)
+        if fn is None:
+            curve = self.curve
+            if tag == "invw":
+                fn = curve.omega
+            elif tag == "sigp":
+                fn = curve.sigma_prime
+            elif tag == "diag":
+                diff = RatFunc.x(QQ) - curve.sigma
+                fn = curve.sigma_prime / (diff * diff)
+            elif tag[0] == "phi":
+                fn = basis_function(tag[1])
+            else:
+                fn = basis_function(tag[1]).compose(curve.sigma)
+            self._fns[tag] = fn
+        return fn
 
-    def _omega_val(self, p):
-        if p is INF:
-            return self.curve.omega.order_at_infinity()
-        return self.curve.omega.order_at(p)
+    def _val(self, tag, p):
+        """Exact valuation of a scalar factor at a support point."""
+        key = (tag, p)
+        v = self._vals.get(key)
+        if v is None:
+            fn = self._factor_fn(tag)
+            v = fn.order_at_infinity() if p is INF else fn.order_at(p)
+            if tag == "invw":
+                v = -v
+            self._vals[key] = v
+        return v
 
-    def _series(self, tag, p, order, builder):
+    def _expansion(self, tag, p, order):
+        """Local series of a scalar factor at p, exact through ``order``."""
         key = (tag, p)
         cached = self._series_cache.get(key)
         if cached is not None and cached.order >= order:
             return cached
-        s = builder(order)
+        if tag == "invw":
+            s = self._inv_omega(p, order)
+        else:
+            s = expand_ratfunc(self._factor_fn(tag), p, order)
         self._series_cache[key] = s
         return s
 
     def _inv_omega(self, p, order):
-        # Omega through order + 2 val inverts to exactly `order`
-        return self._series(
-            "invw", p, order, lambda o: expand_ratfunc(self.curve.omega, p, o + 2 * self._omega_val(p)).inverse()
-        )
-
-    def _sigma_prime_series(self, p, order):
-        return self._series("sigp", p, order, lambda o: expand_ratfunc(self.curve.sigma_prime, p, o))
-
-    def _phi_series(self, b, p, order):
-        return self._series(("phi", b), p, order, lambda o: expand_ratfunc(basis_function(b), p, o))
-
-    def _phi_sigma_series(self, b, p, order):
-        def build(o):
-            fn = self._phis_fn.get(b)
-            if fn is None:
-                fn = self._phis_fn[b] = basis_function(b).compose(self.curve.sigma)
-            return expand_ratfunc(fn, p, o)
-
-        return self._series(("phis", b), p, order, build)
+        # Omega through order + 2 val(Omega) inverts to exactly `order`
+        return expand_ratfunc(self.curve.omega, p, order - 2 * self._val("invw", p)).inverse()
 
     @_per_point
     def _sigma_powers(self, p, order):
@@ -440,7 +438,8 @@ class TopRecEngine:
             else:
                 key, scale = (pp, m + r), comb(m + r - 1, r - 1)
             for j, c in pw.items():
-                vec[j][key] = scale * c
+                if j <= order:
+                    vec[j][key] = scale * c
         return vec
 
     @_per_point
@@ -459,43 +458,53 @@ class TopRecEngine:
 
     # -- transforms ------------------------------------------------------------
 
-    def _transform(self, fspec, gspec, order):
+    def _transform(self, fspec, gspec):
         """Residue transform of one z-factor pair at every support point.
 
         Returns {p: {entry: Fraction}} with entry = (t1_key,) possibly
-        extended by resolved keys of coupled slots (z side first).
+        extended by resolved keys of coupled slots (z side first).  Each
+        point reads its inputs through the order that their valuations fix:
+        with v_s the valuation of the scalar part, a scalar factor of
+        valuation v_i is expanded through target - (v_s - v_i) and each
+        vector factor through top = target - v_s.  The vector factors start
+        at u^0, so for top < 0 the point contributes nothing and is left out.
         """
         ckey = (fspec, gspec)
         cached = self._transform_cache.get(ckey)
-        if cached is not None and cached[0] >= order:
-            return cached[1]
-        result = {}
+        if cached is not None:
+            return cached
+        # scalar part of H: 1/Omega times the z-factors that are functions;
+        # vector factors: the kernel, then the coupled slots
+        tags, sides = ["invw"], []
         if fspec[0] == "diag":
-            diff = RatFunc.x(QQ) - self.curve.sigma
-            core = self.curve.sigma_prime / (diff * diff)
-        for p in self.curve.support:
-            entries = defaultdict(Fraction)
-            invw = self._inv_omega(p, order)
-            sigp = self._sigma_prime_series(p, order)
-            # scalar part of H; vector factors: the kernel, then coupled slots
-            scalar = invw
-            factors = [self._kernel_vectors(p, order)]
-            if fspec[0] == "diag":
-                scalar = scalar * expand_ratfunc(core, p, invw.order)
+            tags.append("diag")
+        else:
+            if fspec[0] == "phi":
+                tags.append(fspec)
             else:
-                if fspec[0] == "phi":
-                    scalar = scalar * self._phi_series(fspec[1], p, order)
-                else:
-                    factors.append(self._coupled_vectors(p, order, "z"))
-                if gspec[0] == "phi":
-                    scalar = scalar * self._phi_sigma_series(gspec[1], p, order) * sigp
-                else:
-                    scalar = scalar * sigp
-                    factors.append(self._coupled_vectors(p, order, "s"))
+                sides.append("z")
+            if gspec[0] == "phi":
+                tags.append(("phis", gspec[1]))
+            else:
+                sides.append("s")
+            tags.append("sigp")
+        result = {}
+        for p in self.curve.support:
             target, sign = (1, -1) if p is INF else (-1, 1)
+            vals = [self._val(tag, p) for tag in tags]
+            top = target - sum(vals)
+            if top < 0:
+                continue
+            scalar = None
+            for tag, v in zip(tags, vals):
+                s = self._expansion(tag, p, v + top)
+                scalar = s if scalar is None else scalar * s
+            factors = [self._kernel_vectors(p, top)]
+            factors += [self._coupled_vectors(p, top, side) for side in sides]
+            entries = defaultdict(Fraction)
             _residue(entries, factors, scalar, target, sign)
             result[p] = {k: v for k, v in entries.items() if v}
-        self._transform_cache[ckey] = (order, result)
+        self._transform_cache[ckey] = result
         return result
 
     # -- bracket assembly -------------------------------------------------------
@@ -565,14 +574,13 @@ class TopRecEngine:
 
     def _compute_w(self, g, n):
         jobs = self._jobs(g, n)
-        order = self._ord()
         half = Fraction(1, 2)
         # accumulate per support point to verify vanishing away from ramification
         perp = {p: defaultdict(Fraction) for p in self.curve.support}
         for (fspec, gspec, rest), coeff in jobs.items():
             if not coeff:
                 continue
-            transform = self._transform(fspec, gspec, order)
+            transform = self._transform(fspec, gspec)
             restc = _multiset_counts(rest)
             for p, entries in transform.items():
                 acc = perp[p]
@@ -688,22 +696,34 @@ class TopRecEngine:
         fgn = self.F(g, n)
         return self._eval_table(fgn, values, deriv=None)
 
-    def _eval_table(self, tab, values, deriv=None, primitive=None):
+    def _eval_table(self, tab, values, deriv=None, primitive=None, memo=None):
         """Sum over labeled monomials; values[i] may be a Fraction or None
         for one symbolic slot (result is then a RatFunc in that slot)."""
-        primitive = primitive or self.f_primitive
+        value = self._slot_values(values, deriv, primitive or self.f_primitive, {} if memo is None else memo)
         sym_slot = values.index(None) if None in values else None
-
-        def value(key, i):
-            fn = basis_function(key) if i == deriv else primitive(key)
-            return fn if i == sym_slot else fn(values[i])
-
         total = RatFunc.const(QQ, 0) if sym_slot is not None else Fraction(0)
         for M, c in tab.items():
             total = total + arrangement_sum(M, value, sym_slot) * c
         return total
 
-    def diff_recursion_check(self, g, n, points, rng=None):
+    @staticmethod
+    def _slot_values(values, deriv, primitive, memo):
+        """value(key, i): the basis function (slot ``deriv``) or the primitive
+        of key at values[i], or the function itself where values[i] is None.
+        ``memo`` keeps each (key, differentiated, point) value, so calls that
+        share one primitive may share it."""
+
+        def value(key, i):
+            at = (key, i == deriv, values[i])
+            out = memo.get(at)
+            if out is None:
+                fn = basis_function(key) if i == deriv else primitive(key)
+                out = memo[at] = fn if values[i] is None else fn(values[i])
+            return out
+
+        return value
+
+    def diff_recursion_check(self, g, n, points):
         """Compare d1 F_{g,n} with the right side of the differential recursion.
 
         ``points`` are rational values for z_2 .. z_n; z_1 stays symbolic and
@@ -717,7 +737,13 @@ class TopRecEngine:
         curve = self.curve
         t1 = RatFunc.x(QQ)
         prim = self._odd_primitive
-        lhs = self._eval_table(self.F(g, n), [None] + list(points), deriv=0, primitive=prim)
+        # one value table for every evaluation of this check
+        memo = {}
+
+        def table_at(tab, values, deriv=0):
+            return self._eval_table(tab, values, deriv=deriv, primitive=prim, memo=memo)
+
+        lhs = table_at(self.F(g, n), [None] + list(points))
 
         omega1 = (curve.y_sigma - curve.y) * curve.xprime  # as function of z1
         rhs = RatFunc.const(QQ, 0)
@@ -729,17 +755,15 @@ class TopRecEngine:
             omega_kern = (RatFunc.const(QQ, 1) / (t1 - RatFunc.const(QQ, zj))
                           - RatFunc.const(QQ, 1) / (t1 - RatFunc.const(QQ, szj)))
             rest = [points[i] for i in range(len(points)) if i != j - 1]
-            d1f = self._eval_table(self.F(g, n - 1), [None] + rest, deriv=0, primitive=prim)
+            d1f = table_at(self.F(g, n - 1), [None] + rest)
             rhs = rhs + omega_kern / omega1 * d1f
-            djf = self._eval_table(self.F(g, n - 1), list(points), deriv=j - 1, primitive=prim)
+            djf = table_at(self.F(g, n - 1), list(points), deriv=j - 1)
             omega_at_zj = omega1(zj)
             rhs = rhs - omega_kern * RatFunc.const(QQ, djf / omega_at_zj)
         # quadratic terms
         quad = RatFunc.const(QQ, 0)
         if g >= 1:
-            def at_points(key, i):
-                return prim(key)(points[i])
-
+            at_points = self._slot_values(points, None, prim, memo)
             tab = self.F(g - 1, n + 1)
             for M, c in tab.items():
                 for i, b1 in self._distinct(M):
@@ -757,8 +781,8 @@ class TopRecEngine:
                     n1, n2 = len(I) + 1, len(J) + 1
                     if 2 * g1 - 2 + n1 <= 0 or 2 * g2 - 2 + n2 <= 0:
                         continue
-                    dI = self._eval_table(self.F(g1, n1), [None] + [points[i] for i in I], deriv=0, primitive=prim)
-                    dJ = self._eval_table(self.F(g2, n2), [None] + [points[i] for i in J], deriv=0, primitive=prim)
+                    dI = table_at(self.F(g1, n1), [None] + [points[i] for i in I])
+                    dJ = table_at(self.F(g2, n2), [None] + [points[i] for i in J])
                     quad = quad + dI * dJ
         rhs = rhs + quad / omega1
         return lhs == rhs

@@ -24,9 +24,9 @@ from .oracles import (
 )
 from .spectral import genus_report
 from .toprec import (
+    ParamCurve,
     TopRecEngine,
     arrangement_sum,
-    build_curve,
     matching_branch_map,
     ratfunc_at_series,
     branch_maps,
@@ -64,7 +64,7 @@ def engine_for(spec):
     if spec.parametrization is None:
         raise ValueError(f"curve {spec.name!r} has no parametrization block")
     p = spec.parametrization
-    curve = build_curve(p.x, p.y, p.sigma, p.normalization_point, spectral=spec.sd)
+    curve = ParamCurve(p.x, p.y, p.sigma, p.normalization_point, spectral=spec.sd)
     return curve, TopRecEngine(curve)
 
 

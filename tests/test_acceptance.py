@@ -23,7 +23,6 @@ from quantcurve.oracles import (
     hbar_evaluate,
 )
 from quantcurve.spectral import genus_report, pole_profile
-from quantcurve.toprec import TopRecEngine, build_curve, matching_branch_map
 from quantcurve.verify import (
     catalan_mu_coefficient,
     engine_for,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from quantcurve.curvespec import (
     parse_report,
     serialize_report,
 )
+from quantcurve.toprec import TopRecEngine
 
 
 def rf(num, den=(1,)):
@@ -118,6 +120,24 @@ def test_toprec_report_airy():
     assert entries[(0, 3)] == [{"key": [["inf", 2]] * 3, "coeff": "-1/16"}]
 
 
+# sha256 of the serialized toprec reports, copied from perfbench/digests.json:
+# any change to a table, a coefficient or the layout of these reports shows
+TOPREC_REPORT_SHA256 = {
+    ("airy", 3): "bb69b319b4c69675121b8a6226f8878f31ad454ab70d79e5afaa57c8bea84f0d",
+    ("airy", 4): "0cb5b1341ccc23b65fe5e4dd17d62bc182dde40c5f741b53133c6bbd9d260d42",
+    ("airy", 5): "e671c806eddb0acd1550d151854aeded756da44b30807b724fac3194ceb1855b",
+    ("catalan", 3): "4e0a0ba69954c55398b194b3d904c9a1a35128c88efb7fe6941819175c9e0ed1",
+    ("catalan", 4): "677156e5d82be4a7f22832e4d1578a0806146259bdf479731738162e4b6c3304",
+    ("catalan", 5): "a785ae8edba87dcbb6f01b31be0f7ff4282aa869055dee107afe8bd9e9084f53",
+}
+
+
+@pytest.mark.parametrize("curve,level", sorted(TOPREC_REPORT_SHA256))
+def test_toprec_report_bytes_unchanged(curve, level):
+    text = serialize_report({"report": toprec_report(load_curve(curve), level=level)})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TOPREC_REPORT_SHA256[curve, level]
+
+
 def test_toprec_requires_parametrization():
     with pytest.raises(ValueError, match="parametrization"):
         toprec_report(load_curve("gauss"), level=1)
@@ -184,6 +204,22 @@ def test_cli_size_knobs_capped(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and argv[-2] in err
+
+
+@pytest.mark.parametrize("exc", [
+    AssertionError("W_(1, 1) fails the symmetry re-check\nat ((inf, 4),)"),
+    ZeroDivisionError("division by zero"),
+])
+def test_cli_internal_invariant_exit_code(exc, monkeypatch, capsys):
+    def broken(self, g, n):
+        raise exc
+
+    monkeypatch.setattr(TopRecEngine, "_compute_w", broken)
+    assert main(["toprec", "--curve", "airy", "--depth", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: internal: toprec: {type(exc).__name__}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_plotdata_samples_at_cap(tmp_path):

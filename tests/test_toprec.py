@@ -7,15 +7,16 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantcurve.algebra import INF, QQ, RatFunc
+from quantcurve.algebra import INF, QQ, RatFunc, TruncSeries
 from quantcurve.oracles import airy_closed_free_energy, enumerate_cellular
 from quantcurve.spectral import SpectralData
 from quantcurve.toprec import (
+    ParamCurve,
     TopRecEngine,
+    _residue,
     arrangement_sum,
     basis_function,
     branch_maps,
-    build_curve,
     matching_branch_map,
     ratfunc_at_series,
 )
@@ -35,7 +36,7 @@ def rf(num, den=(1,)):
 
 def test_airy_curve_data(airy_engine):
     curve, eng = airy_engine
-    assert curve.w01() == rf([16], [0, 0, 0, 0, 1])
+    assert curve.y * curve.xprime == rf([16], [0, 0, 0, 0, 1])
     omega = (curve.y_sigma - curve.y) * curve.xprime
     assert omega == rf([-32], [0, 0, 0, 0, 1])
     assert curve.ram_points == [INF]
@@ -44,18 +45,18 @@ def test_airy_curve_data(airy_engine):
 
 def test_catalan_curve_accepts_conjugate_roots(catalan_spec):
     p = catalan_spec.parametrization
-    curve = build_curve(p.x, p.y, p.sigma, p.normalization_point, spectral=catalan_spec.sd)
+    curve = ParamCurve(p.x, p.y, p.sigma, p.normalization_point, spectral=catalan_spec.sd)
     assert sorted(map(str, curve.ram_points)) == ["0", "inf"]
 
 
 def test_sigma_involution_validation():
     with pytest.raises(ValueError, match="involution"):
-        build_curve(rf([4], [0, 0, 1]), rf([-2], [0, 1]), rf([1, 2]), Fraction(0))
+        ParamCurve(rf([4], [0, 0, 1]), rf([-2], [0, 1]), rf([1, 2]), Fraction(0))
 
 
 def test_x_invariance_validation():
     with pytest.raises(ValueError, match="sigma-invariant"):
-        build_curve(rf([0, 1]), rf([-2], [0, 1]), rf([0, -1]), Fraction(0))
+        ParamCurve(rf([0, 1]), rf([-2], [0, 1]), rf([0, -1]), Fraction(0))
 
 
 def test_conjugate_root_validation_catches_wrong_parametrization():
@@ -64,7 +65,7 @@ def test_conjugate_root_validation_catches_wrong_parametrization():
     bad_x = rf([6, 0, 2], [1, 0, 1])
     y = rf([-1, -1], [-1, 1])
     with pytest.raises(ValueError, match="conjugate root"):
-        build_curve(bad_x, y, rf([0, -1]), Fraction(-1), spectral=sd)
+        ParamCurve(bad_x, y, rf([0, -1]), Fraction(-1), spectral=sd)
 
 
 def test_airy_w11_w03(airy_engine):
@@ -111,13 +112,55 @@ def test_tables_do_not_depend_on_history(name):
     _, cold = engine_for(load_curve(name))
     _, used = engine_for(load_curve(name))
     used.compute_level(5)
-    # recompute levels 1-4 at the working order level 5 set, on local caches
-    # that already hold the lower working orders
+    # recompute levels 1-4 with no transform cached, from the local series
+    # and vectors that level 5 left longer than those transforms request
     for key in [k for k in used._w if 2 * k[0] - 2 + k[1] <= 4]:
         del used._w[key]
+    used._transform_cache.clear()
     for level in range(1, 5):
         for (g, n), tab in used.compute_level(level):
             assert tab.table == cold.W(g, n).table, (g, n)
+    assert any(used._series_cache[k].order > s.order for k, s in cold._series_cache.items())
+
+
+@pytest.mark.parametrize("name,count", [("airy", 35), ("catalan", 102)])
+def test_each_transform_is_computed_once(name, count, monkeypatch):
+    computed = []
+    transform = TopRecEngine._transform
+
+    def counted(self, fspec, gspec):
+        if (fspec, gspec) not in self._transform_cache:
+            computed.append((fspec, gspec))
+        return transform(self, fspec, gspec)
+
+    monkeypatch.setattr(TopRecEngine, "_transform", counted)
+    _, eng = engine_for(load_curve(name))
+    for level in range(1, 6):
+        eng.compute_level(level)
+    assert len(computed) == len(set(computed)) == count
+
+
+def _residue_inputs():
+    # u^-2 + u^-1, exact through u^-1, against the vector series a + 2a u:
+    # the u^-1 coefficient of the product is 1 * 2 + 1 * 1
+    scalar = TruncSeries(QQ, -2, [1, 1], -1)
+    vec = [{"a": Fraction(1)}, {"a": Fraction(2)}]
+    entries = defaultdict(Fraction)
+    _residue(entries, [vec], scalar, -1, 1)
+    assert entries == {("a",): 3}
+    return scalar, vec
+
+
+def test_residue_raises_on_a_scalar_one_order_short():
+    scalar, vec = _residue_inputs()
+    with pytest.raises(AssertionError, match="scalar"):
+        _residue(defaultdict(Fraction), [vec], scalar.truncate(-2), -1, 1)
+
+
+def test_residue_raises_on_a_vector_one_term_short():
+    scalar, vec = _residue_inputs()
+    with pytest.raises(AssertionError, match="vector factor"):
+        _residue(defaultdict(Fraction), [vec, vec[:1]], scalar, -1, 1)
 
 
 def test_stable_range_guard(airy_engine):
@@ -144,6 +187,22 @@ def test_diff_recursion_golden(airy_engine, catalan_engine):
     for curve, eng in (airy_engine, catalan_engine):
         assert eng.diff_recursion_check(0, 4, pts)
         assert eng.diff_recursion_check(1, 2, pts[:1])
+
+
+def test_diff_recursion_check_evaluates_each_value_once(catalan_engine, monkeypatch):
+    _, eng = catalan_engine
+    points = DIFF_SAMPLE_POINTS[:2]
+    assert eng.diff_recursion_check(1, 3, points)  # fill the tables first
+    calls = []
+    call = RatFunc.__call__
+
+    def counted(self, x):
+        calls.append((id(self), x))
+        return call(self, x)
+
+    monkeypatch.setattr(RatFunc, "__call__", counted)
+    assert eng.diff_recursion_check(1, 3, points)
+    assert len(calls) == len(set(calls)) == 32
 
 
 def test_diff_recursion_range_guard(airy_engine):
@@ -185,7 +244,7 @@ def scaled_airy(rng):
     e = Fraction(rng.randint(-3, 3))
     x = rf([a], [0, 0, 1]) + rf([e])
     y = rf([b], [0, 1])
-    return build_curve(x, y, rf([0, -1]), Fraction(0))
+    return ParamCurve(x, y, rf([0, -1]), Fraction(0))
 
 
 def xy_family(rng):
@@ -195,7 +254,7 @@ def xy_family(rng):
     x = rf([c, 0, 1], [0, 1])
     y = rf([0, -1])
     sigma = rf([c], [0, 1])
-    return build_curve(x, y, sigma, None)
+    return ParamCurve(x, y, sigma, None)
 
 
 def test_random_family_properties():
