@@ -72,13 +72,27 @@ class RationalField:
         one gcd per coefficient product.
         """
         (A, da), (B, db) = _numerators(a[:n]), _numerators(b[:n])
-        out = [0] * n
-        for i, x in enumerate(A):
-            if x:
-                for j, y in enumerate(B[: n - i]):
-                    out[i + j] += x * y
         den = da * db
-        return [Fraction(c, den) for c in out]
+        return [Fraction(c, den) for c in _int_convolve(A, B, n)]
+
+    def quad_convolve(self, xa, xb, ya, yb, d, n):
+        """The two parts of (xa + xb s)(ya + yb s), s**2 = d, through ``n``
+        coefficients; each operand's two parts have equal lengths.
+
+        Each operand is scaled once to integer numerators over one common
+        denominator; three int convolutions give xa ya, xb yb and
+        (xa + xb)(ya + yb), and d's numerator and denominator are folded in
+        last, so the 2n output ``Fraction``s hold the only gcds.
+        """
+        (X, dx), (Y, dy) = _numerators(xa[:n] + xb[:n]), _numerators(ya[:n] + yb[:n])
+        i, j = len(X) // 2, len(Y) // 2
+        aa, bb = _int_convolve(X[:i], Y[:j], n), _int_convolve(X[i:], Y[j:], n)
+        mixed = _int_convolve([p + q for p, q in zip(X[:i], X[i:])],
+                              [p + q for p, q in zip(Y[:j], Y[j:])], n)
+        dn, dd = d.numerator, d.denominator
+        den = dx * dy
+        return ([Fraction(p * dd + dn * q, den * dd) for p, q in zip(aa, bb)],
+                [Fraction(m - p - q, den) for p, q, m in zip(aa, bb, mixed)])
 
     def __repr__(self):
         return "QQ"
@@ -91,6 +105,16 @@ def _numerators(xs):
     # then holds up to 2000 tuples of every length up to 20 (~4 MB)
     den = math.lcm(*[x.denominator for x in xs])
     return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _int_convolve(A, B, n):
+    """The first ``n`` coefficients of the product of two int lists."""
+    out = [0] * n
+    for i, x in enumerate(A[:n]):
+        if x:
+            for j, y in enumerate(B[: n - i]):
+                out[i + j] += x * y
+    return out
 
 
 QQ = RationalField()
@@ -106,12 +130,25 @@ class QuadExtElement:
         self.a = a
         self.b = b
 
-    def _coerce(self, other):
-        if isinstance(other, QuadExtElement) and other.field is self.field:
+    def _own(self, other):
+        return isinstance(other, QuadExtElement) and other.field is self.field
+
+    def _scalar(self, other):
+        """``other`` as a base-field scalar, or None.  Test ``_own`` first:
+        in a tower the outer and inner elements share a type."""
+        if isinstance(other, (int, Fraction)):
             return other
-        if isinstance(other, (int, Fraction)) or type(other) is type(self.a):
-            return QuadExtElement(self.field, self.field.base_of(other), self.field.base.zero())
+        if type(other) is type(self.a):
+            return self.field.base_of(other)
         return None
+
+    def _coerce(self, other):
+        if self._own(other):
+            return other
+        c = self._scalar(other)
+        if c is None:
+            return None
+        return QuadExtElement(self.field, self.field.base_of(c), self.field.base.zero())
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -137,13 +174,13 @@ class QuadExtElement:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._own(other):
+            a, b, d = other.a, other.b, self.field.d
+            return QuadExtElement(self.field, self.a * a + d * self.b * b, self.a * b + self.b * a)
+        c = self._scalar(other)
+        if c is None:
             return NotImplemented
-        d = self.field.d
-        return QuadExtElement(
-            self.field, self.a * o.a + d * self.b * o.b, self.a * o.b + self.b * o.a
-        )
+        return QuadExtElement(self.field, self.a * c, self.b * c)
 
     __rmul__ = __mul__
 
@@ -155,10 +192,12 @@ class QuadExtElement:
         return QuadExtElement(self.field, self.a / nrm, -self.b / nrm)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._own(other):
+            return self * other.inverse()
+        c = self._scalar(other)
+        if c is None:
             return NotImplemented
-        return self * o.inverse()
+        return QuadExtElement(self.field, self.a / c, self.b / c)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -243,17 +282,26 @@ class QuadExtField:
     def convolve(self, a, b, n):
         """The first ``n`` coefficients of the product of coefficient lists.
 
-        Splits each operand into its base parts and combines four base
-        convolutions, (A + B s)(C + D s) = (AC + d BD) + (AD + BC) s: exact,
-        at the cost of four base convolutions plus O(n) base operations.
+        Splits each operand into its base parts once and hands the product
+        (A + B s)(C + D s) = (AC + d BD) + (AD + BC) s to the base's
+        ``quad_convolve``: exact, at the cost of three base convolutions.
         """
-        base, d = self.base, self.d
-        a, b = [self.of(x) for x in a[:n]], [self.of(x) for x in b[:n]]
-        A, B = [x.a for x in a], [x.b for x in a]
-        C, D = [x.a for x in b], [x.b for x in b]
-        ac, bd = base.convolve(A, C, n), base.convolve(B, D, n)
-        ad, bc = base.convolve(A, D, n), base.convolve(B, C, n)
-        return [QuadExtElement(self, p + d * q, r + t) for p, q, r, t in zip(ac, bd, ad, bc)]
+        a, b = a[:n], b[:n]
+        re, im = self.base.quad_convolve([x.a for x in a], [x.b for x in a],
+                                         [y.a for y in b], [y.b for y in b], self.d, n)
+        return [QuadExtElement(self, p, q) for p, q in zip(re, im)]
+
+    def quad_convolve(self, xa, xb, ya, yb, d, n):
+        return three_product_convolve(self, xa, xb, ya, yb, d, n)
 
     def __repr__(self):
         return self.name
+
+
+def three_product_convolve(field, xa, xb, ya, yb, d, n):
+    """``quad_convolve`` from three ``field.convolve`` calls and O(n) field
+    operations: xa ya + d xb yb and (xa + xb)(ya + yb) - xa ya - xb yb."""
+    aa, bb = field.convolve(xa, ya, n), field.convolve(xb, yb, n)
+    mixed = field.convolve([p + q for p, q in zip(xa, xb)], [p + q for p, q in zip(ya, yb)], n)
+    return ([p + d * q for p, q in zip(aa, bb)],
+            [m - p - q for p, q, m in zip(aa, bb, mixed)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, QuadExtField
+from .fields import QQ, QuadExtField, three_product_convolve
 
 
 class Poly:
@@ -151,28 +151,6 @@ class Poly:
         if self.is_zero():
             return self
         return Poly(self.field, [self.field.zero()] * k + self.coeffs, normalize=False)
-
-    def squarefree_decomposition(self):
-        """Yun decomposition: list of (factor, multiplicity), factors monic."""
-        f = self.field
-        p = self.monic()
-        out = []
-        if p.degree <= 0:
-            return out
-        d = p.derivative()
-        a = p.gcd(d)
-        b = p // a
-        c = d // a
-        i = 1
-        while b.degree > 0:
-            z = c - b.derivative()
-            g = b.gcd(z)
-            if g.degree > 0:
-                out.append((g, i))
-            b = b // g
-            c = z // g
-            i += 1
-        return out
 
     def sqrt(self):
         """Exact square root, or None.  Works recursively over the tower."""
@@ -508,9 +486,6 @@ class FracFuncElement:
     def __bool__(self):
         return not self.rf.is_zero()
 
-    def evaluate(self, v):
-        return self.rf(v)
-
     def __repr__(self):
         return self.rf.to_str(self.parent.var)
 
@@ -573,6 +548,9 @@ class FractionField:
                     if not self.is_zero(y):
                         out[i + j] = out[i + j] + x * y
         return out
+
+    def quad_convolve(self, xa, xb, ya, yb, d, n):
+        return three_product_convolve(self, xa, xb, ya, yb, d, n)
 
     def __repr__(self):
         return self.name

@@ -13,7 +13,6 @@ series body; antiderivatives produce it, derivatives fold it back.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .poly import Poly
@@ -115,29 +114,26 @@ class TruncSeries:
         return TruncSeries(self.field, self.val + k, self.coeffs, self.order + k, e=self.e, var=self.var)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) or not isinstance(other, TruncSeries):
+        if not isinstance(other, TruncSeries):
             other = TruncSeries.const(self.field, self.field.of(other), self.order, e=self.e, var=self.var)
-        f = self.field
         order = min(self.order, other.order)
         if self.is_zero():
             return other.truncate(order)
         if other.is_zero():
             return self.truncate(order)
+        f = self.field
         val = min(self.val, other.val)
-        n = order - val + 1
-        out = [f.zero()] * n
-        for k, c in self.items():
-            if k <= order:
-                out[k - val] = out[k - val] + c
-        for k, c in other.items():
-            if k <= order:
-                out[k - val] = out[k - val] + c
+        out = [f.zero()] * (order - val + 1)
+        lo, cs = self.val - val, self.coeffs[: max(0, order - self.val + 1)]
+        out[lo: lo + len(cs)] = cs
+        for i, c in enumerate(other.coeffs[: max(0, order - other.val + 1)], other.val - val):
+            out[i] = out[i] + c
         return TruncSeries(f, val, out, order, e=self.e, var=self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.map_coeffs(lambda c: -c)
+        return self.copy(coeffs=[-c for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
@@ -150,10 +146,12 @@ class TruncSeries:
     def __mul__(self, other):
         f = self.field
         if not isinstance(other, TruncSeries):
-            c = f.of(other)
+            # a nonzero scalar keeps every nonzero coefficient nonzero;
+            # ints and Fractions act on the coefficients as they are
+            c = other if isinstance(other, (int, Fraction)) else f.of(other)
             if f.is_zero(c):
                 return TruncSeries.zero(f, self.order, e=self.e, var=self.var)
-            return self.map_coeffs(lambda x: x * c)
+            return self.copy(coeffs=[x * c for x in self.coeffs])
         if self.is_zero() or other.is_zero():
             order = min(self.order + other.val, other.order + self.val)
             return TruncSeries.zero(f, order, e=self.e, var=self.var)
@@ -215,18 +213,18 @@ class TruncSeries:
         if not f.is_zero(root_of_leading * root_of_leading - lead):
             raise ValueError("root_of_leading squared does not match the leading coefficient")
         v = self.val
-        unit = self.shift(-v)
-        n = unit.order + 1
-        a = [unit.coefficient(k) for k in range(n)]
-        out = [f.zero()] * n
-        out[0] = root_of_leading
-        twice = root_of_leading + root_of_leading
-        for k in range(1, n):
-            acc = a[k]
-            for j in range(1, k):
-                acc = acc - out[j] * out[k - j]
-            out[k] = acc / twice
-        res = TruncSeries(f, 0, out, unit.order, e=self.e, var=self.var)
+        unit = self.shift(-v)  # valuation 0, known through order - v
+        n, u = unit.order + 1, unit.coeffs
+        # Newton on the inverse square root, h <- h - h (u h^2 - 1) / 2:
+        # each step doubles the correct coefficients with three convolves
+        h, m = [f.one() / root_of_leading], 1
+        while m < n:
+            m2 = min(2 * m, n)
+            # u h^2 = 1 + O(tau^m): only coefficients m .. m2 - 1 remain
+            err = f.convolve(u, f.convolve(h, h, m2), m2)[m:]
+            h = h + [c / -2 for c in f.convolve(h, err, m2 - m)]
+            m = m2
+        res = TruncSeries(f, 0, f.convolve(u, h, n), unit.order, e=self.e, var=self.var)
         return res.shift(v // 2)
 
     def log1(self):
@@ -248,30 +246,10 @@ class TruncSeries:
             sign = -sign
         return out
 
-    def exp(self):
-        """exp of a series with valuation >= 1."""
-        f = self.field
-        if not self.is_zero() and self.val < 1:
-            raise ValueError("exp requires valuation >= 1")
-        out = TruncSeries.const(f, f.one(), self.order, e=self.e, var=self.var)
-        term = TruncSeries.const(f, f.one(), self.order, e=self.e, var=self.var)
-        k = 1
-        while True:
-            term = term * self
-            if term.is_zero() or term.val > self.order:
-                break
-            out = out + term * f.of(Fraction(1, math.factorial(k)))
-            k += 1
-        return out.truncate(self.order)
-
     def derivative(self):
         """d/dtau."""
-        f = self.field
-        out = []
-        for i, c in enumerate(self.coeffs):
-            k = self.val + i
-            out.append(f.of(k) * c)
-        return TruncSeries(f, self.val - 1, out, self.order - 1, e=self.e, var=self.var)
+        out = [c * k for k, c in enumerate(self.coeffs, self.val)]
+        return TruncSeries(self.field, self.val - 1, out, self.order - 1, e=self.e, var=self.var)
 
     def integrate(self):
         """Antiderivative in tau.  Returns (log_coefficient, series).
@@ -280,22 +258,14 @@ class TruncSeries:
         returned separately as the coefficient of log(tau).
         """
         f = self.field
-        logc = f.zero()
-        out = []
-        val = self.val + 1
-        coeffs_out = {}
-        for k, c in self.items():
+        logc, out = f.zero(), []
+        for k, c in enumerate(self.coeffs, self.val):
             if k == -1:
                 logc = c
+                out.append(f.zero())
             else:
-                coeffs_out[k + 1] = c / f.of(k + 1)
-        order = self.order + 1
-        if coeffs_out:
-            val = min(coeffs_out)
-            out = [coeffs_out.get(k, f.zero()) for k in range(val, order + 1)]
-        else:
-            val, out = order + 1, []
-        return logc, TruncSeries(f, val, out, order, e=self.e, var=self.var)
+                out.append(c / (k + 1))
+        return logc, TruncSeries(f, self.val + 1, out, self.order + 1, e=self.e, var=self.var)
 
     def compose(self, inner):
         """self(inner) for an inner series of valuation >= 1."""

@@ -68,58 +68,57 @@ class WkbState:
 def _ddx(series, place, e):
     """d/dx through the chain rule; exact monomial for dtau/dx."""
     d = series.derivative()
-    f = series.field
     if place is INF:
-        return d.shift(1 + e) * f.of(Fraction(-1, e))
-    return d.shift(1 - e) * f.of(Fraction(1, e))
+        return d.shift(1 + e) * Fraction(-1, e)
+    if e == 1:
+        return d
+    return d.shift(1 - e) * Fraction(1, e)
 
 
 def _antiderivative_x(series, place, e):
     """Antiderivative in x; returns (lambda, body) with lambda on log(tau^e)."""
-    f = series.field
     if place is INF:
-        integrand = series.shift(-1 - e) * f.of(-e)
+        integrand = series.shift(-1 - e) * -e
     else:
-        integrand = series.shift(e - 1) * f.of(e)
+        integrand = series.shift(e - 1) * e
     logc, body = integrand.integrate()
-    return logc / f.of(e), body
+    return logc / e, body
 
 
 def semiclassical_root(cfg, _work_order=None):
     """Solve the leading equation; extends the field by a square root if needed.
 
-    Returns a WkbState holding S0 only.
+    The local expansions and the discriminant are computed once over the
+    field of the operator; when the square root of the discriminant's
+    leading coefficient is not in that field, it is adjoined and the three
+    series are embedded coefficient by coefficient.  Returns a WkbState
+    holding S0 only.
     """
     field = cfg.a1.field
     work = _work_order if _work_order is not None else cfg.order + 4 * (cfg.depth + 2)
     worder = work // cfg.e + 2
-    a1, a2 = cfg.a1, cfg.a2
-    while True:
-        a1s = expand_ratfunc(a1, cfg.place, worder, e=cfg.e)
-        a2s = expand_ratfunc(a2, cfg.place, worder, e=cfg.e)
-        disc = a1s * a1s - 4 * a2s
-        if disc.is_zero():
-            raise ValueError("degenerate operator: zero discriminant")
-        if disc.val % 2 != 0:
-            if cfg.e != 2:
-                raise ValueError(
-                    f"odd discriminant valuation {disc.val}: a branch chart (e = 2) is required"
-                )
-            raise ValueError("odd discriminant valuation persists on the branch chart")
-        lead = disc.coeffs[0]
-        root = field.sqrt(lead)
-        if root is not None:
-            break
+    a1s = expand_ratfunc(cfg.a1, cfg.place, worder, e=cfg.e)
+    a2s = expand_ratfunc(cfg.a2, cfg.place, worder, e=cfg.e)
+    disc = a1s * a1s - 4 * a2s
+    if disc.is_zero():
+        raise ValueError("degenerate operator: zero discriminant")
+    if disc.val % 2 != 0:
+        if cfg.e != 2:
+            raise ValueError(
+                f"odd discriminant valuation {disc.val}: a branch chart (e = 2) is required"
+            )
+        raise ValueError("odd discriminant valuation persists on the branch chart")
+    lead = disc.coeffs[0]
+    root = field.sqrt(lead)
+    if root is None:
         field = QuadExtField(field, lead)
-        a1 = RatFunc.from_coeffs(field, [field.of(c) for c in cfg.a1.num.coeffs],
-                                 [field.of(c) for c in cfg.a1.den.coeffs])
-        a2 = RatFunc.from_coeffs(field, [field.of(c) for c in cfg.a2.num.coeffs],
-                                 [field.of(c) for c in cfg.a2.den.coeffs])
+        a1s, a2s, disc = (s.map_coeffs(field.of, field=field) for s in (a1s, a2s, disc))
+        root = field.gen
     sq = disc.sqrt(root)
     if cfg.branch == "plus":
-        s0p = (sq - a1s) * field.of(Fraction(1, 2))
+        s0p = (sq - a1s) * Fraction(1, 2)
     else:
-        s0p = (-sq - a1s) * field.of(Fraction(1, 2))
+        s0p = (-sq - a1s) * Fraction(1, 2)
     lam, body = _antiderivative_x(s0p, cfg.place, cfg.e)
     return WkbState(cfg, field, [LogSeries(lam, body)], [s0p], a1s, a2s)
 
@@ -220,13 +219,6 @@ class WaveExpansion:
 
     def coefficient(self, k):
         return self.body.coefficient(k)
-
-    def specialize_h(self, value):
-        """Evaluate all coefficients at a rational value of h."""
-        value = Fraction(value)
-        body = self.body.map_coeffs(lambda c: c.rf(value), field=QQ)
-        pref = self.prefactor_exponent.rf(value)
-        return pref, body
 
 
 def assemble_wavefunction(state, order_x=None, order_h=None):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quantcurve.algebra import HBAR_FIELD, QQ, FractionField, QuadExtField, RatFunc
+from quantcurve.algebra import HBAR_FIELD, QQ, FractionField, QuadExtElement, QuadExtField, RatFunc
 
 
 def towers():
@@ -111,3 +111,20 @@ def test_equal_elements_hash_alike():
     assert h * h / h in {h}
     G = QuadExtField(HBAR_FIELD, h)
     assert G.of(3) == 3 and G.of(3) in {3}
+
+
+def test_tower_scalar_products_match_coercion():
+    # in QQ(sqrt 2)(sqrt 3) outer and inner elements share a type, so a base
+    # scalar must be told apart from an own-field element before any fast path
+    inner = QuadExtField(QQ, 2)
+    outer = QuadExtField(inner, 3)
+    x = outer.make(inner.make(1, 2), inner.make(Fraction(-1, 3), 5))
+
+    def product(p, q):
+        return QuadExtElement(outer, p.a * q.a + outer.d * p.b * q.b, p.a * q.b + p.b * q.a)
+
+    for y in [outer.make(inner.make(2, -1), inner.make(Fraction(1, 2), 1)),
+              inner.make(Fraction(3, 4), -2), Fraction(-5, 7), 3]:
+        o = outer.of(y)
+        assert x * y == product(x, o)
+        assert x / y == product(x, o.inverse())

@@ -1,9 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from quantcurve import cli
 from quantcurve.algebra import INF, QQ, QuadExtField, RatFunc, expand_ratfunc
+from quantcurve.curvespec import parse_curve_spec, serialize_report
 from quantcurve.wkb import (
     WkbConfig,
     assemble_wavefunction,
@@ -133,12 +137,12 @@ def test_hermite_hbar_one_double_factorials():
     # error-function asymptotics 1, 1, 3, 15, 105 after the 1/x prefactor
     st = solve_wkb(WkbConfig(*HERMITE, INF, e=1, branch="plus", order=14, depth=6))
     wave = assemble_wavefunction(st)
-    pref, body = wave.specialize_h(1)
-    assert pref == 1  # prefactor (1/x)^(1/h) becomes 1/x
+    one = Fraction(1)
+    assert wave.prefactor_exponent.rf(one) == 1  # prefactor (1/x)^(1/h) becomes 1/x
     for n, expect in enumerate([1, 1, 3, 15, 105]):
-        assert body.coefficient(2 * n) == expect
-        if 2 * n + 1 <= body.order:
-            assert body.coefficient(2 * n + 1) == 0
+        assert wave.coefficient(2 * n).rf(one) == expect
+        if 2 * n + 1 <= wave.body.order:
+            assert wave.coefficient(2 * n + 1).rf(one) == 0
 
 
 def test_assemble_rejects_essential_prefactor():
@@ -186,3 +190,61 @@ def test_hermite_at_finite_branch_point():
     # universal -(1/4) log of the uniformizer at a simple turning point
     assert st.S[1].lam == Fraction(-1, 4)
     assert verify_operator(st)["ok"]
+
+
+# whole WKB reports over QQ(sqrt d), pinned by the sha256 of their CLI
+# serialization: e = 1 at a finite place (d = -8), and e = 2 at a finite
+# branch point whose discriminant has the non-integral leading coefficient 10/3
+SURD_SPECS = {
+    "e1": {"name": "surd-e1",
+           "coefficients": {"a1": [["1", "1"], ["2", "-1"]], "a2": [["2", "0", "1"], ["1"]]},
+           "expansion": {"place": "1/2", "order": 12, "depth": 4}},
+    "e2": {"name": "surd-e2",
+           "coefficients": {"a1": [["0", "1"], ["1"]], "a2": [["5/12", "0", "-1/6"], ["1"]]},
+           "expansion": {"place": "1", "order": 7, "depth": 4}},
+}
+SURD_REPORT_SHA256 = {
+    ("e1", "plus"): "cf835dfca657b6bb45baddba2dddc55a887b42a51213f8f55c93838c70266a55",
+    ("e1", "minus"): "183f660ef93e47d8f2448a54c9ec989921e2200390c2e35d1f49311ddf9556f0",
+    ("e2", "plus"): "b7c20dee1a8650a2574695f88c88b289a6352363ed716019a8a72f98068799a1",
+    ("e2", "minus"): "3f2a1bad5b5e6d116c527a7a2693d9bf50c84d626ecc4c9baf55a6ff0104f15a",
+}
+
+
+@pytest.mark.parametrize("key,branch", sorted(SURD_REPORT_SHA256))
+def test_surd_wkb_report_bytes_unchanged(key, branch):
+    rep, _ = cli.wkb_report(parse_curve_spec(SURD_SPECS[key]), branch=branch)
+    assert rep["field"] == {"e1": "QQ(sqrt(-8))", "e2": "QQ(sqrt(10/3))"}[key]
+    assert rep["ramification_index"] == int(key[1])
+    text = serialize_report({"report": rep})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SURD_REPORT_SHA256[key, branch]
+
+
+SMALL_POLY = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+
+
+@st.composite
+def random_operator(draw):
+    """Small (a1, a2) with an irreducible spectral curve, at a random place."""
+    a1 = RatFunc.from_coeffs(QQ, draw(SMALL_POLY), draw(st.sampled_from([[1], [1, 1], [-2, 0, 1]])))
+    a2 = rf(draw(SMALL_POLY), draw(st.sampled_from([[1], [0, 1], [2, -1]])))
+    disc = a1 * a1 - 4 * a2
+    assume(not disc.is_zero() and not disc.is_square())
+    place = draw(st.sampled_from([INF, Fraction(0), Fraction(1), Fraction(-1, 2)]))
+    return a1, a2, place, 2 if expand_ratfunc(disc, place, 0).val % 2 else 1
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(random_operator())
+def test_random_operators_annihilated_on_both_branches(op):
+    a1, a2, place, e = op
+    plus, minus = (solve_wkb(WkbConfig(a1, a2, place, e=e, branch=b, order=8, depth=3))
+                   for b in ("plus", "minus"))
+    assert verify_operator(plus)["ok"] and verify_operator(minus)["ok"]
+    s0_minus = minus.S_prime[0]
+    if isinstance(plus.field, QuadExtField):
+        # each branch adjoins the same d to its own field instance
+        assert minus.field.d == plus.field.d
+        s0_minus = s0_minus.map_coeffs(lambda c: plus.field.make(c.a, c.b), field=plus.field)
+    # Vieta: the two roots S0' sum to -a1
+    assert (plus.S_prime[0] + s0_minus + plus.a1s).is_zero()
