@@ -150,10 +150,19 @@ class QuadExtElement:
             return None
         return QuadExtElement(self.field, self.field.base_of(c), self.field.base.zero())
 
+    def _reflect(self, other, name):
+        """``other``'s reflected operator when ``other`` lies in an extension
+        built over this field: outer and inner elements share a type, so
+        Python never tries the reflected method by itself."""
+        f = other.field.base if isinstance(other, QuadExtElement) else None
+        while isinstance(f, QuadExtField) and f is not self.field:
+            f = f.base
+        return getattr(other, name)(self) if f is self.field else NotImplemented
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return self._reflect(other, "__radd__")
         return QuadExtElement(self.field, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
@@ -164,7 +173,7 @@ class QuadExtElement:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            return NotImplemented
+            return self._reflect(other, "__rsub__")
         return QuadExtElement(self.field, self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
@@ -179,7 +188,7 @@ class QuadExtElement:
             return QuadExtElement(self.field, self.a * a + d * self.b * b, self.a * b + self.b * a)
         c = self._scalar(other)
         if c is None:
-            return NotImplemented
+            return self._reflect(other, "__rmul__")
         return QuadExtElement(self.field, self.a * c, self.b * c)
 
     __rmul__ = __mul__
@@ -196,7 +205,7 @@ class QuadExtElement:
             return self * other.inverse()
         c = self._scalar(other)
         if c is None:
-            return NotImplemented
+            return self._reflect(other, "__rtruediv__")
         return QuadExtElement(self.field, self.a / c, self.b / c)
 
     def __rtruediv__(self, other):

@@ -268,36 +268,24 @@ class TruncSeries:
         return logc, TruncSeries(f, self.val + 1, out, self.order + 1, e=self.e, var=self.var)
 
     def compose(self, inner):
-        """self(inner) for an inner series of valuation >= 1."""
-        f = self.field
-        if not inner.is_zero() and inner.val < 1:
-            raise ValueError("composition requires inner valuation >= 1")
+        """self(inner) for a power series self and inner of valuation >= 1.
+
+        Horner from the top, trimmed to the precision that survives: with
+        v = inner.val the result is known through R = min(inner.order,
+        (self.order + 1) v - 1), and the partial sum after coefficient k is
+        still multiplied by inner k more times, so it is carried only
+        through order R - k v.
+        """
         if self.val < 0:
-            # split off the principal part via the inverse of inner powers
-            inv = inner.inverse()
-            out = TruncSeries.zero(f, inner.order, e=inner.e, var=inner.var)
-            power = TruncSeries.const(f, f.one(), inner.order, e=inner.e, var=inner.var)
-            powers = {0: power}
-            p = power
-            for k in range(1, -self.val + 1):
-                p = p * inv
-                powers[-k] = p
-            q = TruncSeries.const(f, f.one(), inner.order, e=inner.e, var=inner.var)
-            for k in range(1, self.order + 1):
-                q = q * inner
-                powers[k] = q
-            for k, c in self.items():
-                out = out + powers[k] * c
-            return out
-        # plain Horner from the top
-        out = TruncSeries.zero(f, inner.order, e=inner.e, var=inner.var)
-        for k in range(self.order, self.val - 1, -1):
+            raise ValueError("composition requires a power series (valuation >= 0)")
+        if inner.val < 1:
+            raise ValueError("composition requires inner valuation >= 1")
+        v = inner.val
+        R = min(inner.order, (self.order + 1) * v - 1)
+        top = min(self.order, R // v)
+        out = TruncSeries.zero(self.field, R - (top + 1) * v, e=inner.e, var=inner.var)
+        for k in range(top, -1, -1):
             out = out * inner + self.coefficient(k)
-        if self.val > 0:
-            pw = TruncSeries.const(f, f.one(), inner.order, e=inner.e, var=inner.var)
-            for _ in range(self.val):
-                pw = pw * inner
-            out = out * pw
         return out
 
     def reversion(self):
@@ -306,21 +294,24 @@ class TruncSeries:
         For valuation +1 the result g satisfies self(g(s)) = s.  For
         valuation -1 (a simple pole) the reciprocal is inverted, so the
         result g satisfies self(g(s)) = 1/s.
+
+        Newton iteration g <- g - (self(g) - s) g' (Brent-Kung): if g is
+        right through order m, self(g) = s + O(s^(m+1)) and g' = 1/self'(g)
+        + O(s^m), so one composition at order 2m doubles the correct terms
+        and the whole inverse costs about two full-length compositions.
         """
         f = self.field
         if self.is_zero() or self.val not in (1, -1):
             raise ValueError("reversion requires valuation +1 or -1")
         if self.val == -1:
             return self.inverse().reversion()
-        n = self.order
-        c1 = self.coefficient(1)
-        g = TruncSeries(f, 1, [f.one() / c1], n, e=self.e, var=self.var)
-        for k in range(2, n + 1):
-            fg = self.compose(g)
-            delta = fg.coefficient(k) if k <= fg.order else f.zero()
-            corr = TruncSeries(f, k, [-delta / c1], n, e=self.e, var=self.var)
-            g = g + corr
-        return g
+        g, m = [f.one() / self.coeffs[0]], 1
+        while m < self.order:
+            m = min(2 * m, self.order)
+            gs = self.copy(coeffs=g, order=m)
+            err = self.truncate(m).compose(gs) - TruncSeries.uniformizer(f, m, e=self.e, var=self.var)
+            g = (gs - err * gs.derivative()).coeffs
+        return self.copy(coeffs=g)
 
     def eq_through(self, other, order=None):
         o = min(self.order, other.order)

@@ -672,6 +672,7 @@ class TopRecEngine:
         level = m - 1
         field = branch_series.field
         out = TruncSeries.zero(field, branch_series.order)
+        prim_cache = {}
         for g in range(0, level // 2 + 2):
             n = level + 2 - 2 * g
             if n < 1:
@@ -680,7 +681,6 @@ class TopRecEngine:
             if not fgn.table:
                 continue
             nfact = factorial(n)
-            prim_cache = {}
             for M, c in fgn.items():
                 perm = _permutation_count(M)
                 term = TruncSeries.const(field, field.of(c * Fraction(perm, nfact)), branch_series.order)
@@ -806,16 +806,12 @@ def branch_maps(curve, place, e, order):
     WKB parameter with tau**e equal to the uniformizer of the place.
     """
     t0 = curve.normpt
-    if t0 is INF:
-        arg = RatFunc.from_coeffs(QQ, [1], [0, 1])
-    else:
-        arg = RatFunc.from_coeffs(QQ, [t0, 1])
-    X = curve.x.compose(arg)
     if place is INF:
-        w = RatFunc.const(QQ, 1) / X
+        w = RatFunc.const(QQ, 1) / curve.x
     else:
-        w = X - RatFunc.const(QQ, place)
-    wser = expand_ratfunc(w, Fraction(0), order + 4)
+        w = curve.x - RatFunc.const(QQ, place)
+    # the local parameter is t - t0, or 1/t at INF
+    wser = expand_ratfunc(w, t0, order + 4)
     if wser.val != e:
         raise ValueError(
             f"the normalization point sits over the place with local degree {wser.val}, not {e}"

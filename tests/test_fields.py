@@ -128,3 +128,16 @@ def test_tower_scalar_products_match_coercion():
         o = outer.of(y)
         assert x * y == product(x, o)
         assert x / y == product(x, o.inverse())
+        # the scalar on the left: an inner element hands over to the outer
+        # element's reflected operator
+        assert y * x == product(o, x)
+        assert y / x == product(o, x.inverse())
+        assert y + x == QuadExtElement(outer, o.a + x.a, o.b + x.b)
+        assert y - x == QuadExtElement(outer, o.a - x.a, o.b - x.b)
+        assert y == o and o == y and y != x
+    # one more storey: QQ(sqrt 2) elements on the left of QQ(sqrt 2)(sqrt 3)(sqrt 5)
+    top = QuadExtField(outer, 5)
+    z, y = top.make(x, outer.of(2)), inner.make(1, 1)
+    assert y * z == top.of(y) * z and y - z == top.of(y) - z and y / z == top.of(y) / z
+    with pytest.raises(TypeError):
+        inner.gen * QuadExtField(QQ, 3).gen

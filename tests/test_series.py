@@ -354,3 +354,79 @@ def test_newton_sqrt_matches_recurrence(fab, half_val, extra, lead_root):
         assert _fields(sq) == _fields(_recurrence_sqrt(s, r))
         assert sq.coefficient(half_val) == r and sq.order == s.order - half_val
         assert (sq * sq - s).is_zero()
+
+
+# compose and reversion against the untrimmed Horner and the coefficient-by-
+# coefficient reversion loop they replaced
+
+def _untrimmed_horner(s, inner):
+    f = s.field
+    out = TruncSeries.zero(f, inner.order, e=inner.e, var=inner.var)
+    for k in range(s.order, s.val - 1, -1):
+        out = out * inner + s.coefficient(k)
+    if s.val > 0:
+        pw = TruncSeries.const(f, f.one(), inner.order, e=inner.e, var=inner.var)
+        for _ in range(s.val):
+            pw = pw * inner
+        out = out * pw
+    return out
+
+
+def _compose_loop_reversion(s):
+    f = s.field
+    if s.val == -1:
+        return _compose_loop_reversion(s.inverse())
+    n = s.order
+    c1 = s.coefficient(1)
+    g = TruncSeries(f, 1, [f.one() / c1], n, e=s.e, var=s.var)
+    for k in range(2, n + 1):
+        fg = _untrimmed_horner(s, g)
+        delta = fg.coefficient(k) if k <= fg.order else f.zero()
+        g = g + TruncSeries(f, k, [-delta / c1], n, e=s.e, var=s.var)
+    return g
+
+
+def test_compose_claims_only_known_terms():
+    # 1 + t + O(t^2) at t = s + O(s^11) is 1 + s + O(s^2), not O(s^11)
+    got = TruncSeries(QQ, 0, [1, 1], 1).compose(TruncSeries.uniformizer(QQ, 10))
+    assert got.order == 1 and _fields(got) == _fields(TruncSeries(QQ, 0, [1, 1], 1))
+    with pytest.raises(ValueError):
+        TruncSeries(QQ, -1, [1, 1], 1).compose(TruncSeries.uniformizer(QQ, 10))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coefficient_lists(min_size=1), st.integers(0, 3), st.integers(0, 4),
+       st.integers(1, 3), st.integers(0, 8), st.sampled_from([1, 2]))
+def test_compose_order_is_what_the_operands_fix(fab, val, extra, inner_val, inner_extra, e):
+    field, a, b = fab
+    if field in (HBAR_FIELD, SQRT_1H):  # short, as in the reversion test below
+        a, b = a[:4], b[:4]
+    b = b or [field.one()]
+    s = TruncSeries(field, val, a, val + len(a) - 1 + extra)
+    inner = TruncSeries(field, inner_val, b, inner_val + len(b) - 1 + inner_extra, e=e)
+    got = s.compose(inner)
+    bound = min(inner.order, (s.order + 1) * inner.val - 1)
+    assert got.order == bound and (got.e, got.var) == (e, inner.var)
+    assert _fields(got) == _fields(_untrimmed_horner(s, inner).truncate(bound))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(coefficient_lists(min_size=1), st.sampled_from([1, -1]), st.sampled_from([1, 2]),
+       st.integers(0, 4), st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12)))
+def test_newton_reversion_matches_compose_loop(fab, val, e, extra, lead):
+    field, coeffs, _ = fab
+    # over the QQ(h) towers a rational leading coefficient and order at most
+    # val + 4, for the reason given in the inverse test: the reference loop
+    # takes 4 s at order 12 over QQ(h)
+    if field in (HBAR_FIELD, SQRT_1H):
+        coeffs, extra = [field.of(lead)] + coeffs[1:4], min(extra, 1)
+    elif field.is_zero(coeffs[0]):
+        coeffs[0] = field.of(lead)
+    s = TruncSeries(field, val, coeffs, val + len(coeffs) - 1 + extra, e=e)
+    g = s.reversion()
+    assert _fields(g) == _fields(_compose_loop_reversion(s))
+    assert g.var == s.var and g.val == 1
+    inner = s if val == 1 else s.inverse()
+    back = inner.compose(g)
+    assert back.order == g.order
+    assert _fields(back) == _fields(TruncSeries.uniformizer(field, g.order, e=e))

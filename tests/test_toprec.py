@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -7,9 +8,10 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantcurve.algebra import INF, QQ, RatFunc, TruncSeries
+from quantcurve.algebra import INF, QQ, RatFunc, TruncSeries, expand_ratfunc
 from quantcurve.oracles import airy_closed_free_energy, enumerate_cellular
 from quantcurve.spectral import SpectralData
+from quantcurve import toprec
 from quantcurve.toprec import (
     ParamCurve,
     TopRecEngine,
@@ -449,3 +451,84 @@ def test_reads_leave_no_reference_cycles(catalan_engine):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_principal_specialize_evaluates_each_primitive_once(monkeypatch, catalan_engine, airy_engine):
+    calls = []
+    evaluate = toprec.ratfunc_at_series
+    monkeypatch.setattr(toprec, "ratfunc_at_series", lambda f, s: calls.append(f) or evaluate(f, s))
+    for (curve, eng), e, m in ((catalan_engine, 1, 4), (catalan_engine, 1, 5), (airy_engine, 2, 5)):
+        bm = branch_maps(curve, INF, e, 12)[0]
+        keys = {key for g in range((m - 1) // 2 + 2) if m + 1 - 2 * g >= 1
+                for M, _ in eng.F(g, m + 1 - 2 * g).items() for key in M}
+        calls.clear()
+        eng.principal_specialize(m, bm)
+        assert len(calls) == len(keys)
+
+
+# sha256 of the branch sections of the builtin parametrizations, recorded
+# when branch_maps still composed x with t0 + s (or 1/s) and reverted the
+# expansion one coefficient per composition; catalan is hermite's curve
+BRANCH_MAP_SHA256 = {
+    ("airy", 4): "43411582c529ebea447ea6fcb88651df3f84c27b923cfc812716c073378c54a1",
+    ("airy", 9): "4ba264454c5bfad07344358cecb0aacfee4283a5836e47841dac0b4970856b44",
+    ("airy", 14): "5faac1ffc3f73626c5aa405f430006508b7324d42201abf5f49781153e75b181",
+    ("airy", 25): "1928ac1ad1e8c6dbb0222f4c57a67dfe5645b1de6e0e2e881a06016067692caa",
+    ("airy", 40): "e42451500eb1d431a53401a666b6305841e7f79d986d341d3ce7d5c83ae4ba97",
+    ("catalan", 4): "409f9418037da35522f6e325a107b079369b65b79c956b3ee19949cf8915ec65",
+    ("catalan", 9): "c72d2a0849917119f7a59497a186d0a53bcfd5d596f0305f41e4559c137bd51e",
+    ("catalan", 14): "fcb267e23d877704ac480c65dcf3f573f3e8b94a15961aa2511d672cfbf75862",
+    ("catalan", 25): "da199e6418d5de1861cd3057378d76352714d0103f9122a70bc1083c7dffc89f",
+    ("catalan", 40): "5b832b8d71ec0e191d6dc7995125a957d11b4687709c06cae3a3661655635b6a",
+}
+
+
+def _sections_text(sections):
+    return "\n".join(f"{s.val} {s.order} {s.e} {s.var} {[str(c) for c in s.coeffs]}"
+                     for s in sections)
+
+
+@pytest.mark.parametrize("name,e", [("airy", 2), ("catalan", 1), ("hermite", 1)])
+def test_branch_map_bytes_unchanged(name, e):
+    curve, _ = engine_for(load_curve(name))
+    for order in (4, 9, 14, 25, 40):
+        text = _sections_text(branch_maps(curve, INF, e, order))
+        key = ("catalan" if name == "hermite" else name, order)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BRANCH_MAP_SHA256[key]
+
+
+def _composed_branch_maps(curve, place, e, order):
+    # the construction branch_maps replaced: compose x with t0 + s (1/s at
+    # INF) in rational-function algebra, then expand at s = 0
+    t0 = curve.normpt
+    X = curve.x.compose(rf([1], [0, 1]) if t0 is INF else rf([t0, 1]))
+    w = RatFunc.const(QQ, 1) / X if place is INF else X - RatFunc.const(QQ, place)
+    wser = expand_ratfunc(w, Fraction(0), order + 4)
+    roots = [wser] if e == 1 else [wser.sqrt(), -wser.sqrt()]
+    outs = []
+    for r in roots:
+        s = r.reversion()
+        t = s.inverse() if t0 is INF else s + TruncSeries.const(QQ, Fraction(t0), s.order)
+        outs.append(t.copy(e=e))
+    return outs
+
+
+def test_branch_map_at_normalization_point_inf(airy_spec, catalan_spec):
+    # airy and catalan moved by t -> 1/t and t -> -1 + 1/t, which carry their
+    # normalization points 0 and -1 to INF
+    airy, _ = engine_for(airy_spec)
+    catalan, _ = engine_for(catalan_spec)
+    mobius = rf([1, -1], [0, 1])
+    cases = [
+        (ParamCurve(rf([0, 0, 4]), rf([0, -2]), rf([0, -1]), INF, spectral=airy_spec.sd),
+         airy, 2, lambda t: t.inverse()),
+        (ParamCurve(catalan.x.compose(mobius), catalan.y.compose(mobius), rf([0, 1], [-1, 2]),
+                    INF, spectral=catalan_spec.sd),
+         catalan, 1, lambda t: (t + 1).inverse()),
+    ]
+    for curve, original, e, move in cases:
+        for order in (4, 13, 30):
+            got = branch_maps(curve, INF, e, order)
+            assert _sections_text(got) == _sections_text(_composed_branch_maps(curve, INF, e, order))
+            for s, t in zip(got, branch_maps(original, INF, e, order)):
+                assert s.e == e and s.eq_through(move(t))
