@@ -8,6 +8,7 @@ from .poly import (
     factor_rational_poly,
     partial_fractions,
     poly_pow,
+    ratfunc_sum,
     residue_at,
     root_multiplicity,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "factor_rational_poly",
     "partial_fractions",
     "poly_pow",
+    "ratfunc_sum",
     "residue_at",
     "root_multiplicity",
     "INF",

@@ -398,6 +398,27 @@ class RatFunc:
         return f"RatFunc({self.to_str()})"
 
 
+def ratfunc_sum(field, terms):
+    """The reduced RatFunc sum of c * num / den over (c, num, den) triples.
+
+    Numerators over one denominator add up first; the groups then meet over
+    the least common multiple of their denominators, so the gcd reduction of
+    the result is the only one.
+    """
+    groups = {}
+    for c, num, den in terms:
+        if not field.is_zero(c):
+            part = num * c
+            groups[den] = groups[den] + part if den in groups else part
+    lcm = Poly.const(field, 1)
+    for den in groups:
+        lcm = lcm * (den // lcm.gcd(den))
+    total = Poly(field, [])
+    for den, num in groups.items():
+        total = total + num * (lcm // den)
+    return RatFunc(total, lcm)
+
+
 def root_multiplicity(p, fac):
     """Multiplicity of the irreducible factor ``fac`` in ``p`` (0 for p = 0)."""
     if p.is_zero():

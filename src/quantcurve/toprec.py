@@ -28,7 +28,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .algebra import INF, LogSeries, Poly, QQ, RatFunc, TruncSeries, factor_over, expand_ratfunc, poly_pow
+from .algebra import (
+    INF, LogSeries, Poly, QQ, RatFunc, TruncSeries,
+    expand_ratfunc, factor_over, poly_pow, ratfunc_sum,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +233,16 @@ def arrangement_sum(M, value, last=None):
 
     A dynamic program over the counts of the keys not yet placed: each
     sub-multiset is visited once and each value(key, slot) is evaluated
-    once.  The slot ``last`` is filled last, so a value of another type
-    there (a RatFunc for a symbolic slot) multiplies in once per distinct
-    key and every other step stays in Fraction arithmetic.
+    once.  With a slot ``last`` that slot is left open and never evaluated:
+    the result is the linear form {key: weight} with the sum equal to
+    sum(weight * value(key, last)), one weight per distinct key of M.
     """
     counts = _multiset_counts(M)
     keys = list(counts)
-    slots = [i for i in range(len(M)) if i != last]
-    if last is not None:
-        slots.append(last)
     partial = {tuple(counts.values()): Fraction(1)}
-    for i in slots:
+    for i in range(len(M)):
+        if i == last:
+            continue
         vals = [value(key, i) for key in keys]
         nxt = {}
         for left, acc in partial.items():
@@ -250,6 +252,8 @@ def arrangement_sum(M, value, last=None):
                     term = v * acc
                     nxt[rest] = nxt[rest] + term if rest in nxt else term
         partial = nxt
+    if last is not None:
+        return {keys[left.index(1)]: acc for left, acc in partial.items()}
     (out,) = partial.values()
     return out
 
@@ -692,19 +696,36 @@ class TopRecEngine:
         return LogSeries(field.zero(), out)
 
     def f_evaluate(self, g, n, values):
-        """F_{g,n} at rational points (None marks the symbolic first slot)."""
+        """F_{g,n} at n rational points; one None among them leaves that
+        slot symbolic, and the result is then a RatFunc in it."""
         fgn = self.F(g, n)
         return self._eval_table(fgn, values, deriv=None)
 
     def _eval_table(self, tab, values, deriv=None, primitive=None, memo=None):
         """Sum over labeled monomials; values[i] may be a Fraction or None
-        for one symbolic slot (result is then a RatFunc in that slot)."""
+        for one symbolic slot.  The monomials of a symbolic slot add up to one
+        linear form over its basis keys, which becomes a RatFunc in that slot
+        with a single reduction."""
+        if len(values) != tab.n:
+            raise ValueError(f"the table has {tab.n} slots, got {len(values)} values")
+        if values.count(None) > 1:
+            raise ValueError("at most one slot may stay symbolic")
         value = self._slot_values(values, deriv, primitive or self.f_primitive, {} if memo is None else memo)
-        sym_slot = values.index(None) if None in values else None
-        total = RatFunc.const(QQ, 0) if sym_slot is not None else Fraction(0)
+        if None not in values:
+            total = Fraction(0)
+            for M, c in tab.items():
+                total += arrangement_sum(M, value) * c
+            return total
+        slot = values.index(None)
+        form = defaultdict(Fraction)
         for M, c in tab.items():
-            total = total + arrangement_sum(M, value, sym_slot) * c
-        return total
+            for key, w in arrangement_sum(M, value, slot).items():
+                form[key] += w * c
+        terms = []
+        for key, w in form.items():
+            f = value(key, slot)
+            terms.append((w, f.num, f.den))
+        return ratfunc_sum(QQ, terms)
 
     @staticmethod
     def _slot_values(values, deriv, primitive, memo):
@@ -726,53 +747,66 @@ class TopRecEngine:
     def diff_recursion_check(self, g, n, points):
         """Compare d1 F_{g,n} with the right side of the differential recursion.
 
-        ``points`` are rational values for z_2 .. z_n; z_1 stays symbolic and
-        both sides are compared as rational functions.  Applies to
-        2g - 2 + n >= 2.
+        ``points`` are rational values for z_2 .. z_n, away from the
+        recursion support and the fixed points of sigma; z_1 stays symbolic
+        and both sides are compared as reduced rational functions.  Applies
+        to 2g - 2 + n >= 2.
         """
         if 2 * g - 2 + n < 2:
             raise ValueError("the differential recursion applies for 2g-2+n >= 2")
         if len(points) != n - 1:
             raise ValueError("need n - 1 sample points")
         curve = self.curve
-        t1 = RatFunc.x(QQ)
+        omega = curve.omega
+        images = []
+        for z in points:
+            if z in curve.support:
+                raise ValueError(f"sample point {z} is a zero or pole of Omega (recursion support)")
+            sz = eval_extended(curve.sigma, z)
+            if sz is INF or sz == z:
+                raise ValueError(f"sample point {z} hit the branch or polar locus")
+            images.append(sz)
         prim = self._odd_primitive
         # one value table for every evaluation of this check
         memo = {}
+        d1_cache = {}
 
-        def table_at(tab, values, deriv=0):
-            return self._eval_table(tab, values, deriv=deriv, primitive=prim, memo=memo)
+        def d1(gg, idx):
+            """d_1 F_{gg, len(idx)+1}(z_1, points[idx]) as a RatFunc in z_1."""
+            hit = d1_cache.get((gg, idx))
+            if hit is None:
+                values = [None] + [points[i] for i in idx]
+                hit = d1_cache[(gg, idx)] = self._eval_table(
+                    self.F(gg, len(idx) + 1), values, deriv=0, primitive=prim, memo=memo)
+            return hit
 
-        lhs = table_at(self.F(g, n), [None] + list(points))
-
-        omega1 = (curve.y_sigma - curve.y) * curve.xprime  # as function of z1
-        rhs = RatFunc.const(QQ, 0)
-        # transport terms
-        for j, zj in enumerate(points, start=1):
-            szj = eval_extended(curve.sigma, zj)
-            if szj is INF or szj == zj:
-                raise ValueError("sample point hit the branch or polar locus")
-            omega_kern = (RatFunc.const(QQ, 1) / (t1 - RatFunc.const(QQ, zj))
-                          - RatFunc.const(QQ, 1) / (t1 - RatFunc.const(QQ, szj)))
-            rest = [points[i] for i in range(len(points)) if i != j - 1]
-            d1f = table_at(self.F(g, n - 1), [None] + rest)
-            rhs = rhs + omega_kern / omega1 * d1f
-            djf = table_at(self.F(g, n - 1), list(points), deriv=j - 1)
-            omega_at_zj = omega1(zj)
-            rhs = rhs - omega_kern * RatFunc.const(QQ, djf / omega_at_zj)
-        # quadratic terms
-        quad = RatFunc.const(QQ, 0)
+        idx = tuple(range(n - 1))
+        lhs = d1(g, idx)
+        # Omega times the right side, as (c, num, den) terms of one sum
+        terms = []
+        # transport terms, with K_j = 1/(z_1 - z_j) - 1/(z_1 - sigma(z_j)):
+        # K_j (d1 F_{g,n-1}(z_1, rest) - Omega dj F_{g,n-1}(points) / Omega(z_j))
+        for j, (zj, szj) in enumerate(zip(points, images)):
+            kern_num = Poly.const(QQ, zj - szj)
+            kern_den = Poly(QQ, [-zj, 1]) * Poly(QQ, [-szj, 1])
+            d1f = d1(g, idx[:j] + idx[j + 1:])
+            terms.append((Fraction(1), kern_num * d1f.num, kern_den * d1f.den))
+            djf = self._eval_table(self.F(g, n - 1), list(points), deriv=j, primitive=prim, memo=memo)
+            terms.append((-djf / omega(zj), kern_num * omega.num, kern_den * omega.den))
+        # quadratic terms: F_{g-1,n+1} with both differentiated slots at z_1
         if g >= 1:
             at_points = self._slot_values(points, None, prim, memo)
-            tab = self.F(g - 1, n + 1)
-            for M, c in tab.items():
+            weights = defaultdict(Fraction)
+            for M, c in self.F(g - 1, n + 1).items():
                 for i, b1 in self._distinct(M):
                     rest1 = M[:i] + M[i + 1:]
                     for jj, b2 in self._distinct(rest1):
                         rest = rest1[:jj] + rest1[jj + 1:]
-                        val = arrangement_sum(rest, at_points)
-                        quad = quad + RatFunc.const(QQ, c * val) * basis_function(b1) * basis_function(b2)
-        idx = list(range(n - 1))
+                        weights[(b1, b2)] += c * arrangement_sum(rest, at_points)
+            for (b1, b2), w in weights.items():
+                f1, f2 = basis_function(b1), basis_function(b2)
+                terms.append((w, f1.num * f2.num, f1.den * f2.den))
+        # and the products over the splittings of the sample points
         for g1 in range(0, g + 1):
             g2 = g - g1
             for size in range(0, n):
@@ -781,10 +815,9 @@ class TopRecEngine:
                     n1, n2 = len(I) + 1, len(J) + 1
                     if 2 * g1 - 2 + n1 <= 0 or 2 * g2 - 2 + n2 <= 0:
                         continue
-                    dI = table_at(self.F(g1, n1), [None] + [points[i] for i in I])
-                    dJ = table_at(self.F(g2, n2), [None] + [points[i] for i in J])
-                    quad = quad + dI * dJ
-        rhs = rhs + quad / omega1
+                    dI, dJ = d1(g1, I), d1(g2, J)
+                    terms.append((Fraction(1), dI.num * dJ.num, dI.den * dJ.den))
+        rhs = ratfunc_sum(QQ, terms) / omega
         return lhs == rhs
 
 

@@ -8,7 +8,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantcurve.algebra import INF, QQ, RatFunc, TruncSeries, expand_ratfunc
+from quantcurve.algebra import INF, QQ, Poly, RatFunc, TruncSeries, expand_ratfunc
 from quantcurve.oracles import airy_closed_free_energy, enumerate_cellular
 from quantcurve.spectral import SpectralData
 from quantcurve import toprec
@@ -213,6 +213,78 @@ def test_diff_recursion_range_guard(airy_engine):
         eng.diff_recursion_check(1, 1, [])
 
 
+def test_diff_recursion_check_reduces_once_per_table(catalan_engine, monkeypatch):
+    # each symbolic-slot table sums to one linear form over its basis keys,
+    # reduced once, not once per monomial (which took 452 gcd calls here)
+    _, eng = catalan_engine
+    points = DIFF_SAMPLE_POINTS[:2]
+    assert eng.diff_recursion_check(1, 3, points)  # fill the tables first
+    calls = []
+    gcd = Poly.gcd
+
+    def counted(self, other):
+        calls.append(1)
+        return gcd(self, other)
+
+    monkeypatch.setattr(Poly, "gcd", counted)
+    assert eng.diff_recursion_check(1, 3, points)
+    assert len(calls) <= 33
+
+
+@pytest.mark.parametrize("name", ["airy", "catalan"])
+@pytest.mark.parametrize("g, n, drop", [(0, 4, 0), (0, 4, 1), (1, 3, 0), (1, 3, 1)])
+def test_diff_recursion_check_fails_on_a_perturbed_table(name, g, n, drop, request, monkeypatch):
+    # negative control: one coefficient of F(g, n) or F(g, n - 1) moved
+    _, eng = request.getfixturevalue(f"{name}_engine")
+    points = DIFF_SAMPLE_POINTS[: n - 1]
+    assert eng.diff_recursion_check(g, n, points)
+    target = (g, n - drop)
+    tab = eng.F(*target)
+    M = next(iter(tab.table))
+    perturbed = toprec.SymTable(tab.n, {**tab.table, M: tab.table[M] + Fraction(1, 7)})
+    monkeypatch.setitem(eng._w, target, perturbed)
+    assert not eng.diff_recursion_check(g, n, points)
+
+
+@pytest.mark.parametrize("name, bad", [("airy", Fraction(0)), ("catalan", Fraction(0)),
+                                       ("catalan", Fraction(1)), ("catalan", Fraction(-1))])
+def test_diff_recursion_check_rejects_support_points(name, bad, request):
+    # a zero or pole of Omega is a ValueError (CLI exit 2), not a division by zero
+    _, eng = request.getfixturevalue(f"{name}_engine")
+    with pytest.raises(ValueError, match="recursion support"):
+        eng.diff_recursion_check(0, 4, [bad, Fraction(3), Fraction(5)])
+    with pytest.raises(ValueError, match="recursion support"):
+        eng.diff_recursion_check(1, 3, [Fraction(3), bad])
+
+
+@pytest.mark.parametrize("values", [[2, 3, 5, 7], [2, 3], [None, None, 5]],
+                         ids=["too-many", "too-few", "two-symbolic"])
+def test_f_evaluate_rejects_bad_values(airy_engine, values):
+    _, eng = airy_engine
+    values = [None if v is None else Fraction(v) for v in values]
+    with pytest.raises(ValueError):
+        eng.f_evaluate(0, 3, values)
+    with pytest.raises(ValueError):
+        eng._eval_table(eng.F(0, 3), values)
+
+
+@pytest.mark.parametrize("name", ["airy", "catalan"])
+def test_symbolic_slot_evaluates_like_a_point(name, request):
+    _, eng = request.getfixturevalue(f"{name}_engine")
+    z = Fraction(2)
+    for level in range(1, 5):
+        for g in range(level // 2 + 2):
+            n = level + 2 - 2 * g
+            if n < 1:
+                continue
+            pts = DIFF_SAMPLE_POINTS[: n - 1]
+            want = eng.f_evaluate(g, n, [z] + pts)
+            first = eng.f_evaluate(g, n, [None] + pts)
+            last = eng.f_evaluate(g, n, pts + [None])
+            assert isinstance(first, RatFunc) and isinstance(last, RatFunc)
+            assert first(z) == last(z) == want, (g, n)
+
+
 def test_principal_specialization_m2(airy_engine, airy_spec):
     curve, eng = airy_engine
     st = wkb_state_for(airy_spec, depth=2, order=8)
@@ -348,16 +420,23 @@ def test_arrangement_sum_matches_permutations(M, table):
        data=st.data())
 def test_arrangement_sum_with_symbolic_slot(M, table, data):
     last = data.draw(st.integers(0, len(M) - 1))
+    calls = []
 
     def value(key, i):
+        calls.append((key, i))
         c = table[6 * "abc".index(key) + i]
         if i != last:
             return c
         # c / (t + index of key): one rational function per key
         return rf([c], ["abc".index(key), 1])
 
-    got = arrangement_sum(tuple(M), value, last)
-    assert isinstance(got, RatFunc)
+    form = arrangement_sum(tuple(M), value, last)
+    # a linear form over the keys of M; the open slot is never evaluated
+    assert set(form) == set(M)
+    assert all(isinstance(w, Fraction) for w in form.values())
+    assert len(calls) == len(set(calls)) == len(set(M)) * (len(M) - 1)
+    assert all(i != last for _, i in calls)
+    got = sum((w * value(key, last) for key, w in form.items()), RatFunc.const(QQ, 0))
     assert got == _brute_arrangement_sum(M, value)
 
 
