@@ -6,10 +6,8 @@ from .poly import (
     RatFunc,
     factor_over,
     factor_rational_poly,
-    partial_fractions,
     poly_pow,
     ratfunc_sum,
-    residue_at,
     root_multiplicity,
 )
 from .series import INF, LogSeries, TruncSeries, expand_poly, expand_ratfunc
@@ -29,10 +27,8 @@ __all__ = [
     "RatFunc",
     "factor_over",
     "factor_rational_poly",
-    "partial_fractions",
     "poly_pow",
     "ratfunc_sum",
-    "residue_at",
     "root_multiplicity",
     "INF",
     "LogSeries",

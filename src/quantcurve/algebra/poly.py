@@ -577,82 +577,9 @@ class FractionField:
         return self.name
 
 
-def partial_fractions(f):
-    """Split a RatFunc into a polynomial part and per-place pole parts.
-
-    Returns ``(poly_part, parts)`` where ``parts`` is a list of
-    ``(factor, [(exponent, numerator_poly)])`` over the monic irreducible
-    factors of the denominator, with ``deg numerator < deg factor``.  The sum
-    of all pieces reproduces ``f`` exactly.
-    """
-    field = f.field
-    poly_part, rem = f.num.divrem(f.den)
-    if rem.is_zero():
-        return poly_part, []
-    factors = factor_over(field, f.den)
-    parts = []
-    num_left = rem
-    den_left = f.den
-    for fac, mult in factors:
-        fm = poly_pow(fac, mult)
-        other = den_left // fm
-        # split num_left/(fm*other) = a/fm + b/other via Bezout
-        g, s, t = _xgcd(fm, other)
-        # g is 1 (factors are coprime); num/(fm*other) = num*t/fm + num*s/other
-        a = (num_left * t) % fm
-        terms = []
-        r = a
-        for j in range(mult, 0, -1):
-            q, rr = r.divrem(fac)
-            if not rr.is_zero():
-                terms.append((j, rr))
-            r = q
-        terms.reverse()
-        if terms:
-            parts.append((fac, terms))
-        num_left = (num_left * s) % other if other.degree > 0 else Poly(field, [])
-        den_left = other
-    return poly_part, parts
-
-
 def poly_pow(p, k):
     """p**k for k >= 0."""
     out = Poly.const(p.field, 1)
     for _ in range(k):
         out = out * p
     return out
-
-
-def _xgcd(a, b):
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.const(field, 1), Poly(field, [])
-    t0, t1 = Poly(field, []), Poly.const(field, 1)
-    while not r1.is_zero():
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    lead = r0.leading()
-    inv = field.one() / lead
-    return r0.monic(), s0 * inv, t0 * inv
-
-
-def residue_at(f, place):
-    """Residue of the differential f(t) dt at a finite point or at infinity.
-
-    ``place`` is a field element or the string ``"inf"``.  At infinity the
-    substitution t = 1/s, dt = -ds/s**2 is used.
-    """
-    from .series import expand_ratfunc, INF
-
-    field = f.field
-    if isinstance(place, str) and place == "inf":
-        s = expand_ratfunc(f, INF, order=2)
-        return -s.coefficient(1)
-    c = field.of(place)
-    ordc = f.order_at(c) if not f.is_zero() else 0
-    if f.is_zero() or ordc >= 0:
-        return field.zero()
-    s = expand_ratfunc(f, c, order=0)
-    return s.coefficient(-1)

@@ -400,22 +400,6 @@ class LogSeries:
     def field(self):
         return self.body.field
 
-    def __add__(self, other):
-        if isinstance(other, LogSeries):
-            return LogSeries(self.lam + other.lam, self.body + other.body)
-        return LogSeries(self.lam, self.body + other)
-
-    def __sub__(self, other):
-        if isinstance(other, LogSeries):
-            return LogSeries(self.lam - other.lam, self.body - other.body)
-        return LogSeries(self.lam, self.body - other)
-
-    def __mul__(self, c):
-        c = self.field.of(c)
-        return LogSeries(self.lam * c, self.body * c)
-
-    __rmul__ = __mul__
-
     def has_log(self):
         return not self.field.is_zero(self.lam)
 

@@ -16,12 +16,16 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import INF, QQ, QuadExtElement
+from .algebra import QQ, QuadExtElement
 from .curvespec import (
     BUILTIN_NAMES,
+    MAX_DEPTH,
+    MAX_ORDER,
     CurveSpecError,
+    check_size,
     frac_str,
     load_curve,
+    parse_point,
     place_repr,
     poly_strs,
     ratfunc_strs,
@@ -32,8 +36,6 @@ from .spectral import genus_report, quantum_operator
 from .verify import engine_for, run_suites, wkb_state_for
 from .wkb import verify_operator
 
-MAX_ORDER = 64
-MAX_DEPTH = 12
 MAX_LEVEL = 6
 # the cross suite specializes S_2 .. S_depth, which reads levels up to depth - 1
 MAX_VERIFY_DEPTH = MAX_LEVEL + 1
@@ -47,19 +49,6 @@ def _coeff_repr(field, c):
         base = c.field.base
         return [base.to_str(c.a), base.to_str(c.b), base.to_str(c.field.d)]
     return str(c)
-
-
-def _check_size(flag, value, cap):
-    if value is not None and not 1 <= value <= cap:
-        raise ValueError(f"{flag} must be between 1 and {cap}, got {value}")
-
-
-def _parse_place(text):
-    if text is None:
-        return None
-    if text.strip().lower() == "inf":
-        return INF
-    return Fraction(text)
 
 
 def analyze_report(spec, genus=0):
@@ -145,14 +134,14 @@ def toprec_report(spec, level=3):
             terms = []
             for M, c in sorted(tab.items(), key=lambda mc: str(mc[0])):
                 terms.append({
-                    "key": [[("inf" if q is INF else frac_str(q)), d] for (q, d) in M],
+                    "key": [[place_repr(q), d] for (q, d) in M],
                     "coeff": frac_str(c),
                 })
             entries.append({"g": g, "n": n, "level": lv, "terms": terms})
     return {
         "curve": spec.name,
-        "ramification_points": [("inf" if p is INF else frac_str(p)) for p in curve.ram_points],
-        "recursion_support": [("inf" if p is INF else frac_str(p)) for p in curve.support],
+        "ramification_points": [place_repr(p) for p in curve.ram_points],
+        "recursion_support": [place_repr(p) for p in curve.support],
         "max_level": level,
         "differentials": entries,
     }
@@ -240,21 +229,20 @@ def main(argv=None):
         if args.command in ("analyze", "wkb", "toprec", "plotdata"):
             spec = load_curve(args.curve)
         if args.command == "analyze":
+            check_size("--genus", args.genus, 0)
             payload = {"report": analyze_report(spec, genus=args.genus)}
         elif args.command == "wkb":
-            if args.order is not None and args.order > MAX_ORDER:
-                raise ValueError(f"--order capped at {MAX_ORDER}")
-            if args.depth is not None and args.depth > MAX_DEPTH:
-                raise ValueError(f"--depth capped at {MAX_DEPTH}")
-            rep, _ = wkb_report(spec, place=_parse_place(args.place),
-                                branch=args.branch, order=args.order, depth=args.depth)
+            check_size("--order", args.order, 1, MAX_ORDER)
+            check_size("--depth", args.depth, 0, MAX_DEPTH)
+            place = None if args.place is None else parse_point(args.place, "--place")
+            rep, _ = wkb_report(spec, place=place, branch=args.branch,
+                                order=args.order, depth=args.depth)
             payload = {"report": rep}
         elif args.command == "toprec":
-            if args.depth > MAX_LEVEL:
-                raise ValueError(f"--depth capped at {MAX_LEVEL}")
+            check_size("--depth", args.depth, 1, MAX_LEVEL)
             payload = {"report": toprec_report(spec, level=args.depth)}
         elif args.command == "plotdata":
-            _check_size("--samples", args.samples, MAX_SAMPLES)
+            check_size("--samples", args.samples, 1, MAX_SAMPLES)
             text = emit_plotdata(spec, args.xmin, args.xmax, args.samples)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
@@ -263,7 +251,7 @@ def main(argv=None):
                 sys.stdout.write(text)
             return 0
         elif args.command == "verify":
-            _check_size("--depth", args.depth, MAX_VERIFY_DEPTH)
+            check_size("--depth", args.depth, 1, MAX_VERIFY_DEPTH)
             names = [s.strip() for s in args.suite.split(",") if s.strip()]
             records = run_suites(names, depth=args.depth)
             all_ok = all(r["passed"] for r in records)

@@ -33,16 +33,45 @@ class CurveSpecError(ValueError):
     pass
 
 
+# size caps shared by the spec's expansion block and the command line
+MAX_ORDER = 64
+MAX_DEPTH = 12
+
+
+def check_size(what, value, lo, hi=None):
+    """``value`` if it is None or in lo..hi (no upper bound for hi None)."""
+    if value is None or lo <= value and (hi is None or value <= hi):
+        return value
+    bound = f"at least {lo}" if hi is None else f"between {lo} and {hi}"
+    raise CurveSpecError(f"{what} must be {bound}, got {value}")
+
+
+def _parse_rational(v, where):
+    try:
+        return Fraction(str(v))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CurveSpecError(f"{where}: bad rational {v!r}") from exc
+
+
+def _parse_int(v, where, lo, hi):
+    try:
+        n = int(v)
+    except (TypeError, ValueError) as exc:
+        raise CurveSpecError(f"{where}: integer expected, got {v!r}") from exc
+    return check_size(where, n, lo, hi)
+
+
+def _parse_object(data, key):
+    obj = data.get(key, {})
+    if not isinstance(obj, dict):
+        raise CurveSpecError(f"{key}: JSON object expected")
+    return obj
+
+
 def _parse_coeffs(arr, where):
     if not isinstance(arr, list) or not arr:
         raise CurveSpecError(f"{where}: coefficient array expected")
-    out = []
-    for i, c in enumerate(arr):
-        try:
-            out.append(Fraction(str(c)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CurveSpecError(f"{where}[{i}]: bad rational {c!r}") from exc
-    return out
+    return [_parse_rational(c, f"{where}[{i}]") for i, c in enumerate(arr)]
 
 
 def _parse_ratfunc(obj, where):
@@ -59,13 +88,11 @@ def _parse_ratfunc(obj, where):
     return RatFunc.from_coeffs(QQ, num, den)
 
 
-def _parse_point(v, where):
+def parse_point(v, where):
+    """A point of the projective line: a rational or "inf"."""
     if isinstance(v, str) and v.strip().lower() == "inf":
         return INF
-    try:
-        return Fraction(str(v))
-    except ValueError as exc:
-        raise CurveSpecError(f"{where}: bad point {v!r}") from exc
+    return _parse_rational(v, where)
 
 
 @dataclass
@@ -78,10 +105,10 @@ class Parametrization:
 
 @dataclass
 class ExpansionRequest:
-    place: object = INF
-    branch: str = "plus"
-    order: int = 12
-    depth: int = 3
+    place: object
+    branch: str
+    order: int
+    depth: int
 
 
 @dataclass
@@ -112,7 +139,8 @@ def parse_curve_spec(text_or_dict):
         raise CurveSpecError("exactly one of 'higgs' and 'coefficients' must be present")
     if has_higgs:
         m = data["higgs"]
-        if not (isinstance(m, list) and len(m) == 2 and all(len(r) == 2 for r in m)):
+        if not (isinstance(m, list) and len(m) == 2
+                and all(isinstance(r, list) and len(r) == 2 for r in m)):
             raise CurveSpecError("'higgs' must be a 2x2 matrix of rational functions")
         entries = tuple(
             tuple(_parse_ratfunc(m[i][j], f"higgs[{i}][{j}]") for j in range(2)) for i in range(2)
@@ -123,34 +151,30 @@ def parse_curve_spec(text_or_dict):
         if not isinstance(c, dict) or set(c) != {"a1", "a2"}:
             raise CurveSpecError("'coefficients' must contain exactly a1 and a2")
         sd = SpectralData(_parse_ratfunc(c["a1"], "a1"), _parse_ratfunc(c["a2"], "a2"))
-    extensions = []
-    for i, d in enumerate(data.get("extensions", [])):
-        dv = Fraction(str(d))
-        # raises if the adjoined element is already a square
-        QuadExtField(QQ, dv)
-        extensions.append(dv)
+    extensions = data.get("extensions", [])
+    if not isinstance(extensions, list):
+        raise CurveSpecError("extensions: array expected")
+    extensions = [_parse_rational(d, f"extensions[{i}]") for i, d in enumerate(extensions)]
+    for i, dv in enumerate(extensions):
+        try:
+            QuadExtField(QQ, dv)  # raises if the adjoined element is already a square
+        except ValueError as exc:
+            raise CurveSpecError(f"extensions[{i}]: {exc}") from exc
     par = None
     if "parametrization" in data:
-        p = data["parametrization"]
-        par = Parametrization(
-            x=_parse_ratfunc(p["x"], "parametrization.x"),
-            y=_parse_ratfunc(p["y"], "parametrization.y"),
-            sigma=_parse_ratfunc(p["sigma"], "parametrization.sigma"),
-            normalization_point=_parse_point(
-                p.get("normalization_point", 0), "normalization_point"
-            ),
-        )
-    exp = ExpansionRequest()
-    if "expansion" in data:
-        e = data["expansion"]
-        exp = ExpansionRequest(
-            place=_parse_point(e.get("place", "inf"), "expansion.place"),
-            branch=e.get("branch", "plus"),
-            order=int(e.get("order", 12)),
-            depth=int(e.get("depth", 3)),
-        )
-        if exp.branch not in ("plus", "minus"):
-            raise CurveSpecError("expansion.branch must be plus or minus")
+        p = _parse_object(data, "parametrization")
+        x, y, sigma = (_parse_ratfunc(p.get(k), f"parametrization.{k}") for k in ("x", "y", "sigma"))
+        point = parse_point(p.get("normalization_point", 0), "parametrization.normalization_point")
+        par = Parametrization(x=x, y=y, sigma=sigma, normalization_point=point)
+    e = _parse_object(data, "expansion")
+    exp = ExpansionRequest(
+        place=parse_point(e.get("place", "inf"), "expansion.place"),
+        branch=e.get("branch", "plus"),
+        order=_parse_int(e.get("order", 12), "expansion.order", 1, MAX_ORDER),
+        depth=_parse_int(e.get("depth", 3), "expansion.depth", 0, MAX_DEPTH),
+    )
+    if exp.branch not in ("plus", "minus"):
+        raise CurveSpecError("expansion.branch must be plus or minus")
     return CurveSpec(name=name, sd=sd, extensions=extensions, parametrization=par,
                      expansion=exp, raw=data)
 
@@ -256,7 +280,3 @@ def place_repr(place):
 def serialize_report(report):
     """Canonical JSON text for a report dict: sorted keys, stable layout."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def parse_report(text):
-    return json.loads(text)

@@ -169,16 +169,10 @@ class ParamCurve:
         for root, _ in rational_points_of(self.xprime.num, "dx"):
             if eval_extended(self.sigma, root) == root:
                 pts.append(root)
-        if self._dx_order_at_inf() > 0 and self._sigma_fixes_inf():
+        # dx = x'(t) dt has order ord(x') - 2 at infinity
+        if self.xprime.order_at_infinity() > 2 and eval_extended(self.sigma, INF) is INF:
             pts.append(INF)
         return pts
-
-    def _dx_order_at_inf(self):
-        # order of dx = x'(t) dt at infinity: ord(x') - 2
-        return self.xprime.order_at_infinity() - 2
-
-    def _sigma_fixes_inf(self):
-        return eval_extended(self.sigma, INF) is INF
 
     def _omega_support(self):
         supp = []
@@ -190,9 +184,6 @@ class ParamCurve:
         if self.omega.order_at_infinity() - 2 != 0 and INF not in supp:
             supp.append(INF)
         return supp
-
-    def sigma_image(self, p):
-        return eval_extended(self.sigma, INF if p is INF else p)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +210,20 @@ def _multiset_counts(M):
 
 def _merge_binomial(k1, k2):
     """Number of slot splittings realizing the (K1, K2) decomposition."""
-    c1 = _multiset_counts(k1)
-    cc = _multiset_counts(k1 + k2)
     out = 1
-    for v, m in c1.items():
-        out *= comb(cc[v], m)
+    for v, m in _multiset_counts(k1).items():
+        out *= comb(m + k2.count(v), m)
+    return out
+
+
+def _placements(rest, extras):
+    """Ways to put the coupled keys ``extras`` into the slots of rest + extras
+    that carry them: the product over extras[i] of its count in rest + extras
+    less its count in extras[:i]."""
+    full = rest + extras
+    out = 1
+    for i, r in enumerate(extras):
+        out *= full.count(r) - extras[:i].count(r)
     return out
 
 
@@ -299,14 +299,15 @@ def _residue(entries, factors, scalar, target, sign):
 
 
 def _per_point(build):
-    """Build a method's local data once per (point, side), again only when a
-    longer expansion is asked for: callers read the first order + 1 terms."""
+    """Build a method's local data once per point and trailing arguments (a
+    side or a factor tag), again only when a longer expansion is asked for:
+    callers read the first order + 1 terms."""
 
-    def cached(self, p, order, *side):
-        key = (build.__name__, p) + side
+    def cached(self, p, order, *args):
+        key = (build.__name__, p) + args
         hit = self._local_cache.get(key)
         if hit is None or hit[0] < order:
-            hit = self._local_cache[key] = (order, build(self, p, order, *side))
+            hit = self._local_cache[key] = (order, build(self, p, order, *args))
         return hit[1]
 
     return cached
@@ -318,7 +319,6 @@ class TopRecEngine:
         self._w = {}
         self._fns = {}
         self._vals = {}
-        self._series_cache = {}
         self._transform_cache = {}
         self._local_cache = {}
         self._prim_cache = {}
@@ -384,29 +384,20 @@ class TopRecEngine:
             self._vals[key] = v
         return v
 
-    def _expansion(self, tag, p, order):
+    @_per_point
+    def _expansion(self, p, order, tag):
         """Local series of a scalar factor at p, exact through ``order``."""
-        key = (tag, p)
-        cached = self._series_cache.get(key)
-        if cached is not None and cached.order >= order:
-            return cached
-        if tag == "invw":
-            s = self._inv_omega(p, order)
-        else:
-            s = expand_ratfunc(self._factor_fn(tag), p, order)
-        self._series_cache[key] = s
-        return s
-
-    def _inv_omega(self, p, order):
+        if tag != "invw":
+            return expand_ratfunc(self._factor_fn(tag), p, order)
         # Omega through order + 2 val(Omega) inverts to exactly `order`
-        return expand_ratfunc(self.curve.omega, p, order - 2 * self._val("invw", p)).inverse()
+        return expand_ratfunc(self.curve.omega, p, order - 2 * self._val(tag, p)).inverse()
 
     @_per_point
     def _sigma_powers(self, p, order):
         """(image point p', {m: {exponent: coeff}}) for the powers of the
         local coordinate at p' of sigma(z), expanded at p."""
-        pp = self.curve.sigma_image(p)
         sigma = self.curve.sigma
+        pp = eval_extended(sigma, p)
         loc = RatFunc.const(QQ, 1) / sigma if pp is INF else sigma - RatFunc.const(QQ, pp)
         s = expand_ratfunc(loc, p, order)
         out = {0: {0: Fraction(1)}}
@@ -501,7 +492,7 @@ class TopRecEngine:
                 continue
             scalar = None
             for tag, v in zip(tags, vals):
-                s = self._expansion(tag, p, v + top)
+                s = self._expansion(p, v + top, tag)
                 scalar = s if scalar is None else scalar * s
             factors = [self._kernel_vectors(p, top)]
             factors += [self._coupled_vectors(p, top, side) for side in sides]
@@ -513,59 +504,44 @@ class TopRecEngine:
 
     # -- bracket assembly -------------------------------------------------------
 
+    def _one_slot(self, g, n):
+        """(spec, rest, c): one slot of W_{g,n} set apart, one item per
+        distinct key of each monomial; W_{0,2} is the single ("w2",)."""
+        if (g, n) == (0, 2):
+            yield ("w2",), (), 1
+            return
+        for M, c in self.W(g, n).items():
+            for i, b in self._distinct(M):
+                yield ("phi", b), M[:i] + M[i + 1:], c
+
+    def _two_slots(self, g, n):
+        """(spec1, spec2, rest, c): a second slot set apart from the rest of
+        each _one_slot item; W_{0,2} is the single pair ("diag",) twice."""
+        if (g, n) == (0, 2):
+            yield ("diag",), ("diag",), (), 1
+            return
+        for spec1, rest1, c in self._one_slot(g, n):
+            for i, b in self._distinct(rest1):
+                yield spec1, ("phi", b), rest1[:i] + rest1[i + 1:], c
+
     def _jobs(self, g, n):
         """{(fspec, gspec, rest_multiset): coefficient} for the bracket."""
         jobs = defaultdict(Fraction)
         # W_{g-1, n+1}(z, sigma z, rest)
         if g >= 1:
-            if (g - 1, n + 1) == (0, 2):
-                jobs[(("diag",), ("diag",), ())] += 1
-            else:
-                for M, c in self.W(g - 1, n + 1).items():
-                    for i, b1 in self._distinct(M):
-                        rest1 = M[:i] + M[i + 1:]
-                        for jj, b2 in self._distinct(rest1):
-                            rest = rest1[:jj] + rest1[jj + 1:]
-                            jobs[(("phi", b1), ("phi", b2), rest)] += c
-        # splits
+            for fspec, gspec, rest, c in self._two_slots(g - 1, n + 1):
+                jobs[(fspec, gspec, rest)] += c
+        # splits W_{g1, n1}(z, .) W_{g2, n2}(sigma z, .), W_{0,2} allowed on either side
         for g1 in range(0, g + 1):
-            g2 = g - g1
-            for a in range(0, n):
-                b_ = n - 1 - a
-                n1, n2 = a + 1, b_ + 1
-                if (g1, n1) == (0, 1) or (g2, n2) == (0, 1):
+            for n1 in range(1, n + 1):
+                g2, n2 = g - g1, n + 1 - n1
+                if 2 * g1 - 2 + n1 < 0 or 2 * g2 - 2 + n2 < 0:
                     continue
-                s1 = 2 * g1 - 2 + n1
-                s2 = 2 * g2 - 2 + n2
-                if (s1 <= 0 and (g1, n1) != (0, 2)) or (s2 <= 0 and (g2, n2) != (0, 2)):
-                    continue
-                left_w2 = (g1, n1) == (0, 2)
-                right_w2 = (g2, n2) == (0, 2)
-                if left_w2 and right_w2:
-                    if n == 3:
-                        jobs[(("w2",), ("w2",), ())] += 1
-                    continue
-                if left_w2:
-                    for M2, c2 in self.W(g2, n2).items():
-                        for i, b2 in self._distinct(M2):
-                            rest = M2[:i] + M2[i + 1:]
-                            jobs[(("w2",), ("phi", b2), rest)] += c2
-                    continue
-                if right_w2:
-                    for M1, c1 in self.W(g1, n1).items():
-                        for i, b1 in self._distinct(M1):
-                            rest = M1[:i] + M1[i + 1:]
-                            jobs[(("phi", b1), ("w2",), rest)] += c1
-                    continue
-                for M1, c1 in self.W(g1, n1).items():
-                    for i, b1 in self._distinct(M1):
-                        k1 = M1[:i] + M1[i + 1:]
-                        for M2, c2 in self.W(g2, n2).items():
-                            for jj, b2 in self._distinct(M2):
-                                k2 = M2[:jj] + M2[jj + 1:]
-                                mult = _merge_binomial(k1, k2)
-                                rest = sorted_keys(k1 + k2)
-                                jobs[(("phi", b1), ("phi", b2), rest)] += c1 * c2 * mult
+                right = list(self._one_slot(g2, n2))
+                for fspec, k1, c1 in self._one_slot(g1, n1):
+                    for gspec, k2, c2 in right:
+                        rest = sorted_keys(k1 + k2)
+                        jobs[(fspec, gspec, rest)] += c1 * c2 * _merge_binomial(k1, k2)
         return jobs
 
     @staticmethod
@@ -585,26 +561,15 @@ class TopRecEngine:
             if not coeff:
                 continue
             transform = self._transform(fspec, gspec)
-            restc = _multiset_counts(rest)
             for p, entries in transform.items():
                 acc = perp[p]
                 for entry, v in entries.items():
-                    b = entry[0]
-                    extras = entry[1:]
-                    if not extras:
-                        key = (b, rest)
-                        acc[key] += half * coeff * v
-                    elif len(extras) == 1:
-                        r = extras[0]
-                        mult = restc.get(r, 0) + 1
-                        key = (b, sorted_keys(rest + (r,)))
-                        acc[key] += half * coeff * v * mult
+                    b, extras = entry[0], entry[1:]
+                    term = half * coeff * v
+                    if extras:
+                        acc[(b, sorted_keys(rest + extras))] += term * _placements(rest, extras)
                     else:
-                        r1, r2 = extras
-                        full = sorted_keys(rest + (r1, r2))
-                        fc = _multiset_counts(full)
-                        mult = fc[r1] * (fc[r2] - (1 if r1 == r2 else 0))
-                        acc[(b, full)] += half * coeff * v * mult
+                        acc[(b, rest)] += term
         # non-ramification support must contribute nothing
         total = defaultdict(Fraction)
         for p, acc in perp.items():
@@ -673,15 +638,10 @@ class TopRecEngine:
         """
         if m < 2:
             raise ValueError("the table covers S_m for m >= 2 only")
-        level = m - 1
         field = branch_series.field
         out = TruncSeries.zero(field, branch_series.order)
         prim_cache = {}
-        for g in range(0, level // 2 + 2):
-            n = level + 2 - 2 * g
-            if n < 1:
-                continue
-            fgn = self.F(g, n)
+        for (g, n), fgn in self.compute_level(m - 1):
             if not fgn.table:
                 continue
             nfact = factorial(n)
@@ -797,12 +757,8 @@ class TopRecEngine:
         if g >= 1:
             at_points = self._slot_values(points, None, prim, memo)
             weights = defaultdict(Fraction)
-            for M, c in self.F(g - 1, n + 1).items():
-                for i, b1 in self._distinct(M):
-                    rest1 = M[:i] + M[i + 1:]
-                    for jj, b2 in self._distinct(rest1):
-                        rest = rest1[:jj] + rest1[jj + 1:]
-                        weights[(b1, b2)] += c * arrangement_sum(rest, at_points)
+            for (_, b1), (_, b2), rest, c in self._two_slots(g - 1, n + 1):
+                weights[(b1, b2)] += c * arrangement_sum(rest, at_points)
             for (b1, b2), w in weights.items():
                 f1, f2 = basis_function(b1), basis_function(b2)
                 terms.append((w, f1.num * f2.num, f1.den * f2.den))

@@ -16,6 +16,7 @@ from .lattice import count_check, lattice_from_spectral
 from .oracles import (
     airy_closed_free_energy,
     catalan_closed_form,
+    double_factorial,
     dvv_intersection,
     enumerate_cellular,
     gauss_2f1_series,
@@ -52,7 +53,7 @@ def wkb_state_for(spec, place=None, branch=None, order=None, depth=None, tau_ord
     exp = spec.expansion
     place = exp.place if place is None else place
     branch = branch or exp.branch
-    order = order or exp.order
+    order = exp.order if order is None else order
     depth = exp.depth if depth is None else depth
     e = detect_ramification(spec.sd, place)
     cfg = WkbConfig(spec.sd.a1.f, spec.sd.a2.f, place, e=e, branch=branch,
@@ -315,10 +316,7 @@ def suite_oracles(records=None, airy_level=3, catalan_mu_max=6, catalan_wave_ord
     spec = load_curve("airy")
     _, eng = engine_for(spec)
     for level in range(1, airy_level + 1):
-        for g in range((level + 2) // 2 + 1):
-            n = level + 2 - 2 * g
-            if n < 1:
-                continue
+        for (g, n), _ in eng.compute_level(level):
             got = airy_table_as_exponents(eng, g, n)
             want = airy_closed_free_energy(g, n)
             _check(records, f"oracles/airy/F{g}-{n}", got == want, f"{len(want)} monomials")
@@ -359,7 +357,7 @@ def suite_oracles(records=None, airy_level=3, catalan_mu_max=6, catalan_wave_ord
         okc = okc and got == catalan_closed_form(n)
     _check(records, "oracles/catalan/closed-form-wave", okc, f"through x^-{2 * nmax}")
     okh = all(
-        hbar_evaluate(catalan_closed_form(n), 1) == _dfact(2 * n - 1) for n in range(6)
+        hbar_evaluate(catalan_closed_form(n), 1) == double_factorial(2 * n - 1) for n in range(6)
     )
     _check(records, "oracles/catalan/hbar-1-double-factorials", okh, "1,1,3,15,105")
 
@@ -389,16 +387,6 @@ def suite_oracles(records=None, airy_level=3, catalan_mu_max=6, catalan_wave_ord
     _check(records, "oracles/gauss/x2-numerator", got2 == want2,
            "1+7h-7h^2+7h^3 at x^2; power of h fixed by the product formula")
     return records
-
-
-def _dfact(n):
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 SUITES = {

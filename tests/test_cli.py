@@ -18,10 +18,10 @@ from quantcurve.cli import (
 )
 from quantcurve.curvespec import (
     BUILTIN_NAMES,
+    BUILTIN_SPECS,
     CurveSpecError,
     load_curve,
     parse_curve_spec,
-    parse_report,
     serialize_report,
 )
 from quantcurve.toprec import TopRecEngine
@@ -90,8 +90,8 @@ def test_analyze_report_golden():
 def test_report_roundtrip():
     rep = {"report": analyze_report(load_curve("gauss"))}
     text = serialize_report(rep)
-    assert parse_report(text) == rep
-    assert serialize_report(parse_report(text)) == text
+    assert json.loads(text) == rep
+    assert serialize_report(json.loads(text)) == text
 
 
 def test_reports_are_deterministic():
@@ -198,12 +198,60 @@ def test_cli_wkb_guards():
     ["plotdata", "--curve", "airy", "--samples", str(MAX_SAMPLES + 1)],
     ["plotdata", "--curve", "airy", "--samples", "0"],
     ["plotdata", "--curve", "airy", "--samples", "-5"],
+    ["wkb", "--curve", "gauss", "--order", "0"],
+    ["wkb", "--curve", "gauss", "--order", "-3"],
+    ["wkb", "--curve", "gauss", "--depth", "-1"],
+    ["toprec", "--curve", "airy", "--depth", "0"],
+    ["toprec", "--curve", "airy", "--depth", "-2"],
+    ["toprec", "--curve", "airy", "--depth", "7"],
+    ["analyze", "--curve", "airy", "--genus", "-1"],
+    ["wkb", "--curve", "gauss", "--place", "1/0"],
+    ["wkb", "--curve", "gauss", "--place", "x"],
 ])
 def test_cli_size_knobs_capped(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and argv[-2] in err
+
+
+def _airy_with(path, value):
+    """The airy builtin spec with the entry at a dotted path set to value,
+    or removed for None."""
+    spec = json.loads(json.dumps(BUILTIN_SPECS["airy"]))
+    *outer, last = path.split(".")
+    node = spec
+    for key in outer:
+        node = node[key]
+    if value is None:
+        del node[last]
+    else:
+        node[last] = value
+    return spec
+
+
+@pytest.mark.parametrize("path,value,field", [
+    ("parametrization.y", None, "parametrization.y"),
+    ("parametrization.normalization_point", "1/0", "parametrization.normalization_point"),
+    ("expansion.place", "1/0", "expansion.place"),
+    ("extensions", ["2", "1/0"], "extensions[1]"),
+    ("extensions", ["9/4"], "extensions[0]"),
+    ("extensions", "2", "extensions"),
+    ("expansion.order", 100000, "expansion.order"),
+    ("expansion.order", -3, "expansion.order"),
+    ("expansion.order", "twelve", "expansion.order"),
+    ("expansion.depth", 50, "expansion.depth"),
+    ("expansion.depth", -1, "expansion.depth"),
+    ("expansion", ["inf"], "expansion"),
+    ("higgs", [0, 1], "higgs"),
+])
+def test_cli_bad_spec_file(path, value, field, tmp_path, capsys):
+    spec_file = tmp_path / "curve.json"
+    spec_file.write_text(json.dumps(_airy_with(path, value)))
+    assert main(["wkb", "--curve", str(spec_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
 
 @pytest.mark.parametrize("exc", [

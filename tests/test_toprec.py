@@ -15,12 +15,14 @@ from quantcurve import toprec
 from quantcurve.toprec import (
     ParamCurve,
     TopRecEngine,
+    _placements,
     _residue,
     arrangement_sum,
     basis_function,
     branch_maps,
     matching_branch_map,
     ratfunc_at_series,
+    sorted_keys,
 )
 from quantcurve.verify import (
     DIFF_SAMPLE_POINTS,
@@ -122,7 +124,7 @@ def test_tables_do_not_depend_on_history(name):
     for level in range(1, 5):
         for (g, n), tab in used.compute_level(level):
             assert tab.table == cold.W(g, n).table, (g, n)
-    assert any(used._series_cache[k].order > s.order for k, s in cold._series_cache.items())
+    assert any(used._local_cache[k][0] > hit[0] for k, hit in cold._local_cache.items())
 
 
 @pytest.mark.parametrize("name,count", [("airy", 35), ("catalan", 102)])
@@ -438,6 +440,36 @@ def test_arrangement_sum_with_symbolic_slot(M, table, data):
     assert all(i != last for _, i in calls)
     got = sum((w * value(key, last) for key, w in form.items()), RatFunc.const(QQ, 0))
     assert got == _brute_arrangement_sum(M, value)
+
+
+def _three_branch_placements(rest, extras):
+    # the scatter multiplier of _compute_w before _placements: one branch per
+    # number of coupled keys
+    if not extras:
+        return 1
+    if len(extras) == 1:
+        return rest.count(extras[0]) + 1
+    r1, r2 = extras
+    full = rest + extras
+    return full.count(r1) * (full.count(r2) - (1 if r1 == r2 else 0))
+
+
+_PLACEMENT_KEYS = [(INF, 2), (INF, 4), (Fraction(-1), 3)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rest=st.lists(st.sampled_from(_PLACEMENT_KEYS), max_size=6),
+       extras=st.lists(st.sampled_from(_PLACEMENT_KEYS), max_size=3))
+def test_placements_count_slot_assignments(rest, extras):
+    rest, extras = sorted_keys(rest), tuple(extras)
+    full = rest + extras
+    # brute force: a distinct slot of rest + extras for each coupled key in
+    # turn, holding that key
+    brute = sum(1 for slots in permutations(range(len(full)), len(extras))
+                if all(full[i] == r for i, r in zip(slots, extras)))
+    assert _placements(rest, extras) == brute
+    if len(extras) <= 2:
+        assert _three_branch_placements(rest, extras) == brute
 
 
 def _reference_kernel_vectors(eng, p, order):

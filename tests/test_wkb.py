@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quantcurve import cli
-from quantcurve.algebra import INF, QQ, QuadExtField, RatFunc, expand_ratfunc
+from quantcurve.algebra import INF, QQ, LogSeries, QuadExtField, RatFunc, expand_ratfunc
 from quantcurve.curvespec import parse_curve_spec, serialize_report
 from quantcurve.wkb import (
     WkbConfig,
@@ -117,7 +117,7 @@ def test_s0_only_residual_is_consistency_term():
     rep = verify_operator(st)
     assert rep["levels"][0]["zero"]
     # no S1 yet: the h^1 level is exactly S0'' which does not vanish
-    st.S.append(st.S[0] * 0)
+    st.S.append(LogSeries(0, st.S[0].body * 0))
     st.S_prime.append(st.S_prime[0] * 0)
     rep = verify_operator(st)
     assert rep["levels"][0]["zero"] and not rep["levels"][1]["zero"]
@@ -154,7 +154,7 @@ def test_assemble_rejects_essential_prefactor():
 def test_zero_exponent_gives_unit_wave():
     st = solve_wkb(WkbConfig(*HERMITE, INF, e=1, branch="plus", order=8, depth=2))
     for m in range(len(st.S)):
-        st.S[m] = st.S[m] * 0
+        st.S[m] = LogSeries(0, st.S[m].body * 0)
     wave = assemble_wavefunction(st)
     assert wave.coefficient(0) == wave.body.field.one()
     assert all(wave.coefficient(k) == wave.body.field.zero()
