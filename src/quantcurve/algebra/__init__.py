@@ -2,15 +2,15 @@ from .fields import QQ, QuadExtField, QuadExtElement, RationalField
 from .poly import (
     FracFuncElement,
     FractionField,
+    INF,
     Poly,
     RatFunc,
     factor_over,
-    factor_rational_poly,
     poly_pow,
     ratfunc_sum,
     root_multiplicity,
 )
-from .series import INF, LogSeries, TruncSeries, expand_poly, expand_ratfunc
+from .series import LogSeries, TruncSeries, expand_poly, expand_ratfunc
 
 #: shared field of rational functions in the quantization parameter
 HBAR_FIELD = FractionField(QQ, "h")
@@ -26,7 +26,6 @@ __all__ = [
     "Poly",
     "RatFunc",
     "factor_over",
-    "factor_rational_poly",
     "poly_pow",
     "ratfunc_sum",
     "root_multiplicity",

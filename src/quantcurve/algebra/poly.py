@@ -5,7 +5,8 @@ generic over the fields of :mod:`quantcurve.algebra.fields`.  ``RatFunc`` is
 a reduced fraction of polynomials with monic denominator.  On top of these,
 ``FractionField`` turns ``RatFunc`` arithmetic into a coefficient field of
 its own, which is how rational functions of the quantization parameter enter
-the tower.
+the tower.  ``RatFunc.order_at`` is the one valuation at a place of the
+projective line: INF, a point, or a monic irreducible polynomial.
 
 Irreducible factorization over the rationals is delegated to sympy; all
 other arithmetic is local.
@@ -15,7 +16,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import QQ, QuadExtField, three_product_convolve
+from .fields import QQ, three_product_convolve
+
+
+class _Infinity:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "inf"
+
+
+#: the place at infinity (uniformizer 1/x)
+INF = _Infinity()
 
 
 class Poly:
@@ -199,15 +211,16 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
-def factor_rational_poly(p):
+def factor_over(field, p):
     """Irreducible monic factors of a Poly over QQ: list of (Poly, mult).
 
-    Backed by sympy's exact factorization over the rationals.
+    Backed by sympy's exact factorization over the rationals; every spec is
+    taken over QQ, and any other field raises ``ValueError``.
     """
     import sympy
 
-    if p.field is not QQ:
-        raise ValueError("factorization implemented over QQ only")
+    if field is not QQ or p.field is not QQ:
+        raise ValueError(f"factorization is supported over QQ only, not {field}")
     x = sympy.Symbol("x")
     sp = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], x, domain="QQ")
     _, factors = sp.factor_list()
@@ -217,42 +230,6 @@ def factor_rational_poly(p):
         out.append((Poly(QQ, coeffs).monic(), mult))
     out.sort(key=lambda fm: (fm[0].degree, tuple(str(c) for c in fm[0].coeffs)))
     return out
-
-
-def factor_over(field, p):
-    """Factor a monic squarefree-ish Poly into irreducibles over the tower.
-
-    Over QQ this is full factorization.  Over a quadratic extension, the QQ
-    factors of the underlying rational polynomial are refined once: a
-    quadratic factor splits when its discriminant becomes a square.
-    """
-    if field is QQ:
-        return factor_rational_poly(p)
-    if isinstance(field, QuadExtField) and field.base is QQ:
-        rat = Poly(QQ, [_as_fraction(field, c) for c in p.coeffs])
-        out = []
-        for fac, mult in factor_rational_poly(rat):
-            lifted = Poly(field, [field.of(c) for c in fac.coeffs])
-            if fac.degree == 2:
-                c0, c1 = lifted.coeffs[0], lifted.coeffs[1]
-                disc = c1 * c1 - 4 * c0
-                r = field.sqrt(disc)
-                if r is not None:
-                    half = field.of(Fraction(1, 2))
-                    r1 = (-c1 + r) * half
-                    r2 = (-c1 - r) * half
-                    out.append((Poly(field, [-r1, field.one()]), mult))
-                    out.append((Poly(field, [-r2, field.one()]), mult))
-                    continue
-            out.append((lifted, mult))
-        return out
-    raise ValueError(f"factorization not supported over {field}")
-
-
-def _as_fraction(field, c):
-    if not field.base.is_zero(c.b):
-        raise ValueError("coefficient does not descend to QQ")
-    return c.a
 
 
 class RatFunc:
@@ -373,21 +350,19 @@ class RatFunc:
             return False
         return self.den.sqrt() is not None
 
-    def order_at_infinity(self):
-        """Order of vanishing at infinity (negative for a pole)."""
-        if self.is_zero():
-            raise ValueError("zero function has no order")
-        return self.den.degree - self.num.degree
+    def order_at(self, place):
+        """Order of vanishing at a place of P^1 (negative for a pole).
 
-    def order_at(self, c):
-        """Order of vanishing at a finite point (negative for a pole)."""
+        ``place`` is INF, a point of the field, or a monic irreducible Poly.
+        """
         if self.is_zero():
             raise ValueError("zero function has no order")
-        f = self.field
-        lin = Poly(f, [-f.of(c), f.one()])
-        ordn = root_multiplicity(self.num, lin)
-        ordd = root_multiplicity(self.den, lin)
-        return ordn - ordd
+        if place is INF:
+            return self.den.degree - self.num.degree
+        if not isinstance(place, Poly):
+            f = self.field
+            place = Poly(f, [-f.of(place), f.one()])
+        return root_multiplicity(self.num, place) - root_multiplicity(self.den, place)
 
     def to_str(self, var="x"):
         if self.is_poly():

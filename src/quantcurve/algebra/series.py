@@ -15,24 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly
-
-
-class _Infinity:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "inf"
-
-
-#: the place at infinity (uniformizer 1/x)
-INF = _Infinity()
+from .poly import INF, Poly
 
 
 class TruncSeries:
-    __slots__ = ("field", "val", "coeffs", "order", "e", "var")
+    __slots__ = ("field", "val", "coeffs", "order", "e")
 
-    def __init__(self, field, val, coeffs, order, e=1, var="t"):
+    def __init__(self, field, val, coeffs, order, e=1):
         coeffs = [field.of(c) for c in coeffs]
         # strip leading zeros, clip to order
         while coeffs and field.is_zero(coeffs[0]):
@@ -49,20 +38,19 @@ class TruncSeries:
         self.coeffs = coeffs
         self.order = order
         self.e = e
-        self.var = var
 
     @staticmethod
-    def zero(field, order, e=1, var="t"):
-        return TruncSeries(field, order + 1, [], order, e=e, var=var)
+    def zero(field, order, e=1):
+        return TruncSeries(field, order + 1, [], order, e=e)
 
     @staticmethod
-    def const(field, c, order, e=1, var="t"):
-        return TruncSeries(field, 0, [c], order, e=e, var=var)
+    def const(field, c, order, e=1):
+        return TruncSeries(field, 0, [c], order, e=e)
 
     @staticmethod
-    def uniformizer(field, order, e=1, var="t"):
+    def uniformizer(field, order, e=1):
         """The series tau itself."""
-        return TruncSeries(field, 1, [field.one()], order, e=e, var=var)
+        return TruncSeries(field, 1, [field.one()], order, e=e)
 
     def is_zero(self):
         return not self.coeffs
@@ -74,7 +62,6 @@ class TruncSeries:
         out.coeffs = kw.get("coeffs", list(self.coeffs))
         out.order = kw.get("order", self.order)
         out.e = kw.get("e", self.e)
-        out.var = kw.get("var", self.var)
         return out
 
     def coefficient(self, k):
@@ -92,30 +79,30 @@ class TruncSeries:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TruncSeries(self.field, self.val, self.coeffs, order, e=self.e, var=self.var)
+        return TruncSeries(self.field, self.val, self.coeffs, order, e=self.e)
 
     def map_coeffs(self, fn, field=None):
         field = field or self.field
-        return TruncSeries(field, self.val, [fn(c) for c in self.coeffs], self.order, e=self.e, var=self.var)
+        return TruncSeries(field, self.val, [fn(c) for c in self.coeffs], self.order, e=self.e)
 
     def scale_exponents(self, k):
         """Substitute tau -> tau^k (exponent dilation)."""
         if self.is_zero():
-            return TruncSeries.zero(self.field, self.order * k, e=self.e, var=self.var)
+            return TruncSeries.zero(self.field, self.order * k, e=self.e)
         coeffs = []
         for i, c in enumerate(self.coeffs):
             coeffs.append(c)
             if i < len(self.coeffs) - 1:
                 coeffs.extend([self.field.zero()] * (k - 1))
-        return TruncSeries(self.field, self.val * k, coeffs, self.order * k, e=self.e, var=self.var)
+        return TruncSeries(self.field, self.val * k, coeffs, self.order * k, e=self.e)
 
     def shift(self, k):
         """Multiply by tau^k."""
-        return TruncSeries(self.field, self.val + k, self.coeffs, self.order + k, e=self.e, var=self.var)
+        return TruncSeries(self.field, self.val + k, self.coeffs, self.order + k, e=self.e)
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
-            other = TruncSeries.const(self.field, self.field.of(other), self.order, e=self.e, var=self.var)
+            other = TruncSeries.const(self.field, self.field.of(other), self.order, e=self.e)
         order = min(self.order, other.order)
         if self.is_zero():
             return other.truncate(order)
@@ -128,7 +115,7 @@ class TruncSeries:
         out[lo: lo + len(cs)] = cs
         for i, c in enumerate(other.coeffs[: max(0, order - other.val + 1)], other.val - val):
             out[i] = out[i] + c
-        return TruncSeries(f, val, out, order, e=self.e, var=self.var)
+        return TruncSeries(f, val, out, order, e=self.e)
 
     __radd__ = __add__
 
@@ -137,7 +124,7 @@ class TruncSeries:
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
-            other = TruncSeries.const(self.field, self.field.of(other), self.order, e=self.e, var=self.var)
+            other = TruncSeries.const(self.field, self.field.of(other), self.order, e=self.e)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -150,15 +137,15 @@ class TruncSeries:
             # ints and Fractions act on the coefficients as they are
             c = other if isinstance(other, (int, Fraction)) else f.of(other)
             if f.is_zero(c):
-                return TruncSeries.zero(f, self.order, e=self.e, var=self.var)
+                return TruncSeries.zero(f, self.order, e=self.e)
             return self.copy(coeffs=[x * c for x in self.coeffs])
         if self.is_zero() or other.is_zero():
             order = min(self.order + other.val, other.order + self.val)
-            return TruncSeries.zero(f, order, e=self.e, var=self.var)
+            return TruncSeries.zero(f, order, e=self.e)
         order = min(self.order + other.val, other.order + self.val)
         val = self.val + other.val
         out = f.convolve(self.coeffs, other.coeffs, order - val + 1)
-        return TruncSeries(f, val, out, order, e=self.e, var=self.var)
+        return TruncSeries(f, val, out, order, e=self.e)
 
     __rmul__ = __mul__
 
@@ -182,7 +169,7 @@ class TruncSeries:
             err = f.convolve(unit.coeffs, g, m2)[m:]
             g = g + [-c for c in f.convolve(g, err, m2 - m)]
             m = m2
-        res = TruncSeries(f, 0, g, unit.order, e=self.e, var=self.var)
+        res = TruncSeries(f, 0, g, unit.order, e=self.e)
         return res.shift(-v)
 
     def __truediv__(self, other):
@@ -224,7 +211,7 @@ class TruncSeries:
             err = f.convolve(u, f.convolve(h, h, m2), m2)[m:]
             h = h + [c / -2 for c in f.convolve(h, err, m2 - m)]
             m = m2
-        res = TruncSeries(f, 0, f.convolve(u, h, n), unit.order, e=self.e, var=self.var)
+        res = TruncSeries(f, 0, f.convolve(u, h, n), unit.order, e=self.e)
         return res.shift(v // 2)
 
     def log1(self):
@@ -232,8 +219,8 @@ class TruncSeries:
         f = self.field
         if self.val != 0 or not f.is_zero(self.coeffs[0] - f.one()):
             raise ValueError("log requires leading term 1 at valuation 0")
-        u = self - TruncSeries.const(f, f.one(), self.order, e=self.e, var=self.var)
-        out = TruncSeries.zero(f, self.order, e=self.e, var=self.var)
+        u = self - TruncSeries.const(f, f.one(), self.order, e=self.e)
+        out = TruncSeries.zero(f, self.order, e=self.e)
         if u.is_zero():
             return out
         k = 1
@@ -249,7 +236,7 @@ class TruncSeries:
     def derivative(self):
         """d/dtau."""
         out = [c * k for k, c in enumerate(self.coeffs, self.val)]
-        return TruncSeries(self.field, self.val - 1, out, self.order - 1, e=self.e, var=self.var)
+        return TruncSeries(self.field, self.val - 1, out, self.order - 1, e=self.e)
 
     def integrate(self):
         """Antiderivative in tau.  Returns (log_coefficient, series).
@@ -265,7 +252,7 @@ class TruncSeries:
                 out.append(f.zero())
             else:
                 out.append(c / (k + 1))
-        return logc, TruncSeries(f, self.val + 1, out, self.order + 1, e=self.e, var=self.var)
+        return logc, TruncSeries(f, self.val + 1, out, self.order + 1, e=self.e)
 
     def compose(self, inner):
         """self(inner) for a power series self and inner of valuation >= 1.
@@ -283,7 +270,7 @@ class TruncSeries:
         v = inner.val
         R = min(inner.order, (self.order + 1) * v - 1)
         top = min(self.order, R // v)
-        out = TruncSeries.zero(self.field, R - (top + 1) * v, e=inner.e, var=inner.var)
+        out = TruncSeries.zero(self.field, R - (top + 1) * v, e=inner.e)
         for k in range(top, -1, -1):
             out = out * inner + self.coefficient(k)
         return out
@@ -309,7 +296,7 @@ class TruncSeries:
         while m < self.order:
             m = min(2 * m, self.order)
             gs = self.copy(coeffs=g, order=m)
-            err = self.truncate(m).compose(gs) - TruncSeries.uniformizer(f, m, e=self.e, var=self.var)
+            err = self.truncate(m).compose(gs) - TruncSeries.uniformizer(f, m, e=self.e)
             g = (gs - err * gs.derivative()).coeffs
         return self.copy(coeffs=g)
 
@@ -324,15 +311,15 @@ class TruncSeries:
 
     def to_str(self):
         if self.is_zero():
-            return f"O({self.var}^{self.order + 1})"
-        parts = [f"({self.field.to_str(c)})*{self.var}^{k}" for k, c in self.items()]
-        return " + ".join(parts) + f" + O({self.var}^{self.order + 1})"
+            return f"O(t^{self.order + 1})"
+        parts = [f"({self.field.to_str(c)})*t^{k}" for k, c in self.items()]
+        return " + ".join(parts) + f" + O(t^{self.order + 1})"
 
     def __repr__(self):
         return f"TruncSeries({self.to_str()})"
 
 
-def expand_poly(p, place, order, var="t"):
+def expand_poly(p, place, order):
     """Expansion of a polynomial at a finite point or at INF (in w = 1/x)."""
     f = p.field
     if place is INF:
@@ -340,10 +327,10 @@ def expand_poly(p, place, order, var="t"):
         for i, c in enumerate(p.coeffs):
             coeffs[-i] = c
         if not coeffs:
-            return TruncSeries.zero(f, order, var=var)
+            return TruncSeries.zero(f, order)
         val = -p.degree
         cs = [coeffs.get(k, f.zero()) for k in range(val, order + 1)]
-        return TruncSeries(f, val, cs, order, var=var)
+        return TruncSeries(f, val, cs, order)
     c = f.of(place)
     # Taylor coefficients via repeated synthetic division by (x - c)
     lin = Poly(f, [-c, f.one()])
@@ -353,11 +340,11 @@ def expand_poly(p, place, order, var="t"):
         cur, r = cur.divrem(lin)
         cs.append(r.coeffs[0] if r.coeffs else f.zero())
     if not cs:
-        return TruncSeries.zero(f, order, var=var)
-    return TruncSeries(f, 0, cs, max(order, len(cs) - 1), var=var).truncate(order)
+        return TruncSeries.zero(f, order)
+    return TruncSeries(f, 0, cs, max(order, len(cs) - 1)).truncate(order)
 
 
-def expand_ratfunc(f, place, order, e=1, var="t"):
+def expand_ratfunc(f, place, order, e=1):
     """Laurent expansion of a rational function at a place.
 
     The result is a series in the local parameter tau with tau**e equal to
@@ -369,7 +356,7 @@ def expand_ratfunc(f, place, order, e=1, var="t"):
     """
     field = f.field
     if f.is_zero():
-        return TruncSeries.zero(field, order * e, e=e, var=var)
+        return TruncSeries.zero(field, order * e, e=e)
     num = expand_poly(f.num, place, f.num.degree)
     den = expand_poly(f.den, place, f.den.degree)
     val = num.val - den.val
@@ -381,7 +368,7 @@ def expand_ratfunc(f, place, order, e=1, var="t"):
         for i in range(1, min(k, len(d) - 1) + 1):
             acc = acc - d[i] * q[k - i]
         q.append(acc * inv0)
-    out = TruncSeries(field, val, q, order, var=var)
+    out = TruncSeries(field, val, q, order)
     if e != 1:
         out = out.scale_exponents(e).copy(e=e)
     return out
@@ -405,5 +392,5 @@ class LogSeries:
 
     def __repr__(self):
         e = self.body.e
-        w = f"{self.body.var}^{e}" if e != 1 else self.body.var
+        w = f"t^{e}" if e != 1 else "t"
         return f"({self.field.to_str(self.lam)})*log({w}) + {self.body.to_str()}"

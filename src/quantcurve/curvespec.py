@@ -9,7 +9,8 @@ A curve spec is a JSON object with exactly one coefficient entry mode:
 A rational function is a pair ``[num, den]`` of coefficient arrays indexed
 by degree; coefficients are strings ("3", "-1/2") so files are bit-exact.
 ``den`` may be omitted for polynomials.  Optional blocks: ``"extensions"``
-(square-root adjunctions checked to be non-squares), ``"parametrization"``
+(square-root adjunctions checked to be non-squares, then set aside: every
+spec is taken over QQ), ``"parametrization"``
 (x(t), y(t), sigma(t) and a normalization point, enabling the topological
 recursion), and ``"expansion"`` (default place/branch/orders for the WKB
 subcommand).
@@ -115,10 +116,8 @@ class ExpansionRequest:
 class CurveSpec:
     name: str
     sd: SpectralData
-    extensions: list
     parametrization: Parametrization | None
     expansion: ExpansionRequest
-    raw: dict
 
 
 def parse_curve_spec(text_or_dict):
@@ -175,8 +174,7 @@ def parse_curve_spec(text_or_dict):
     )
     if exp.branch not in ("plus", "minus"):
         raise CurveSpecError("expansion.branch must be plus or minus")
-    return CurveSpec(name=name, sd=sd, extensions=extensions, parametrization=par,
-                     expansion=exp, raw=data)
+    return CurveSpec(name=name, sd=sd, parametrization=par, expansion=exp)
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, gcd
 
-from .algebra import INF, Poly, QQ, RatFunc, factor_over, root_multiplicity
+from .algebra import INF, QQ, RatFunc, factor_over
+from .algebra.fields import _numerators
 
 
 def _place_degree(place):
     if place is INF:
         return 1
     return place.degree
-
-
-def _order_at_place(rf, place):
-    """Order of vanishing of a rational function at an irreducible place."""
-    if rf.is_zero():
-        raise ValueError("zero function has no order")
-    if place is INF:
-        return rf.order_at_infinity()
-    return root_multiplicity(rf.num, place) - root_multiplicity(rf.den, place)
 
 
 @dataclass(frozen=True)
@@ -49,7 +41,7 @@ class KSection:
 
     def order_at(self, place):
         """Order of the section at a place; infinity includes the dx twist."""
-        ordf = _order_at_place(self.f, place)
+        ordf = self.f.order_at(place)
         if place is INF:
             return ordf - 2 * self.weight
         return ordf
@@ -110,7 +102,7 @@ def divisor_of(section):
 class SpectralData:
     """The pair (a1, a2) cutting out y^2 + a1(x) y + a2(x) = 0."""
 
-    def __init__(self, a1, a2, higgs=None):
+    def __init__(self, a1, a2):
         if isinstance(a1, RatFunc):
             a1 = KSection(a1, 1)
         if isinstance(a2, RatFunc):
@@ -119,7 +111,6 @@ class SpectralData:
             raise ValueError("a1 must have weight 1 and a2 weight 2")
         self.a1 = a1
         self.a2 = a2
-        self.higgs = higgs
         d = self._disc_func()
         if d.is_zero():
             raise ValueError("zero discriminant: the spectral curve is reducible")
@@ -132,7 +123,7 @@ class SpectralData:
         (m00, m01), (m10, m11) = entries
         a1 = -(m00 + m11)
         a2 = m00 * m11 - m01 * m10
-        return SpectralData(a1, a2, higgs=entries)
+        return SpectralData(a1, a2)
 
     @property
     def field(self):
@@ -282,16 +273,8 @@ def _uw_model(sd):
         polys = [p // g for p in polys]
     # primitive integer normalization with a canonical sign
     if f is QQ:
-        from math import gcd as igcd
-
-        denlcm = 1
-        for p in polys:
-            for c in p.coeffs:
-                denlcm = denlcm * c.denominator // igcd(denlcm, c.denominator)
-        content = 0
-        for p in polys:
-            for c in p.coeffs:
-                content = igcd(content, abs(c.numerator * (denlcm // c.denominator)))
+        nums, denlcm = _numerators([c for p in polys for c in p.coeffs])
+        content = gcd(*nums)
         if content:
             scale = Fraction(denlcm, content)
             polys = [p * scale for p in polys]
@@ -357,7 +340,7 @@ def singularity_chains(sd, report=None):
             continue
         length = mult // 2
         deg = _place_degree(place)
-        a1_vanishes = sd.a1.is_zero() or _section_vanishes_at(sd.a1, place)
+        a1_vanishes = sd.a1.is_zero() or sd.a1.order_at(place) >= 1
         for _ in range(deg):
             if a1_vanishes:
                 on_c0.append(length)
@@ -368,7 +351,3 @@ def singularity_chains(sd, report=None):
             for _ in range(_place_degree(prof.place)):
                 off.append((prof.blowups_min, True))
     return on_c0, off
-
-
-def _section_vanishes_at(sec, place):
-    return sec.order_at(place) >= 1

@@ -53,18 +53,12 @@ def rational_points_of(poly, what):
 
 def eval_extended(f, p):
     """Value of a rational function at a point of the projective line."""
-    if p is INF:
-        o = f.order_at_infinity()
-        if o > 0:
-            return Fraction(0)
-        if o < 0:
-            return INF
-        return f.num.leading() / f.den.leading()
-    if f.den(p) != 0:
-        return f(p)
-    if f.num(p) != 0:
+    o = f.order_at(p)
+    if o < 0:
         return INF
-    raise ValueError("unreduced rational function")
+    if p is not INF:
+        return f(p)
+    return Fraction(0) if o > 0 else f.num.leading() / f.den.leading()
 
 
 def ratfunc_at_series(f, s):
@@ -170,7 +164,7 @@ class ParamCurve:
             if eval_extended(self.sigma, root) == root:
                 pts.append(root)
         # dx = x'(t) dt has order ord(x') - 2 at infinity
-        if self.xprime.order_at_infinity() > 2 and eval_extended(self.sigma, INF) is INF:
+        if self.xprime.order_at(INF) > 2 and eval_extended(self.sigma, INF) is INF:
             pts.append(INF)
         return pts
 
@@ -181,7 +175,7 @@ class ParamCurve:
         for root, _ in rational_points_of(self.omega.den, "Omega"):
             if root not in supp:
                 supp.append(root)
-        if self.omega.order_at_infinity() - 2 != 0 and INF not in supp:
+        if self.omega.order_at(INF) != 2 and INF not in supp:
             supp.append(INF)
         return supp
 
@@ -378,7 +372,7 @@ class TopRecEngine:
         v = self._vals.get(key)
         if v is None:
             fn = self._factor_fn(tag)
-            v = fn.order_at_infinity() if p is INF else fn.order_at(p)
+            v = fn.order_at(p)
             if tag == "invw":
                 v = -v
             self._vals[key] = v
@@ -799,12 +793,13 @@ def branch_maps(curve, place, e, order):
         w = RatFunc.const(QQ, 1) / curve.x
     else:
         w = curve.x - RatFunc.const(QQ, place)
+    local_degree = w.order_at(t0)
+    if local_degree != e:
+        raise ValueError(
+            f"the normalization point sits over the place with local degree {local_degree}, not {e}"
+        )
     # the local parameter is t - t0, or 1/t at INF
     wser = expand_ratfunc(w, t0, order + 4)
-    if wser.val != e:
-        raise ValueError(
-            f"the normalization point sits over the place with local degree {wser.val}, not {e}"
-        )
     outs = []
     if e == 1:
         roots = [wser]

@@ -41,12 +41,9 @@ def _check(records, name, passed, detail=""):
 
 
 def detect_ramification(sd, place):
-    """Local degree of the cover over a place: 2 at branch points, else 1."""
-    a1 = sd.a1.f
-    a2 = sd.a2.f
-    disc = a1 * a1 - 4 * a2
-    s = expand_ratfunc(disc, place, 6)
-    return 2 if s.val % 2 else 1
+    """Local degree of the cover over a place: 2 where the discriminant has
+    odd order (a branch point), else 1."""
+    return 2 if sd.discriminant().f.order_at(place) % 2 else 1
 
 
 def wkb_state_for(spec, place=None, branch=None, order=None, depth=None, tau_order=None):

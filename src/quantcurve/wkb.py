@@ -175,7 +175,7 @@ def solve_wkb(cfg):
     return state
 
 
-def verify_operator(state, max_level=None):
+def verify_operator(state):
     """Substitute the expansion back into the operator.
 
     The residual h^2 F'' + h^2 (F')^2 + a1 h F' + a2 with
@@ -184,16 +184,14 @@ def verify_operator(state, max_level=None):
     vanishes identically through its guaranteed order.
     """
     cfg = state.config
-    M = state.depth if max_level is None else min(max_level, state.depth)
     report = []
     ok = True
-    for k in range(M + 1):
+    for k in range(state.depth + 1):
         resid = _pair_products(state.S_prime, k, 0,
                                TruncSeries.zero(state.field, state.S_prime[0].order))
-        if k >= 1 and k - 1 <= state.depth:
+        if k >= 1:
             resid = resid + _ddx(state.S_prime[k - 1], cfg.place, cfg.e)
-        if k <= state.depth:
-            resid = resid + state.a1s * state.S_prime[k]
+        resid = resid + state.a1s * state.S_prime[k]
         if k == 0:
             resid = resid + state.a2s
         zero = resid.is_zero()
@@ -207,21 +205,18 @@ class WaveExpansion:
 
     ``prefactor_exponent`` multiplies log of the uniformizer (so at infinity
     the prefactor is (1/x) to that exponent); ``body`` is a series in tau
-    with exact coefficients in the h-field.  ``h_order`` is the h-power
-    through which coefficients are guaranteed.
+    with exact coefficients in the h-field.
     """
 
-    def __init__(self, prefactor_exponent, body, h_order, state):
+    def __init__(self, prefactor_exponent, body):
         self.prefactor_exponent = prefactor_exponent
         self.body = body
-        self.h_order = h_order
-        self.state = state
 
     def coefficient(self, k):
         return self.body.coefficient(k)
 
 
-def assemble_wavefunction(state, order_x=None, order_h=None):
+def assemble_wavefunction(state, order_x=None):
     """Exponentiate the computed S_m into a bivariate expansion.
 
     The exponent sum h^(m-1) S_m has Laurent-polynomial h-dependence in
@@ -236,9 +231,6 @@ def assemble_wavefunction(state, order_x=None, order_h=None):
     from .algebra import HBAR_FIELD
 
     hfield = HBAR_FIELD
-    if order_h is not None and order_h > state.depth - 1:
-        raise ValueError("requested h-order exceeds state depth")
-    horder = state.depth - 1 if order_h is None else order_h
     body_order = min(s.body.order for s in state.S)
     if order_x is not None:
         if order_x > body_order:
@@ -276,7 +268,7 @@ def assemble_wavefunction(state, order_x=None, order_h=None):
         E[n] = {p: c / n for p, c in acc.items() if c}
     coeffs = [_pack_hpoly(hfield, E[n]) for n in range(body_order + 1)]
     body = TruncSeries(hfield, 0, coeffs, body_order, e=cfg.e)
-    return WaveExpansion(_pack_hpoly(hfield, pref), body, horder, state)
+    return WaveExpansion(_pack_hpoly(hfield, pref), body)
 
 
 def _pack_hpoly(hfield, d):

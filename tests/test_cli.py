@@ -138,6 +138,24 @@ def test_toprec_report_bytes_unchanged(curve, level):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TOPREC_REPORT_SHA256[curve, level]
 
 
+# sha256 of the serialized analyze reports of every builtin: any change to a
+# divisor, a pole profile, the local model or the layout of these reports shows
+ANALYZE_REPORT_SHA256 = {
+    "airy": "a50cd7de66371b930970d13b4f6f96d11fc18f315c4d239da73d3cef8693ac02",
+    "catalan": "3ee4863fe9e42a4ddf1cde8d0c3d19919351afa232e32abb94110d7c16075ab8",
+    "gauss": "85a9e38f40a725ac00782305f8fd954c642c9f23b0228b9ed5730e61d184c49a",
+    "hermite": "497d403dcaa9ca2ed628791950e6a553ed48eb7c775bf23705516f08e788a2fa",
+    "mixed": "e321918d2c2b93a3cfa4346f627bb1b6cdca502db0287efcb8d664e4e968b709",
+    "smooth": "55a673fb767a9450b9af7688a11990e84e835bbd590cbf1a42b9a49184083265",
+}
+
+
+@pytest.mark.parametrize("curve", sorted(ANALYZE_REPORT_SHA256))
+def test_analyze_report_bytes_unchanged(curve):
+    text = serialize_report({"report": analyze_report(load_curve(curve))})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ANALYZE_REPORT_SHA256[curve]
+
+
 def test_toprec_requires_parametrization():
     with pytest.raises(ValueError, match="parametrization"):
         toprec_report(load_curve("gauss"), level=1)
@@ -268,6 +286,18 @@ def test_cli_internal_invariant_exit_code(exc, monkeypatch, capsys):
     assert out == ""
     assert err.startswith(f"error: internal: toprec: {type(exc).__name__}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# the discriminant -x^z + x^(z+1) has a zero of order z at 0: a branch point
+# (e = 2) only for odd z, however high z is
+@pytest.mark.parametrize("z,e", [(8, 1), (7, 2)])
+def test_cli_wkb_chart_at_high_order_discriminant_zero(z, e, tmp_path, capsys):
+    spec_file = tmp_path / "curve.json"
+    spec_file.write_text(json.dumps({"coefficients": {"a1": ["0"], "a2": ["0"] * z + ["1", "-1"]}}))
+    assert main(["wkb", "--curve", str(spec_file), "--place", "0", "--depth", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["ramification_index"] == e
+    assert rep["operator_annihilation"]["ok"]
 
 
 def test_cli_plotdata_samples_at_cap(tmp_path):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantcurve.algebra import (
     INF,
@@ -9,7 +10,8 @@ from quantcurve.algebra import (
     QQ,
     QuadExtField,
     RatFunc,
-    factor_rational_poly,
+    expand_ratfunc,
+    factor_over,
 )
 
 
@@ -58,11 +60,63 @@ def test_poly_sqrt():
 
 
 def test_factor_rational():
-    facs = factor_rational_poly(P(-1, 0, 1))
+    facs = factor_over(QQ, P(-1, 0, 1))
     assert [(f.to_str(), m) for f, m in facs] == [("-1 + (1)*x", 1), ("1 + (1)*x", 1)]
     quartic = P(-1, 0, 1, 0, 1)
-    facs = factor_rational_poly(quartic)
+    facs = factor_over(QQ, quartic)
     assert len(facs) == 1 and facs[0][0].degree == 4 and facs[0][1] == 1
+
+
+def test_factor_over_is_qq_only():
+    K = QuadExtField(QQ, 2)
+    with pytest.raises(ValueError, match="QQ only"):
+        factor_over(K, Poly(K, [-2, 0, 1]))
+
+
+def test_order_at_every_kind_of_place():
+    f = RatFunc(P(0, 0, -1, 0, 1), P(1, 0, 1) * P(-1, 1))  # x^2 (x^2 - 1) / ((x^2 + 1)(x - 1))
+    assert f.order_at(INF) == -1 and f.order_at(Fraction(0)) == 2
+    assert f.order_at(Fraction(1)) == 0 and f.order_at(Fraction(-1)) == 1
+    assert f.order_at(P(1, 0, 1)) == -1 and f.order_at(P(-2, 0, 1)) == 0
+    with pytest.raises(ValueError):
+        RatFunc(P()).order_at(INF)
+
+
+SMALL_QQ = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+SMALL_POLY = st.lists(SMALL_QQ, min_size=1, max_size=4).map(lambda cs: P(*cs))
+
+
+@st.composite
+def ratfunc_at_point(draw):
+    """A small nonzero RatFunc over QQ, a point of P^1, and a zero or pole
+    of order up to 3 pushed onto that point."""
+    num, den = draw(SMALL_POLY), draw(SMALL_POLY)
+    if num.is_zero():
+        num = P(1)
+    if den.is_zero():
+        den = P(1)
+    place = draw(st.one_of(st.just(INF), SMALL_QQ))
+    k = draw(st.integers(-3, 3))
+    # x - p vanishes at p; x has a pole at INF, so a zero there goes below
+    lin = P(0, 1) if place is INF else P(-place, 1)
+    for _ in range(abs(k)):
+        if (k > 0) != (place is INF):
+            num = num * lin
+        else:
+            den = den * lin
+    return RatFunc(num, den), place
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ratfunc_at_point())
+def test_order_at_matches_the_expansion(fp):
+    f, place = fp
+    order = f.order_at(place)
+    # |order| <= max(deg num, deg den), so this expansion holds the leading term
+    ser = expand_ratfunc(f, place, f.num.degree + f.den.degree + 1)
+    assert not ser.is_zero() and ser.val == order
+    if place is not INF:
+        assert f.order_at(P(-place, 1)) == order
 
 
 def test_equal_polys_and_ratfuncs_hash_alike():

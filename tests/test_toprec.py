@@ -595,7 +595,7 @@ BRANCH_MAP_SHA256 = {
 
 
 def _sections_text(sections):
-    return "\n".join(f"{s.val} {s.order} {s.e} {s.var} {[str(c) for c in s.coeffs]}"
+    return "\n".join(f"{s.val} {s.order} {s.e} t {[str(c) for c in s.coeffs]}"
                      for s in sections)
 
 
