@@ -8,15 +8,19 @@ its own, which is how rational functions of the quantization parameter enter
 the tower.  ``RatFunc.order_at`` is the one valuation at a place of the
 projective line: INF, a point, or a monic irreducible polynomial.
 
-Irreducible factorization over the rationals is delegated to sympy; all
-other arithmetic is local.
+``factor_over`` factors over the rationals in the package: Zassenhaus on
+integer coefficient lists (squarefree parts, a factorization modulo a small
+prime, Hensel lifting and recombination).
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, isqrt
 
-from .fields import QQ, three_product_convolve
+from .fields import QQ, _int_convolve, _numerators, three_product_convolve
 
 
 class _Infinity:
@@ -211,25 +215,290 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
+#: largest degree ``factor_over`` accepts: the Hensel modulus grows like
+#: 2**degree and the recombination tries up to 2**(factors mod p) subsets
+MAX_FACTOR_DEGREE = 32
+
+
 def factor_over(field, p):
-    """Irreducible monic factors of a Poly over QQ: list of (Poly, mult).
+    """Irreducible monic factors of a Poly over QQ: list of (Poly, mult),
+    sorted by (degree, coefficient strings).
 
-    Backed by sympy's exact factorization over the rationals; every spec is
-    taken over QQ, and any other field raises ``ValueError``.
+    Zassenhaus on integer coefficient lists (Cohen, GTM 138, §3.5): clear
+    denominators, split off Yun's squarefree parts, factor each part modulo
+    the smallest good odd prime, Hensel-lift past the Landau–Mignotte bound
+    and recombine subsets by trial division.  A field other than QQ, the zero
+    polynomial and a degree above ``MAX_FACTOR_DEGREE`` raise ``ValueError``.
     """
-    import sympy
-
     if field is not QQ or p.field is not QQ:
         raise ValueError(f"factorization is supported over QQ only, not {field}")
-    x = sympy.Symbol("x")
-    sp = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], x, domain="QQ")
-    _, factors = sp.factor_list()
+    if p.degree <= 1:
+        if p.is_zero():
+            raise ValueError("the zero polynomial has no factorization")
+        return [(p.monic(), 1)] if p.degree == 1 else []
+    if p.degree > MAX_FACTOR_DEGREE:
+        raise ValueError(f"cannot factor a polynomial of degree {p.degree} "
+                         f"(at most {MAX_FACTOR_DEGREE})")
     out = []
-    for fac, mult in factors:
-        coeffs = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]
-        out.append((Poly(QQ, coeffs).monic(), mult))
+    for mult, part in enumerate(_squarefree_parts(_primitive(_numerators(p.coeffs)[0])), 1):
+        if len(part) > 1:
+            out += [(Poly(QQ, [Fraction(c, g[-1]) for c in g], normalize=False), mult)
+                    for g in _zassenhaus(part)]
     out.sort(key=lambda fm: (fm[0].degree, tuple(str(c) for c in fm[0].coeffs)))
     return out
+
+
+# Integer polynomials below are coefficient lists, lowest degree first, with
+# no trailing zeros ([] is zero).  Lists taken mod m hold residues in [0, m).
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mod(a, m):
+    return _trim([c % m for c in a])
+
+
+def _mul(a, b):
+    return _trim(_int_convolve(a, b, len(a) + len(b) - 1))
+
+
+def _lincomb(a, b, k):
+    """a + k b."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return _trim([x + k * y for x, y in zip(a, b + [0] * (len(a) - len(b)))])
+
+
+def _derivative(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _primitive(a):
+    """A nonzero a over its content, with a positive leading coefficient."""
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a]
+
+
+def _exact_quotient(a, b):
+    """a / b when b divides a in Z[x], else None."""
+    a, db = list(a), len(b) - 1
+    if len(a) <= db:
+        return None
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, r = divmod(a[k + db], b[-1])
+        if r:
+            return None
+        q[k] = c
+        if c:
+            for i in range(db):
+                a[k + i] -= c * b[i]
+    return None if any(a[:db]) else q
+
+
+def _int_gcd(a, b):
+    """Primitive gcd in Z[x] of a nonzero a and any b, by primitive
+    pseudo-remainders."""
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        r, db = list(a), len(b) - 1
+        while len(r) > db:
+            c, k = r[-1], len(r) - 1 - db
+            r = [x * b[-1] for x in r[:-1]]
+            for i in range(db):
+                r[k + i] -= c * b[i]
+            _trim(r)
+        a, b = b, r
+    return a
+
+
+def _squarefree_parts(f):
+    """Yun: primitive, pairwise coprime g_1, g_2, ... with f = c prod g_i**i
+    (a missing multiplicity gives [1])."""
+    df = _derivative(f)
+    c = _int_gcd(f, df)
+    w, y = _exact_quotient(f, c), _exact_quotient(df, c)
+    parts = []
+    while len(w) > 1:
+        z = _lincomb(y, _derivative(w), -1)
+        g = _int_gcd(w, z)
+        parts.append(g)
+        w, y = _exact_quotient(w, g), (_exact_quotient(z, g) if z else [])
+    return parts
+
+
+def _divmod_mod(a, b, m):
+    """Quotient and remainder of a by b mod m; lc(b) must be a unit mod m."""
+    r, db = [c % m for c in a], len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] * inv % m
+        if c:
+            q[k] = c
+            for i in range(db):
+                r[k + i] = (r[k + i] - c * b[i]) % m
+    return q, _trim(r[:db])
+
+
+def _powmod(a, e, f, m):
+    """a**e mod (f, m), e >= 1."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else _divmod_mod(_mul(out, a), f, m)[1]
+        e >>= 1
+        if not e:
+            return out
+        a = _divmod_mod(_mul(a, a), f, m)[1]
+
+
+def _product_mod(c, polys, m):
+    """c times the product of polys, mod m."""
+    out = [c % m]
+    for u in polys:
+        out = _mod(_mul(out, u), m)
+    return out
+
+
+def _monic_mod(a, m):
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd of a nonzero pair mod a prime p."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p)
+
+
+def _bezout_mod(g, h, p):
+    """s, t with s g + t h = 1 mod p, deg s < deg h, deg t < deg g, for
+    coprime g, h mod p of positive degree."""
+    r0, r1, s0, s1, t0, t1 = g, h, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod(_lincomb(s0, _mul(q, s1), -1), p)
+        t0, t1 = t1, _mod(_lincomb(t0, _mul(q, t1), -1), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _good_prime(f):
+    """Smallest odd prime dividing neither lc(f) nor disc(f), so that f mod p
+    keeps its degree and stays squarefree.  Odd, because the equal-degree
+    split takes (p**d - 1)/2 powers."""
+    df, p = _derivative(f), 1
+    while True:
+        p += 2
+        if (all(p % q for q in range(3, isqrt(p) + 1, 2)) and f[-1] % p
+                and len(_gcd_mod(_mod(f, p), _mod(df, p), p)) == 1):
+            return p
+
+
+def _factor_mod(f, p, rng):
+    """Monic irreducible factors mod p of a squarefree f mod p: distinct-degree
+    split, then Cantor–Zassenhaus equal-degree split."""
+    f, h, d, out = _monic_mod(f, p), [0, 1], 0, []
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd_mod(f, _mod(_lincomb(h, [0, 1], -1), p), p)
+        if len(g) > 1:
+            out += _split_equal_degree(g, d, p, rng)
+            f = _divmod_mod(f, g, p)[0]
+            h = _divmod_mod(h, f, p)[1]
+    return out + [f] if len(f) > 1 else out
+
+
+def _split_equal_degree(f, d, p, rng):
+    """Monic irreducible factors of f mod p, all of degree d."""
+    if len(f) - 1 == d:
+        return [f]
+    e = (p ** d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if len(a) < 2:
+            continue
+        g = _gcd_mod(f, _mod(_lincomb(_powmod(a, e, f, p), [1], -1), p), p)
+        if 1 < len(g) < len(f):
+            return (_split_equal_degree(g, d, p, rng)
+                    + _split_equal_degree(_divmod_mod(f, g, p)[0], d, p, rng))
+
+
+def _hensel_pair(f, g, h, p, m):
+    """G = g, H = h mod p with f = G H mod m and H monic, for f = g h mod p,
+    h monic and g, h coprime mod p: von zur Gathen–Gerhard's Hensel step
+    (Modern Computer Algebra, Alg. 15.10) at doubling precision."""
+    s, t = _bezout_mod(g, h, p)
+    q = p
+    while q < m:
+        q = min(q * q, m)
+        e = _mod(_lincomb(f, _mul(g, h), -1), q)
+        c, r = _divmod_mod(_mul(s, e), h, q)
+        g = _mod(_lincomb(_lincomb(g, _mul(t, e), 1), _mul(c, g), 1), q)
+        h = _mod(_lincomb(h, r, 1), q)
+        if q < m:
+            b = _mod(_lincomb(_lincomb(_mul(s, g), _mul(t, h), 1), [1], -1), q)
+            c, r = _divmod_mod(_mul(s, b), h, q)
+            s = _mod(_lincomb(s, r, -1), q)
+            t = _mod(_lincomb(_lincomb(t, _mul(t, b), -1), _mul(c, g), -1), q)
+    return g, h
+
+
+def _hensel_lift(f, factors, p, m):
+    """Monic lifts mod m of the monic factors mod p of f, by a binary tree of
+    two-factor lifts (lc(f) must be a unit mod p)."""
+    if len(factors) == 1:
+        return [_monic_mod(f, m)]
+    k = len(factors) // 2
+    g, h = _hensel_pair(f, _product_mod(f[-1], factors[:k], p),
+                        _product_mod(1, factors[k:], p), p, m)
+    return _hensel_lift(g, factors[:k], p, m) + _hensel_lift(h, factors[k:], p, m)
+
+
+def _zassenhaus(f):
+    """Irreducible factors in Z[x] of a primitive squarefree f."""
+    if len(f) == 2:
+        return [f]
+    p = _good_prime(f)
+    factors = _factor_mod(f, p, random.Random(0))
+    if len(factors) == 1:
+        return [f]
+    n = len(f) - 1
+    bound = 2 * f[-1] * (isqrt(n + 1) + 1) * 2 ** n * max(map(abs, f))
+    m = p
+    while m <= bound:
+        m *= p
+    lifts = _hensel_lift(f, factors, p, m)
+    out, size = [], 1
+    while 2 * size <= len(lifts):
+        for subset in combinations(range(len(lifts)), size):
+            # a true factor's constant term divides lc(f) f(0): test it first
+            c0 = f[-1]
+            for i in subset:
+                c0 = c0 * lifts[i][0] % m
+            c0 = c0 - m if 2 * c0 > m else c0
+            if f[0] and (not c0 or f[-1] * f[0] % c0):
+                continue
+            g = _product_mod(f[-1], [lifts[i] for i in subset], m)
+            g = _primitive([c - m if 2 * c > m else c for c in g])
+            q = _exact_quotient(f, g)
+            if q is not None:
+                out.append(g)
+                f = q
+                lifts = [u for i, u in enumerate(lifts) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f]
 
 
 class RatFunc:

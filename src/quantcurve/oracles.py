@@ -115,22 +115,6 @@ def _psi(g, ds):
     return total
 
 
-def string_equation_holds(g, ds):
-    lhs = dvv_intersection(g, ds + (0,))
-    rhs = Fraction(0)
-    for j, d in enumerate(ds):
-        if d >= 1:
-            rhs += dvv_intersection(g, ds[:j] + (d - 1,) + ds[j + 1:])
-    return lhs == rhs
-
-
-def dilaton_equation_holds(g, ds):
-    n = len(ds)
-    lhs = dvv_intersection(g, ds + (1,))
-    rhs = (2 * g - 2 + n) * dvv_intersection(g, ds)
-    return lhs == rhs
-
-
 def enumerate_cellular(g, n, mu, size_guard=12):
     """Count connected arrowed cellular graphs by exhaustive gluing.
 

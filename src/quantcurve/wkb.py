@@ -93,9 +93,18 @@ def semiclassical_root(cfg, _work_order=None):
     leading coefficient is not in that field, it is adjoined and the three
     series are embedded coefficient by coefficient.  Returns a WkbState
     holding S0 only.
+
+    Each depth of the hierarchy loses v/2 + e tau-orders where the
+    discriminant vanishes to tau-order v (a division by 2 S0' + a1 and a
+    derivative), so the working order budgets the larger of that and 4 per
+    depth.
     """
     field = cfg.a1.field
-    work = _work_order if _work_order is not None else cfg.order + 4 * (cfg.depth + 2)
+    work = _work_order
+    if work is None:
+        d = cfg.a1 * cfg.a1 - 4 * cfg.a2
+        loss = 0 if d.is_zero() else cfg.e * d.order_at(cfg.place) // 2 + cfg.e
+        work = cfg.order + max(4, loss) * (cfg.depth + 2)
     worder = work // cfg.e + 2
     a1s = expand_ratfunc(cfg.a1, cfg.place, worder, e=cfg.e)
     a2s = expand_ratfunc(cfg.a2, cfg.place, worder, e=cfg.e)

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import quantcurve
 from quantcurve.algebra import QQ, RatFunc
 from quantcurve.cli import (
     MAX_SAMPLES,
@@ -289,15 +292,50 @@ def test_cli_internal_invariant_exit_code(exc, monkeypatch, capsys):
 
 
 # the discriminant -x^z + x^(z+1) has a zero of order z at 0: a branch point
-# (e = 2) only for odd z, however high z is
-@pytest.mark.parametrize("z,e", [(8, 1), (7, 2)])
+# (e = 2) only for odd z, however high z is; each depth of the hierarchy
+# loses z e/2 + e tau-orders there, which the default knobs must budget for
+@pytest.mark.parametrize("z,e", [(8, 1), (7, 2), (12, 1)])
 def test_cli_wkb_chart_at_high_order_discriminant_zero(z, e, tmp_path, capsys):
     spec_file = tmp_path / "curve.json"
     spec_file.write_text(json.dumps({"coefficients": {"a1": ["0"], "a2": ["0"] * z + ["1", "-1"]}}))
-    assert main(["wkb", "--curve", str(spec_file), "--place", "0", "--depth", "1"]) == 0
+    assert main(["wkb", "--curve", str(spec_file), "--place", "0"]) == 0
     rep = json.loads(capsys.readouterr().out)["report"]
     assert rep["ramification_index"] == e
     assert rep["operator_annihilation"]["ok"]
+
+
+def test_cli_toprec_conjugate_support_exit_line(capsys):
+    # y = -2/t + 1/(t - 1), x = 4/t^2: a node at the conjugate pair t = +-sqrt 2
+    spec = Path(__file__).parent / "specs" / "conjugate_node.json"
+    assert main(["toprec", "--curve", str(spec), "--depth", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: Omega has an irrational point (factor -2 + (1)*x^2); "
+                   "the residue engine needs rational support\n")
+
+
+def test_cli_factor_degree_cap_exit(tmp_path, capsys):
+    spec_file = tmp_path / "curve.json"
+    spec_file.write_text(json.dumps({"coefficients": {"a1": ["0"], "a2": ["1"] * 41}}))
+    assert main(["analyze", "--curve", str(spec_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "degree 40" in err
+
+
+def test_cli_commands_never_import_sympy():
+    child = (
+        "import sys\n"
+        "from quantcurve.cli import main\n"
+        "for argv in (['analyze', '--curve', 'airy'], ['toprec', '--curve', 'catalan', '--depth', '2'],\n"
+        "             ['wkb', '--curve', 'gauss']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'sympy' not in sys.modules, 'sympy imported'\n"
+    )
+    src = str(Path(quantcurve.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_plotdata_samples_at_cap(tmp_path):

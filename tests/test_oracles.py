@@ -7,14 +7,12 @@ from quantcurve.algebra import HBAR_FIELD, expand_ratfunc
 from quantcurve.oracles import (
     airy_closed_free_energy,
     catalan_closed_form,
-    dilaton_equation_holds,
     double_factorial,
     dvv_intersection,
     enumerate_cellular,
     gauss_2f1_series,
     gauss_pi_product_series,
     hbar_evaluate,
-    string_equation_holds,
 )
 
 # psi-class values frozen from independent published tables
@@ -60,6 +58,22 @@ def _dim_tuples(n, total):
     for first in range(total + 1):
         for rest in _dim_tuples(n - 1, total - first):
             yield (first,) + rest
+
+
+def string_equation_holds(g, ds):
+    lhs = dvv_intersection(g, ds + (0,))
+    rhs = Fraction(0)
+    for j, d in enumerate(ds):
+        if d >= 1:
+            rhs += dvv_intersection(g, ds[:j] + (d - 1,) + ds[j + 1:])
+    return lhs == rhs
+
+
+def dilaton_equation_holds(g, ds):
+    n = len(ds)
+    lhs = dvv_intersection(g, ds + (1,))
+    rhs = (2 * g - 2 + n) * dvv_intersection(g, ds)
+    return lhs == rhs
 
 
 def test_string_and_dilaton_up_to_weight_8():

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from quantcurve.algebra import (
     INF,
@@ -12,7 +13,9 @@ from quantcurve.algebra import (
     RatFunc,
     expand_ratfunc,
     factor_over,
+    poly_pow,
 )
+from quantcurve.algebra.poly import MAX_FACTOR_DEGREE
 
 
 def P(*coeffs):
@@ -65,6 +68,45 @@ def test_factor_rational():
     quartic = P(-1, 0, 1, 0, 1)
     facs = factor_over(QQ, quartic)
     assert len(facs) == 1 and facs[0][0].degree == 4 and facs[0][1] == 1
+
+
+def test_factor_constants_zero_and_degree_cap():
+    assert factor_over(QQ, P(Fraction(-3, 7))) == []
+    with pytest.raises(ValueError, match="zero polynomial"):
+        factor_over(QQ, P())
+    too_big = MAX_FACTOR_DEGREE + 1
+    with pytest.raises(ValueError, match=f"degree {too_big}"):
+        factor_over(QQ, P(*[1] + [0] * (too_big - 1) + [1]))
+
+
+def test_factor_negative_fractional_leading_coefficient():
+    # -3/2 (x - 1/2)^2 (x^2 + 1/3)
+    p = P(Fraction(-3, 2)) * P(Fraction(-1, 2), 1) * P(Fraction(-1, 2), 1) * P(Fraction(1, 3), 0, 1)
+    assert [(f.coeffs, m) for f, m in factor_over(QQ, p)] == [
+        ([Fraction(-1, 2), 1], 2), ([Fraction(1, 3), 0, 1], 1)]
+
+
+def test_factor_needs_recombination():
+    # x^4 - 10x^2 + 1, the minimal polynomial of sqrt 2 + sqrt 3, is
+    # irreducible but splits into factors of degree <= 2 modulo every prime;
+    # with (x^2 - 2)(x^2 - 3) the product splits mod 7 into two linear and
+    # three quadratic factors, so x^2 - 2 needs a pair recombined
+    sd = P(1, 0, -10, 0, 1)
+    assert factor_over(QQ, sd) == [(sd, 1)]
+    assert factor_over(QQ, sd * P(-2, 0, 1) * P(-3, 0, 1)) == [
+        (P(-2, 0, 1), 1), (P(-3, 0, 1), 1), (sd, 1)]
+
+
+def test_factor_sort_order_within_one_degree():
+    # coefficient strings sort "-1" < "-10" < "1/2" < "2", not numerically
+    lins = [P(2, 1), P(Fraction(1, 2), 1), P(-10, 1), P(-1, 1)]
+    quads = [P(1, 1, 1), P(1, 0, 1), P(-2, 0, 1)]
+    p = P(1)
+    for f in lins + quads:
+        p = p * f
+    assert [f for f, _ in factor_over(QQ, p)] == [
+        P(-1, 1), P(-10, 1), P(Fraction(1, 2), 1), P(2, 1),
+        P(-2, 0, 1), P(1, 0, 1), P(1, 1, 1)]
 
 
 def test_factor_over_is_qq_only():
@@ -125,3 +167,31 @@ def test_equal_polys_and_ratfuncs_hash_alike():
     assert p == q and hash(p) == hash(q) and q in {p}
     r, s = RatFunc(p, P(1, 1)), RatFunc(q, Poly(K, [1, 1]))
     assert r == s and hash(r) == hash(s) and s in {r}
+
+
+def _sympy_factors(p):
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], x,
+                            domain="QQ").factor_list()
+    out = [(P(*[Fraction(str(c)) for c in reversed(f.all_coeffs())]).monic(), m)
+           for f, m in factors]
+    return sorted(out, key=lambda fm: (fm[0].degree, tuple(str(c) for c in fm[0].coeffs)))
+
+
+@st.composite
+def factored_products(draw):
+    """A nonzero Fraction scalar times 1-3 small polynomials of degree 1-4,
+    each raised to a multiplicity 1-3."""
+    p = P(draw(SMALL_QQ.filter(bool)))
+    for _ in range(draw(st.integers(1, 3))):
+        low = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+        fac = P(*low, draw(st.integers(-3, 3).filter(bool)))
+        p = p * poly_pow(fac, draw(st.integers(1, 3)))
+    assume(p.degree <= MAX_FACTOR_DEGREE)
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(factored_products())
+def test_factor_matches_sympy(p):
+    assert factor_over(QQ, p) == _sympy_factors(p)
