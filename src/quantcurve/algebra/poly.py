@@ -603,15 +603,9 @@ class RatFunc:
         return self.num(v) / dv
 
     def compose(self, other):
-        """self(other) for a RatFunc argument."""
-        f = self.field
-        num = RatFunc.const(f, 0)
-        for c in reversed(self.num.coeffs):
-            num = num * other + RatFunc.const(f, c)
-        den = RatFunc.const(f, 0)
-        for c in reversed(self.den.coeffs):
-            den = den * other + RatFunc.const(f, c)
-        return num / den
+        """self(other) for a RatFunc argument: Horner in the RatFunc algebra,
+        without the pole test of a point evaluation."""
+        return self.num(other) / self.den(other)
 
     def is_square(self):
         rn = self.num.sqrt()

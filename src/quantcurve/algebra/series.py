@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import INF, Poly
+from .poly import INF
 
 
 class TruncSeries:
@@ -323,25 +323,15 @@ def expand_poly(p, place, order):
     """Expansion of a polynomial at a finite point or at INF (in w = 1/x)."""
     f = p.field
     if place is INF:
-        coeffs = {}
-        for i, c in enumerate(p.coeffs):
-            coeffs[-i] = c
-        if not coeffs:
-            return TruncSeries.zero(f, order)
-        val = -p.degree
-        cs = [coeffs.get(k, f.zero()) for k in range(val, order + 1)]
-        return TruncSeries(f, val, cs, order)
+        return TruncSeries(f, -p.degree, p.coeffs[::-1], order)
+    # Taylor coefficients of p(c + u), by synthetic division in place
+    cs = list(p.coeffs)
     c = f.of(place)
-    # Taylor coefficients via repeated synthetic division by (x - c)
-    lin = Poly(f, [-c, f.one()])
-    cs = []
-    cur = p
-    while not cur.is_zero():
-        cur, r = cur.divrem(lin)
-        cs.append(r.coeffs[0] if r.coeffs else f.zero())
-    if not cs:
-        return TruncSeries.zero(f, order)
-    return TruncSeries(f, 0, cs, max(order, len(cs) - 1)).truncate(order)
+    if not f.is_zero(c):
+        for i in range(len(cs) - 1):
+            for k in range(len(cs) - 2, i - 1, -1):
+                cs[k] = cs[k] + c * cs[k + 1]
+    return TruncSeries(f, 0, cs, order)
 
 
 def expand_ratfunc(f, place, order, e=1):

@@ -155,9 +155,10 @@ def emit_plotdata(spec, xmin=-4.0, xmax=4.0, samples=200):
         x = xmin + (xmax - xmin) * i / samples
         xf = Fraction(x).limit_denominator(10 ** 9)
         try:
+            # a pole, or a value beyond the float range, has no point to plot
             c1 = float(a1(xf))
             c2 = float(a2(xf))
-        except ZeroDivisionError:
+        except (ZeroDivisionError, OverflowError):
             continue
         disc = c1 * c1 - 4 * c2
         if disc < 0:

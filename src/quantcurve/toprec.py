@@ -252,7 +252,7 @@ def arrangement_sum(M, value, last=None):
     return out
 
 
-def _residue(entries, factors, scalar, target, sign):
+def _residue(entries, factors, scalar, target, sign, p):
     """Add sign * (coefficient of u^target in scalar * prod(factors)) to entries.
 
     Each factor is a vector series: its j-th item maps a basis key to the
@@ -260,14 +260,15 @@ def _residue(entries, factors, scalar, target, sign):
     series keyed by tuples of basis keys, one key per factor, which then
     pairs with the scalar coefficient at the complementary exponent.  The
     scalar must be known through u^target and each factor through
-    u^(target - val(scalar)); a shorter input is an error, not a truncation.
+    u^(target - val(scalar)); a shorter input is an error, not a truncation,
+    and names the support point p.
     """
     top = target - scalar.val
     if scalar.order < target:
-        raise AssertionError(f"residue needs the scalar through u^{target}, not u^{scalar.order}")
+        raise AssertionError(f"residue at {p} needs the scalar through u^{target}, not u^{scalar.order}")
     for vec in factors:
         if len(vec) <= top:
-            raise AssertionError(f"residue needs {top + 1} terms of each vector factor, one has {len(vec)}")
+            raise AssertionError(f"residue at {p} needs {top + 1} terms of each vector factor, one has {len(vec)}")
     acc = {0: {(): Fraction(1)}}
     for vec in factors:
         nxt = {}
@@ -292,16 +293,32 @@ def _residue(entries, factors, scalar, target, sign):
 # the recursion engine
 
 
+def _memo(build):
+    """Compute a method's value once per engine and arguments, under the key
+    (method name, *arguments) of the engine's one memo dict.  The memo lives
+    on the engine, so a freed engine frees its values."""
+
+    def cached(self, *args):
+        key = (build.__name__,) + args
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build(self, *args)
+        return hit
+
+    return cached
+
+
 def _per_point(build):
     """Build a method's local data once per point and trailing arguments (a
     side or a factor tag), again only when a longer expansion is asked for:
-    callers read the first order + 1 terms."""
+    callers read the first order + 1 terms.  The memo holds (order, data)
+    under the key (method name, point, *arguments)."""
 
     def cached(self, p, order, *args):
         key = (build.__name__, p) + args
-        hit = self._local_cache.get(key)
+        hit = self._memo.get(key)
         if hit is None or hit[0] < order:
-            hit = self._local_cache[key] = (order, build(self, p, order, *args))
+            hit = self._memo[key] = (order, build(self, p, order, *args))
         return hit[1]
 
     return cached
@@ -310,13 +327,7 @@ def _per_point(build):
 class TopRecEngine:
     def __init__(self, curve):
         self.curve = curve
-        self._w = {}
-        self._fns = {}
-        self._vals = {}
-        self._transform_cache = {}
-        self._local_cache = {}
-        self._prim_cache = {}
-        self._odd_prim_cache = {}
+        self._memo = {}
 
     # -- public interface ----------------------------------------------------
 
@@ -324,10 +335,7 @@ class TopRecEngine:
         """The symmetric differential W_{g,n} in the stable range."""
         if 2 * g - 2 + n <= 0:
             raise ValueError("W is tabulated only in the stable range")
-        key = (g, n)
-        if key not in self._w:
-            self._w[key] = self._compute_w(g, n)
-        return self._w[key]
+        return self._compute_w(g, n)
 
     def F(self, g, n):
         """Free energy table: the W table, read with slotwise primitives."""
@@ -346,37 +354,27 @@ class TopRecEngine:
 
     # -- scalar factors: exact valuations and local expansions ---------------
 
+    @_memo
     def _factor_fn(self, tag):
         """The rational function of a scalar factor ("invw" stands for
         1/Omega and names Omega itself)."""
-        fn = self._fns.get(tag)
-        if fn is None:
-            curve = self.curve
-            if tag == "invw":
-                fn = curve.omega
-            elif tag == "sigp":
-                fn = curve.sigma_prime
-            elif tag == "diag":
-                diff = RatFunc.x(QQ) - curve.sigma
-                fn = curve.sigma_prime / (diff * diff)
-            elif tag[0] == "phi":
-                fn = basis_function(tag[1])
-            else:
-                fn = basis_function(tag[1]).compose(curve.sigma)
-            self._fns[tag] = fn
-        return fn
+        curve = self.curve
+        if tag == "invw":
+            return curve.omega
+        if tag == "sigp":
+            return curve.sigma_prime
+        if tag == "diag":
+            diff = RatFunc.x(QQ) - curve.sigma
+            return curve.sigma_prime / (diff * diff)
+        if tag[0] == "phi":
+            return basis_function(tag[1])
+        return basis_function(tag[1]).compose(curve.sigma)
 
+    @_memo
     def _val(self, tag, p):
         """Exact valuation of a scalar factor at a support point."""
-        key = (tag, p)
-        v = self._vals.get(key)
-        if v is None:
-            fn = self._factor_fn(tag)
-            v = fn.order_at(p)
-            if tag == "invw":
-                v = -v
-            self._vals[key] = v
-        return v
+        v = self._factor_fn(tag).order_at(p)
+        return -v if tag == "invw" else v
 
     @_per_point
     def _expansion(self, p, order, tag):
@@ -447,6 +445,7 @@ class TopRecEngine:
 
     # -- transforms ------------------------------------------------------------
 
+    @_memo
     def _transform(self, fspec, gspec):
         """Residue transform of one z-factor pair at every support point.
 
@@ -458,10 +457,6 @@ class TopRecEngine:
         vector factor through top = target - v_s.  The vector factors start
         at u^0, so for top < 0 the point contributes nothing and is left out.
         """
-        ckey = (fspec, gspec)
-        cached = self._transform_cache.get(ckey)
-        if cached is not None:
-            return cached
         # scalar part of H: 1/Omega times the z-factors that are functions;
         # vector factors: the kernel, then the coupled slots
         tags, sides = ["invw"], []
@@ -491,9 +486,8 @@ class TopRecEngine:
             factors = [self._kernel_vectors(p, top)]
             factors += [self._coupled_vectors(p, top, side) for side in sides]
             entries = defaultdict(Fraction)
-            _residue(entries, factors, scalar, target, sign)
+            _residue(entries, factors, scalar, target, sign, p)
             result[p] = {k: v for k, v in entries.items() if v}
-        self._transform_cache[ckey] = result
         return result
 
     # -- bracket assembly -------------------------------------------------------
@@ -546,34 +540,36 @@ class TopRecEngine:
                 seen.add(b)
                 yield i, b
 
+    @_memo
     def _compute_w(self, g, n):
         jobs = self._jobs(g, n)
         half = Fraction(1, 2)
         # accumulate per support point to verify vanishing away from ramification
         perp = {p: defaultdict(Fraction) for p in self.curve.support}
-        for (fspec, gspec, rest), coeff in jobs.items():
-            if not coeff:
-                continue
-            transform = self._transform(fspec, gspec)
-            for p, entries in transform.items():
-                acc = perp[p]
-                for entry, v in entries.items():
-                    b, extras = entry[0], entry[1:]
-                    term = half * coeff * v
-                    if extras:
-                        acc[(b, sorted_keys(rest + extras))] += term * _placements(rest, extras)
-                    else:
-                        acc[(b, rest)] += term
-        # non-ramification support must contribute nothing
-        total = defaultdict(Fraction)
-        for p, acc in perp.items():
-            nonzero = {k: v for k, v in acc.items() if v}
-            if p not in self.curve.ram_points and nonzero:
-                raise AssertionError(
-                    f"nonzero residue contribution at non-ramification point {p}"
-                )
-            for k, v in nonzero.items():
-                total[k] += v
+        try:
+            for (fspec, gspec, rest), coeff in jobs.items():
+                if not coeff:
+                    continue
+                transform = self._transform(fspec, gspec)
+                for p, entries in transform.items():
+                    acc = perp[p]
+                    for entry, v in entries.items():
+                        b, extras = entry[0], entry[1:]
+                        term = half * coeff * v
+                        if extras:
+                            acc[(b, sorted_keys(rest + extras))] += term * _placements(rest, extras)
+                        else:
+                            acc[(b, rest)] += term
+            # non-ramification support must contribute nothing
+            total = defaultdict(Fraction)
+            for p, acc in perp.items():
+                nonzero = {k: v for k, v in acc.items() if v}
+                if p not in self.curve.ram_points and nonzero:
+                    raise AssertionError(f"nonzero residue contribution at non-ramification point {p}")
+                for k, v in nonzero.items():
+                    total[k] += v
+        except AssertionError as exc:  # name the table; _finalize's messages do
+            raise AssertionError(f"W_{(g, n)}: {exc}") from exc
         return self._finalize(g, n, total)
 
     def _finalize(self, g, n, bk):
@@ -605,24 +601,18 @@ class TopRecEngine:
 
     # -- free energies: evaluation, specialization, checks -----------------------
 
+    @_memo
     def f_primitive(self, key):
-        out = self._prim_cache.get(key)
-        if out is None:
-            out = basis_antiderivative(key, self.curve.normpt)
-            self._prim_cache[key] = out
-        return out
+        return basis_antiderivative(key, self.curve.normpt)
 
+    @_memo
     def _odd_primitive(self, key):
         # primitive anti-invariant under the involution; the differential
         # recursion holds in this gauge (for the Airy normalization both
         # gauges coincide), while tables and specializations use the
         # vanishing-at-normalization-point gauge
-        out = self._odd_prim_cache.get(key)
-        if out is None:
-            phi = basis_antiderivative(key, self.curve.normpt)
-            out = (phi - phi.compose(self.curve.sigma)) * RatFunc.const(QQ, Fraction(1, 2))
-            self._odd_prim_cache[key] = out
-        return out
+        phi = basis_antiderivative(key, self.curve.normpt)
+        return (phi - phi.compose(self.curve.sigma)) * RatFunc.const(QQ, Fraction(1, 2))
 
     def principal_specialize(self, m, branch_series):
         """S_m from the table: sum over 2g-2+n = m-1 of F_{g,n}(t,...,t)/n!.

@@ -32,7 +32,7 @@ from .toprec import (
     ratfunc_at_series,
     branch_maps,
 )
-from .wkb import WkbConfig, assemble_wavefunction, solve_wkb, verify_operator
+from .wkb import WkbConfig, assemble_wavefunction, solve_wkb, verify_operator, wkb_chart
 
 
 def _check(records, name, passed, detail=""):
@@ -40,22 +40,18 @@ def _check(records, name, passed, detail=""):
     return passed
 
 
-def detect_ramification(sd, place):
-    """Local degree of the cover over a place: 2 where the discriminant has
-    odd order (a branch point), else 1."""
-    return 2 if sd.discriminant().f.order_at(place) % 2 else 1
-
-
 def wkb_state_for(spec, place=None, branch=None, order=None, depth=None, tau_order=None):
+    """The WKB state of the spec's operator; ``order`` counts powers of the
+    uniformizer, ``tau_order`` powers of the chart's local parameter."""
     exp = spec.expansion
     place = exp.place if place is None else place
     branch = branch or exp.branch
     order = exp.order if order is None else order
     depth = exp.depth if depth is None else depth
-    e = detect_ramification(spec.sd, place)
-    cfg = WkbConfig(spec.sd.a1.f, spec.sd.a2.f, place, e=e, branch=branch,
-                    order=tau_order if tau_order is not None else order * e, depth=depth)
-    return solve_wkb(cfg)
+    a1, a2 = spec.sd.a1.f, spec.sd.a2.f
+    if tau_order is None:
+        tau_order = order * wkb_chart(a1, a2, place)[0]
+    return solve_wkb(WkbConfig(a1, a2, place, branch=branch, order=tau_order, depth=depth))
 
 
 def engine_for(spec):

@@ -23,21 +23,34 @@ from functools import cached_property
 from .algebra import INF, LogSeries, QuadExtField, QQ, RatFunc, TruncSeries, expand_ratfunc
 
 
+def wkb_chart(a1, a2, place):
+    """(e, v) at a place: v is the order of the discriminant a1^2 - 4 a2
+    there, and the chart is tau^e = w with e = 2 where v is odd (a branch
+    point of the spectral curve), else e = 1."""
+    d = a1 * a1 - 4 * a2
+    if d.is_zero():
+        raise ValueError("degenerate operator: zero discriminant")
+    v = d.order_at(place)
+    return 2 if v % 2 else 1, v
+
+
 @dataclass
 class WkbConfig:
+    """The operator and the expansion asked for.  The chart index ``e`` and
+    the discriminant's order ``disc_order`` at the place follow from the
+    operator (``wkb_chart``) and are set on construction."""
+
     a1: RatFunc
     a2: RatFunc
     place: object           # field element or INF
-    e: int = 1
     branch: str = "plus"     # sign in front of the square root of a1^2 - 4 a2
     order: int = 12          # guaranteed tau-order for every S_m body
     depth: int = 2           # compute S_0 .. S_depth
 
     def __post_init__(self):
-        if self.e not in (1, 2):
-            raise ValueError("ramification index must be 1 or 2")
         if self.branch not in ("plus", "minus"):
             raise ValueError("branch must be 'plus' or 'minus'")
+        self.e, self.disc_order = wkb_chart(self.a1, self.a2, self.place)
 
 
 class WkbState:
@@ -102,8 +115,7 @@ def semiclassical_root(cfg, _work_order=None):
     field = cfg.a1.field
     work = _work_order
     if work is None:
-        d = cfg.a1 * cfg.a1 - 4 * cfg.a2
-        loss = 0 if d.is_zero() else cfg.e * d.order_at(cfg.place) // 2 + cfg.e
+        loss = cfg.e * cfg.disc_order // 2 + cfg.e
         work = cfg.order + max(4, loss) * (cfg.depth + 2)
     worder = work // cfg.e + 2
     a1s = expand_ratfunc(cfg.a1, cfg.place, worder, e=cfg.e)
@@ -111,12 +123,6 @@ def semiclassical_root(cfg, _work_order=None):
     disc = a1s * a1s - 4 * a2s
     if disc.is_zero():
         raise ValueError("degenerate operator: zero discriminant")
-    if disc.val % 2 != 0:
-        if cfg.e != 2:
-            raise ValueError(
-                f"odd discriminant valuation {disc.val}: a branch chart (e = 2) is required"
-            )
-        raise ValueError("odd discriminant valuation persists on the branch chart")
     lead = disc.coeffs[0]
     root = field.sqrt(lead)
     if root is None:
@@ -132,25 +138,11 @@ def semiclassical_root(cfg, _work_order=None):
     return WkbState(cfg, field, [LogSeries(lam, body)], [s0p], a1s, a2s)
 
 
-def consistency_s1(state):
-    """Append S1 from the first subleading equation."""
-    if state.depth != 0:
-        raise ValueError("S1 must be computed on a fresh semiclassical state")
+def wkb_extend(state):
+    """Extend the hierarchy up to S_depth via the h^(m+1) recursion.  At
+    m = 0 the pair sum is empty: S1' = -S0'' / (2 S0' + a1)."""
     cfg = state.config
-    s1p = -_ddx(state.S_prime[0], cfg.place, cfg.e) * state.inv_denom
-    lam, body = _antiderivative_x(s1p, cfg.place, cfg.e)
-    state.S.append(LogSeries(lam, body))
-    state.S_prime.append(s1p)
-    return state
-
-
-def wkb_extend(state, depth=None):
-    """Extend the hierarchy up to S_depth via the h^(m+1) recursion."""
-    cfg = state.config
-    depth = cfg.depth if depth is None else depth
-    if state.depth < 1:
-        raise ValueError("extend requires S0 and S1")
-    while state.depth < depth:
+    while state.depth < cfg.depth:
         m = state.depth
         rhs = _pair_products(state.S_prime, m + 1, 1, _ddx(state.S_prime[m], cfg.place, cfg.e))
         sp = -rhs * state.inv_denom
@@ -175,13 +167,8 @@ def _pair_products(sp, total, lo, acc):
 
 
 def solve_wkb(cfg):
-    """Full pipeline: semiclassical root, consistency, extension to cfg.depth."""
-    state = semiclassical_root(cfg)
-    if cfg.depth >= 1:
-        consistency_s1(state)
-    if cfg.depth >= 2:
-        wkb_extend(state)
-    return state
+    """Full pipeline: semiclassical root, then S_1 .. S_depth."""
+    return wkb_extend(semiclassical_root(cfg))
 
 
 def verify_operator(state):

@@ -280,7 +280,7 @@ def test_criterion_8_property_suites():
         g = RatFunc.from_coeffs(QQ, [c * c, Fraction(rng.randint(-4, 4))])
         a2 = (a1 * a1 - g * g) * Fraction(1, 4)
         try:
-            st = solve_wkb(WkbConfig(a1, a2, Fraction(0), e=1,
+            st = solve_wkb(WkbConfig(a1, a2, Fraction(0),
                                      branch=rng.choice(["plus", "minus"]), order=8, depth=3))
         except ValueError:
             continue

@@ -159,6 +159,26 @@ def test_analyze_report_bytes_unchanged(curve):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ANALYZE_REPORT_SHA256[curve]
 
 
+# sha256 of the serialized wkb reports of every builtin at the spec's default
+# place, branch, order and depth: any change to a series, the chart or the
+# layout of these reports shows
+WKB_REPORT_SHA256 = {
+    "airy": "78697a2e85587dd6599c5fd57aab49e18592ef00369f18c06db713851fffbfa0",
+    "catalan": "45a9b0aa0bc66247eb48fb550cbd7943914a86a664e75957c6adcb872e5bd9a5",
+    "gauss": "d9450cf9fb82107f56823ce030929fe08d241d67ff7ad12ff78a9721a83e4594",
+    "hermite": "fa4e57109c866bc48c7b3819e0b617366d768c0ac3c9ebdbd4310c14beded6c3",
+    "mixed": "3b716fcd276bcc62860cf9d2bd95f2005a10ed2f4a2aa77dc1631c26ba4ebff1",
+    "smooth": "e98852421dbe6fd881ad1982acb6d26c224fbe805bc045dd298cceaf51727bdd",
+}
+
+
+@pytest.mark.parametrize("curve", sorted(WKB_REPORT_SHA256))
+def test_wkb_report_bytes_unchanged(curve):
+    rep, _ = wkb_report(load_curve(curve))
+    text = serialize_report({"report": rep})
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WKB_REPORT_SHA256[curve]
+
+
 def test_toprec_requires_parametrization():
     with pytest.raises(ValueError, match="parametrization"):
         toprec_report(load_curve("gauss"), level=1)
@@ -192,6 +212,17 @@ def test_plotdata_empty_locus_header_only():
     spec = parse_curve_spec({"coefficients": {"a1": ["0"], "a2": ["1"]}})  # y^2 = -1
     csv = emit_plotdata(spec, -2.0, 2.0, 20)
     assert csv == "x,y,branch\n"
+
+
+def test_cli_plotdata_skips_values_beyond_float_range(tmp_path, capsys):
+    # a2 = x^3 at x ~ 1e200 does not fit a float: the sample is skipped like a pole
+    spec_file = tmp_path / "curve.json"
+    spec_file.write_text(json.dumps({"coefficients": {"a1": ["0"], "a2": ["0", "0", "0", "1"]}}))
+    argv = ["plotdata", "--curve", str(spec_file), "--xmin=1e200", "--xmax=2e200", "--samples", "2"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == "x,y,branch\n"
+    assert "Traceback" not in err
 
 
 def test_cli_analyze_exit_and_determinism(tmp_path):
@@ -312,6 +343,21 @@ def test_cli_toprec_conjugate_support_exit_line(capsys):
     assert out == ""
     assert err == ("error: Omega has an irrational point (factor -2 + (1)*x^2); "
                    "the residue engine needs rational support\n")
+
+
+# the singular curves of the generalized recursion (x = 4/t^2, sigma(t) = -t):
+# a cusp at the branch point t = inf, and a node where t = 2 and t = -2 meet
+@pytest.mark.parametrize("name,line", [
+    ("cusp", "W_(0, 3) fails the symmetry re-check at ((inf, 2), (inf, 2), (inf, 4)): "
+             "{(inf, 2): Fraction(3, 16), (inf, 4): Fraction(1, 16)}"),
+    ("node", "W_(0, 3): nonzero residue contribution at non-ramification point 2"),
+])
+def test_cli_toprec_singular_curve_exit_line(name, line, capsys):
+    spec = Path(__file__).parent / "specs" / f"{name}.json"
+    assert main(["toprec", "--curve", str(spec), "--depth", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: internal: toprec: AssertionError: {line}\n"
 
 
 def test_cli_factor_degree_cap_exit(tmp_path, capsys):

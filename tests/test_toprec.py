@@ -111,6 +111,17 @@ def test_catalan_triangulation_small(catalan_engine):
         assert got == want, (g, n, mu)
 
 
+# the engine methods whose memo entries are (order, local data) at a point
+LOCAL_SERIES = ("_expansion", "_sigma_powers", "_kernel_vectors", "_coupled_vectors")
+
+
+def test_engine_state_is_the_curve_and_one_memo():
+    _, eng = engine_for(load_curve("airy"))
+    eng.compute_level(2)
+    assert set(vars(eng)) == {"curve", "_memo"}
+    assert {key[0] for key in eng._memo} >= {"_compute_w", "_transform", "_val", "_factor_fn"}
+
+
 @pytest.mark.parametrize("name", ["airy", "catalan"])
 def test_tables_do_not_depend_on_history(name):
     _, cold = engine_for(load_curve(name))
@@ -118,13 +129,14 @@ def test_tables_do_not_depend_on_history(name):
     used.compute_level(5)
     # recompute levels 1-4 with no transform cached, from the local series
     # and vectors that level 5 left longer than those transforms request
-    for key in [k for k in used._w if 2 * k[0] - 2 + k[1] <= 4]:
-        del used._w[key]
-    used._transform_cache.clear()
+    for key in list(used._memo):
+        if key[0] == "_transform" or key[0] == "_compute_w" and 2 * key[1] - 2 + key[2] <= 4:
+            del used._memo[key]
     for level in range(1, 5):
         for (g, n), tab in used.compute_level(level):
             assert tab.table == cold.W(g, n).table, (g, n)
-    assert any(used._local_cache[k][0] > hit[0] for k, hit in cold._local_cache.items())
+    local = [k for k in cold._memo if k[0] in LOCAL_SERIES]
+    assert any(used._memo[k][0] > cold._memo[k][0] for k in local)
 
 
 @pytest.mark.parametrize("name,count", [("airy", 35), ("catalan", 102)])
@@ -133,7 +145,7 @@ def test_each_transform_is_computed_once(name, count, monkeypatch):
     transform = TopRecEngine._transform
 
     def counted(self, fspec, gspec):
-        if (fspec, gspec) not in self._transform_cache:
+        if ("_transform", fspec, gspec) not in self._memo:
             computed.append((fspec, gspec))
         return transform(self, fspec, gspec)
 
@@ -150,21 +162,21 @@ def _residue_inputs():
     scalar = TruncSeries(QQ, -2, [1, 1], -1)
     vec = [{"a": Fraction(1)}, {"a": Fraction(2)}]
     entries = defaultdict(Fraction)
-    _residue(entries, [vec], scalar, -1, 1)
+    _residue(entries, [vec], scalar, -1, 1, Fraction(0))
     assert entries == {("a",): 3}
     return scalar, vec
 
 
 def test_residue_raises_on_a_scalar_one_order_short():
     scalar, vec = _residue_inputs()
-    with pytest.raises(AssertionError, match="scalar"):
-        _residue(defaultdict(Fraction), [vec], scalar.truncate(-2), -1, 1)
+    with pytest.raises(AssertionError, match="residue at 0 needs the scalar"):
+        _residue(defaultdict(Fraction), [vec], scalar.truncate(-2), -1, 1, Fraction(0))
 
 
 def test_residue_raises_on_a_vector_one_term_short():
     scalar, vec = _residue_inputs()
-    with pytest.raises(AssertionError, match="vector factor"):
-        _residue(defaultdict(Fraction), [vec, vec[:1]], scalar, -1, 1)
+    with pytest.raises(AssertionError, match="residue at 0 needs 2 terms of each vector factor"):
+        _residue(defaultdict(Fraction), [vec, vec[:1]], scalar, -1, 1, Fraction(0))
 
 
 def test_stable_range_guard(airy_engine):
@@ -244,7 +256,7 @@ def test_diff_recursion_check_fails_on_a_perturbed_table(name, g, n, drop, reque
     tab = eng.F(*target)
     M = next(iter(tab.table))
     perturbed = toprec.SymTable(tab.n, {**tab.table, M: tab.table[M] + Fraction(1, 7)})
-    monkeypatch.setitem(eng._w, target, perturbed)
+    monkeypatch.setitem(eng._memo, ("_compute_w", *target), perturbed)
     assert not eng.diff_recursion_check(g, n, points)
 
 
@@ -357,7 +369,7 @@ def test_xy_family_matches_wkb():
     a2 = rf([c])
     from quantcurve.wkb import WkbConfig, solve_wkb
 
-    cfg = WkbConfig(a1, a2, INF, e=1, branch="plus", order=14, depth=3)
+    cfg = WkbConfig(a1, a2, INF, branch="plus", order=14, depth=3)
     st = solve_wkb(cfg)
     curve.normpt = None
     # normalization point: the preimage of x = inf with y -> 0 is z = 0

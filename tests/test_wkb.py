@@ -12,7 +12,6 @@ from quantcurve.verify import wkb_state_for
 from quantcurve.wkb import (
     WkbConfig,
     assemble_wavefunction,
-    consistency_s1,
     semiclassical_root,
     solve_wkb,
     verify_operator,
@@ -30,7 +29,7 @@ GAUSS = (rf([-1, 2], [0, -1, 1]), rf([1], [0, -4, 4]))
 
 
 def test_airy_golden():
-    cfg = WkbConfig(*AIRY, INF, e=2, branch="minus", order=12, depth=2)
+    cfg = WkbConfig(*AIRY, INF, branch="minus", order=12, depth=2)
     st = solve_wkb(cfg)
     s0, s1, s2 = st.S
     assert s0.lam == 0 and dict(s0.body.items()) == {-3: Fraction(-2, 3)}
@@ -39,7 +38,7 @@ def test_airy_golden():
 
 
 def test_airy_oddness_parity():
-    cfg = WkbConfig(*AIRY, INF, e=2, branch="minus", order=24, depth=6)
+    cfg = WkbConfig(*AIRY, INF, branch="minus", order=24, depth=6)
     st = solve_wkb(cfg)
     for m in range(2, 7):
         terms = dict(st.S[m].body.items())
@@ -48,8 +47,8 @@ def test_airy_oddness_parity():
 
 
 def test_airy_branch_swap_vieta():
-    minus = solve_wkb(WkbConfig(*AIRY, INF, e=2, branch="minus", order=10, depth=0))
-    plus = solve_wkb(WkbConfig(*AIRY, INF, e=2, branch="plus", order=10, depth=0))
+    minus = solve_wkb(WkbConfig(*AIRY, INF, branch="minus", order=10, depth=0))
+    plus = solve_wkb(WkbConfig(*AIRY, INF, branch="plus", order=10, depth=0))
     a1s = minus.a1s
     a2s = minus.a2s
     total = plus.S_prime[0] + minus.S_prime[0]
@@ -59,7 +58,7 @@ def test_airy_branch_swap_vieta():
 
 
 def test_catalan_golden():
-    cfg = WkbConfig(*HERMITE, INF, e=1, branch="plus", order=13, depth=1)
+    cfg = WkbConfig(*HERMITE, INF, branch="plus", order=13, depth=1)
     st = solve_wkb(cfg)
     # S0' = -z(x), the Catalan number series
     sp = st.S_prime[0]
@@ -76,7 +75,7 @@ def test_catalan_golden():
 
 
 def test_gauss_golden_series():
-    cfg = WkbConfig(*GAUSS, Fraction(0), e=1, branch="plus", order=8, depth=2)
+    cfg = WkbConfig(*GAUSS, Fraction(0), branch="plus", order=8, depth=2)
     st = solve_wkb(cfg)
     s1_want = {2: Fraction(-7, 32), 3: Fraction(-53, 96), 4: Fraction(-1075, 1024),
                5: Fraction(-4319, 2560), 6: Fraction(-28319, 12288), 7: Fraction(-72109, 28672)}
@@ -90,14 +89,18 @@ def test_gauss_golden_series():
 
 
 def test_odd_valuation_requires_branch_chart():
-    with pytest.raises(ValueError, match="e = 2"):
-        solve_wkb(WkbConfig(*AIRY, Fraction(0), e=1, branch="plus", order=6, depth=1))
-    solve_wkb(WkbConfig(*AIRY, Fraction(0), e=2, branch="plus", order=6, depth=1))
+    # the discriminant 4x has a simple zero at 0: the chart is tau^2 = x,
+    # fixed by the operator and not settable
+    st = solve_wkb(WkbConfig(*AIRY, Fraction(0), branch="plus", order=6, depth=1))
+    assert st.config.e == 2
+    assert verify_operator(st)["ok"]
+    with pytest.raises(TypeError):
+        WkbConfig(*AIRY, Fraction(0), e=1)
 
 
 def test_field_extension_on_demand():
     # discriminant 4*3x at infinity: leading coefficient 12 is not a square
-    cfg = WkbConfig(rf([0]), rf([0, -3]), INF, e=2, branch="minus", order=8, depth=2)
+    cfg = WkbConfig(rf([0]), rf([0, -3]), INF, branch="minus", order=8, depth=2)
     st = solve_wkb(cfg)
     assert isinstance(st.field, QuadExtField)
     sq = st.S_prime[0] * st.S_prime[0]
@@ -106,15 +109,15 @@ def test_field_extension_on_demand():
 
 
 def test_verify_operator_golden():
-    st = solve_wkb(WkbConfig(*AIRY, INF, e=2, branch="minus", order=18, depth=4))
+    st = solve_wkb(WkbConfig(*AIRY, INF, branch="minus", order=18, depth=4))
     rep = verify_operator(st)
     assert rep["ok"] and len(rep["levels"]) == 5
-    stg = solve_wkb(WkbConfig(*GAUSS, Fraction(0), e=1, branch="plus", order=8, depth=2))
+    stg = solve_wkb(WkbConfig(*GAUSS, Fraction(0), branch="plus", order=8, depth=2))
     assert verify_operator(stg)["ok"]
 
 
 def test_s0_only_residual_is_consistency_term():
-    st = semiclassical_root(WkbConfig(*AIRY, INF, e=2, branch="minus", order=10, depth=0))
+    st = semiclassical_root(WkbConfig(*AIRY, INF, branch="minus", order=10, depth=0))
     rep = verify_operator(st)
     assert rep["levels"][0]["zero"]
     # no S1 yet: the h^1 level is exactly S0'' which does not vanish
@@ -126,9 +129,8 @@ def test_s0_only_residual_is_consistency_term():
 
 def test_truncation_exhausted():
     # a requested order the working expansion cannot guarantee
-    cfg = WkbConfig(*GAUSS, Fraction(0), e=1, branch="plus", order=16, depth=3)
+    cfg = WkbConfig(*GAUSS, Fraction(0), branch="plus", order=16, depth=3)
     st = semiclassical_root(cfg, _work_order=12)
-    consistency_s1(st)
     with pytest.raises(ValueError, match="truncation exhausted"):
         wkb_extend(st)
 
@@ -136,7 +138,7 @@ def test_truncation_exhausted():
 def test_hermite_hbar_one_double_factorials():
     # at h = 1 the assembled series is sum (2n-1)!! / x^(2n+1), i.e. the
     # error-function asymptotics 1, 1, 3, 15, 105 after the 1/x prefactor
-    st = solve_wkb(WkbConfig(*HERMITE, INF, e=1, branch="plus", order=14, depth=6))
+    st = solve_wkb(WkbConfig(*HERMITE, INF, branch="plus", order=14, depth=6))
     wave = assemble_wavefunction(st)
     one = Fraction(1)
     assert wave.prefactor_exponent.rf(one) == 1  # prefactor (1/x)^(1/h) becomes 1/x
@@ -147,13 +149,13 @@ def test_hermite_hbar_one_double_factorials():
 
 
 def test_assemble_rejects_essential_prefactor():
-    st = solve_wkb(WkbConfig(*AIRY, INF, e=2, branch="minus", order=10, depth=2))
+    st = solve_wkb(WkbConfig(*AIRY, INF, branch="minus", order=10, depth=2))
     with pytest.raises(ValueError, match="essential"):
         assemble_wavefunction(st)
 
 
 def test_zero_exponent_gives_unit_wave():
-    st = solve_wkb(WkbConfig(*HERMITE, INF, e=1, branch="plus", order=8, depth=2))
+    st = solve_wkb(WkbConfig(*HERMITE, INF, branch="plus", order=8, depth=2))
     for m in range(len(st.S)):
         st.S[m] = LogSeries(0, st.S[m].body * 0)
     wave = assemble_wavefunction(st)
@@ -172,7 +174,7 @@ def test_randomized_operator_annihilation():
         g = rf([c * c]) + rf([0, Fraction(rng.randint(-4, 4))])
         a2 = (a1 * a1 - g * g) * Fraction(1, 4)
         try:
-            cfg = WkbConfig(a1, a2, Fraction(0), e=1,
+            cfg = WkbConfig(a1, a2, Fraction(0),
                             branch=rng.choice(["plus", "minus"]), order=8, depth=3)
             st = solve_wkb(cfg)
         except ValueError:
@@ -183,7 +185,8 @@ def test_randomized_operator_annihilation():
 
 def test_hermite_at_finite_branch_point():
     # Puiseux chart tau^2 = x - 2 at the turning point of the Hermite operator
-    cfg = WkbConfig(*HERMITE, Fraction(2), e=2, branch="plus", order=10, depth=3)
+    cfg = WkbConfig(*HERMITE, Fraction(2), branch="plus", order=10, depth=3)
+    assert cfg.e == 2
     st = solve_wkb(cfg)
     assert st.S[0].lam == 0
     assert st.S[0].body.coefficient(2) == -1
@@ -232,15 +235,18 @@ def random_operator(draw):
     disc = a1 * a1 - 4 * a2
     assume(not disc.is_zero() and not disc.is_square())
     place = draw(st.sampled_from([INF, Fraction(0), Fraction(1), Fraction(-1, 2)]))
-    return a1, a2, place, 2 if disc.order_at(place) % 2 else 1
+    return a1, a2, place
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(random_operator())
 def test_random_operators_annihilated_on_both_branches(op):
-    a1, a2, place, e = op
-    plus, minus = (solve_wkb(WkbConfig(a1, a2, place, e=e, branch=b, order=8, depth=3))
+    a1, a2, place = op
+    plus, minus = (solve_wkb(WkbConfig(a1, a2, place, branch=b, order=8, depth=3))
                    for b in ("plus", "minus"))
+    # a square-root chart exactly where the discriminant has odd order
+    disc_order = (a1 * a1 - 4 * a2).order_at(place)
+    assert plus.config.e == minus.config.e == (2 if disc_order % 2 else 1)
     assert verify_operator(plus)["ok"] and verify_operator(minus)["ok"]
     s0_minus = minus.S_prime[0]
     if isinstance(plus.field, QuadExtField):
