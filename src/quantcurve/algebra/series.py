@@ -18,6 +18,12 @@ from fractions import Fraction
 from .poly import INF
 
 
+def product_order(a, b):
+    """The order through which the product of two series is known: a
+    coefficient beyond it would read a term beyond one factor's order."""
+    return min(a.order + b.val, b.order + a.val)
+
+
 class TruncSeries:
     __slots__ = ("field", "val", "coeffs", "order", "e")
 
@@ -139,10 +145,9 @@ class TruncSeries:
             if f.is_zero(c):
                 return TruncSeries.zero(f, self.order, e=self.e)
             return self.copy(coeffs=[x * c for x in self.coeffs])
+        order = product_order(self, other)
         if self.is_zero() or other.is_zero():
-            order = min(self.order + other.val, other.order + self.val)
             return TruncSeries.zero(f, order, e=self.e)
-        order = min(self.order + other.val, other.order + self.val)
         val = self.val + other.val
         out = f.convolve(self.coeffs, other.coeffs, order - val + 1)
         return TruncSeries(f, val, out, order, e=self.e)

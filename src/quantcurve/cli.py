@@ -98,8 +98,16 @@ def analyze_report(spec, genus=0):
     }
 
 
-def wkb_report(spec, place=None, branch=None, order=None, depth=None):
+def wkb_report(spec, place=None, branch=None, order=None, depth=None, stages=None):
+    """The wkb report and its state; a ``stages`` dict receives the wall
+    seconds of the solve and of the operator check."""
+    t0 = time.perf_counter()
     st = wkb_state_for(spec, place=place, branch=branch, order=order, depth=depth)
+    t1 = time.perf_counter()
+    check = verify_operator(st)
+    if stages is not None:
+        stages["solve"] = round(t1 - t0, 3)
+        stages["check"] = round(time.perf_counter() - t1, 3)
     cfg = st.config
     series = []
     for m, s in enumerate(st.S):
@@ -110,7 +118,6 @@ def wkb_report(spec, place=None, branch=None, order=None, depth=None):
             "terms": {str(k): _coeff_repr(st.field, c) for k, c in body.items()},
             "guaranteed_order": body.order,
         })
-    check = verify_operator(st)
     return {
         "curve": spec.name,
         "place": place_repr(cfg.place),
@@ -226,6 +233,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
+    stages = {} if args.timing else None
     try:
         if args.command in ("analyze", "wkb", "toprec", "plotdata"):
             spec = load_curve(args.curve)
@@ -237,7 +245,7 @@ def main(argv=None):
             check_size("--depth", args.depth, 0, MAX_DEPTH)
             place = None if args.place is None else parse_point(args.place, "--place")
             rep, _ = wkb_report(spec, place=place, branch=args.branch,
-                                order=args.order, depth=args.depth)
+                                order=args.order, depth=args.depth, stages=stages)
             payload = {"report": rep}
         elif args.command == "toprec":
             check_size("--depth", args.depth, 1, MAX_LEVEL)
@@ -272,6 +280,8 @@ def main(argv=None):
         return 3
     if args.timing:
         payload["meta"] = {"seconds": round(time.perf_counter() - t0, 3)}
+        if stages:
+            payload["meta"]["stages"] = stages
     _emit(args, payload)
     return 0
 

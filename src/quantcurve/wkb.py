@@ -4,8 +4,13 @@ exact truncated series at one place of the line.
 Writing the solution as exp(sum_m h^(m-1) S_m(x)), the orders in h give
 
     order 0:    S0'^2 + a1 S0' + a2 = 0
-    order 1:    2 S0' S1' + S0'' + a1 S1' = 0
-    order m+1:  S_m'' + sum_{a+b=m+1} S_a' S_b' + a1 S_{m+1}' = 0
+    order k:    rhs(k) + (2 S0' + a1) S_k' = 0           (k >= 1)
+
+with rhs(k) = S_{k-1}'' + sum_{a+b=k, a,b>=1} S_a' S_b', which reads only
+S_0' .. S_{k-1}'.  The solver sets S_k' = -rhs(k) / (2 S0' + a1); the
+operator check substitutes back with the same rhs(k), one series product
+per h-level: S0' (S0' + a1) + a2 at level 0, rhs(k) + (2 S0' + a1) S_k'
+at level k.
 
 All x-derivatives run through the chain rule in a local parameter tau with
 tau**e equal to the uniformizer, so the same code handles finite points,
@@ -21,6 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import INF, LogSeries, QuadExtField, QQ, RatFunc, TruncSeries, expand_ratfunc
+from .algebra.series import product_order
 
 
 def wkb_chart(a1, a2, place):
@@ -55,7 +61,10 @@ class WkbConfig:
 
 class WkbState:
     """S_0 .. S_M as LogSeries plus their x-derivatives as plain series,
-    with the local expansions a1s, a2s of the operator's coefficients."""
+    with the local expansions a1s, a2s of the operator's coefficients.
+
+    S and S_prime are append-only: the solver extends them and nothing
+    replaces an entry, so the ``rhs`` memo of a level stays valid."""
 
     def __init__(self, config, field, S, S_prime, a1s, a2s):
         self.config = config
@@ -64,18 +73,36 @@ class WkbState:
         self.S_prime = S_prime
         self.a1s = a1s
         self.a2s = a2s
+        self._rhs = {}
 
     @property
     def depth(self):
         return len(self.S) - 1
 
     @cached_property
+    def denom(self):
+        """2 S0' + a1, the factor of S_k' in the h^k equation, k >= 1."""
+        return 2 * self.S_prime[0] + self.a1s
+
+    @cached_property
     def inv_denom(self):
         """1 / (2 S0' + a1), the divisor of every S_m' with m >= 1."""
-        denom = 2 * self.S_prime[0] + self.a1s
-        if denom.is_zero():
+        if self.denom.is_zero():
             raise ValueError("2 S0' + a1 vanishes: reducible curve")
-        return denom.inverse()
+        return self.denom.inverse()
+
+    def rhs(self, k):
+        """S_{k-1}'' + sum of S_a' S_b' over a + b = k with a, b >= 1, for
+        k >= 1; reads S_0' .. S_{k-1}' only and forms each unordered
+        product once."""
+        if k not in self._rhs:
+            sp, cfg = self.S_prime, self.config
+            acc = _ddx(sp[k - 1], cfg.place, cfg.e)
+            for a in range(1, k // 2 + 1):
+                p = sp[a] * sp[k - a]
+                acc = acc + (p if 2 * a == k else 2 * p)
+            self._rhs[k] = acc
+        return self._rhs[k]
 
 
 def _ddx(series, place, e):
@@ -139,31 +166,21 @@ def semiclassical_root(cfg, _work_order=None):
 
 
 def wkb_extend(state):
-    """Extend the hierarchy up to S_depth via the h^(m+1) recursion.  At
-    m = 0 the pair sum is empty: S1' = -S0'' / (2 S0' + a1)."""
+    """Extend the hierarchy up to S_depth: S_k' = -rhs(k) / (2 S0' + a1).
+    At k = 1 the pair sum is empty: S1' = -S0'' / (2 S0' + a1)."""
     cfg = state.config
     while state.depth < cfg.depth:
-        m = state.depth
-        rhs = _pair_products(state.S_prime, m + 1, 1, _ddx(state.S_prime[m], cfg.place, cfg.e))
-        sp = -rhs * state.inv_denom
+        k = state.depth + 1
+        sp = -state.rhs(k) * state.inv_denom
         if sp.order < cfg.order:
             raise ValueError(
-                f"truncation exhausted at depth {m + 1}: guaranteed order "
+                f"truncation exhausted at depth {k}: guaranteed order "
                 f"{sp.order} below requested {cfg.order}"
             )
         lam, body = _antiderivative_x(sp, cfg.place, cfg.e)
         state.S.append(LogSeries(lam, body))
         state.S_prime.append(sp)
     return state
-
-
-def _pair_products(sp, total, lo, acc):
-    """acc + sum of sp[a] * sp[b] over ordered pairs a + b = total with
-    lo <= a, b < len(sp); each unordered product is computed once."""
-    for a in range(max(lo, total - len(sp) + 1), total // 2 + 1):
-        p = sp[a] * sp[total - a]
-        acc = acc + (p if 2 * a == total else 2 * p)
-    return acc
 
 
 def solve_wkb(cfg):
@@ -175,21 +192,22 @@ def verify_operator(state):
     """Substitute the expansion back into the operator.
 
     The residual h^2 F'' + h^2 (F')^2 + a1 h F' + a2 with
-    F' = sum h^(m-1) S_m' collapses order by order in h; the report lists,
-    for each h-level up to the state's depth, whether the series coefficient
-    vanishes identically through its guaranteed order.
+    F' = sum h^(m-1) S_m' collapses order by order in h: S0' (S0' + a1) + a2
+    at h^0 and rhs(k) + (2 S0' + a1) S_k' at h^k.  The report lists, for each
+    h-level up to the state's depth, whether that series vanishes
+    identically through its guaranteed order.  That order is the one of
+    the sum term by term, S0'^2 + a1 S0' + a2 or rhs(k) + 2 S0' S_k' +
+    a1 S_k': 2 S0' + a1 may cancel to a higher valuation than either term,
+    which would raise the order of the product.
     """
-    cfg = state.config
+    s0p, a1s = state.S_prime[0], state.a1s
     report = []
     ok = True
     for k in range(state.depth + 1):
-        resid = _pair_products(state.S_prime, k, 0,
-                               TruncSeries.zero(state.field, state.S_prime[0].order))
-        if k >= 1:
-            resid = resid + _ddx(state.S_prime[k - 1], cfg.place, cfg.e)
-        resid = resid + state.a1s * state.S_prime[k]
-        if k == 0:
-            resid = resid + state.a2s
+        sk = state.S_prime[k]
+        rest, factor = (state.a2s, s0p + a1s) if k == 0 else (state.rhs(k), state.denom)
+        order = min(s0p.order, rest.order, product_order(s0p, sk), product_order(a1s, sk))
+        resid = (rest + factor * sk).truncate(order)
         zero = resid.is_zero()
         report.append({"h_power": k, "zero": zero, "through_order": resid.order})
         ok = ok and zero

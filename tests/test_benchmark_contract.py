@@ -4,7 +4,7 @@ suite, not only a benchmark run.  Nothing under perfbench/ is written."""
 
 from pathlib import Path
 
-from quantcurve import toprec, wkb
+from quantcurve import cli, toprec, wkb
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -14,12 +14,17 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
-    originals = (toprec.TopRecEngine.__dict__["W"], wkb.solve_wkb, wkb.wkb_extend)
+    originals = (toprec.TopRecEngine.__dict__["W"], wkb.solve_wkb, wkb.wkb_extend,
+                 wkb.verify_operator)
     tracer = Tracer()
     tracer.install()
     try:
         assert tracer._undo
         assert toprec.TopRecEngine.__dict__["W"] is not originals[0]
+        # the wkb report's operator check runs through the traced name
+        assert wkb.verify_operator is not originals[3]
+        assert cli.verify_operator is wkb.verify_operator
     finally:
         tracer.uninstall()
-    assert (toprec.TopRecEngine.__dict__["W"], wkb.solve_wkb, wkb.wkb_extend) == originals
+    assert (toprec.TopRecEngine.__dict__["W"], wkb.solve_wkb, wkb.wkb_extend,
+            wkb.verify_operator) == originals

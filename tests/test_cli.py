@@ -179,6 +179,19 @@ def test_wkb_report_bytes_unchanged(curve):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WKB_REPORT_SHA256[curve]
 
 
+def test_cli_wkb_timing_stages(capsys):
+    argv = ["wkb", "--curve", "catalan", "--depth", "4"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    meta = timed.pop("meta")
+    # the stages sit beside the total, outside the deterministic payload
+    assert set(meta) == {"seconds", "stages"} and set(meta["stages"]) == {"solve", "check"}
+    assert all(isinstance(t, float) and t >= 0 for t in meta["stages"].values())
+    assert serialize_report(timed) == plain and "meta" not in json.loads(plain)
+
+
 def test_toprec_requires_parametrization():
     with pytest.raises(ValueError, match="parametrization"):
         toprec_report(load_curve("gauss"), level=1)

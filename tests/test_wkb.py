@@ -3,14 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quantcurve import cli
-from quantcurve.algebra import INF, QQ, LogSeries, QuadExtField, RatFunc, expand_ratfunc
+from quantcurve.algebra import INF, QQ, LogSeries, QuadExtField, RatFunc, TruncSeries, expand_ratfunc
 from quantcurve.curvespec import parse_curve_spec, serialize_report
 from quantcurve.verify import wkb_state_for
 from quantcurve.wkb import (
     WkbConfig,
+    _ddx,
     assemble_wavefunction,
     semiclassical_root,
     solve_wkb,
@@ -266,3 +267,90 @@ def test_chart_at_high_order_discriminant_zero(z, e):
     state = wkb_state_for(spec, place=Fraction(0), depth=1)
     assert state.config.e == e
     assert verify_operator(state)["ok"]
+
+
+def _termwise_verify_operator(state):
+    """The operator check summed term by term: every pair product S_a' S_b'
+    over a + b = k, a, b >= 0, formed anew at each h-level k."""
+    cfg = state.config
+    sp = state.S_prime
+    report = []
+    ok = True
+    for k in range(state.depth + 1):
+        resid = TruncSeries.zero(state.field, sp[0].order)
+        for a in range(0, k // 2 + 1):
+            p = sp[a] * sp[k - a]
+            resid = resid + (p if 2 * a == k else 2 * p)
+        if k >= 1:
+            resid = resid + _ddx(sp[k - 1], cfg.place, cfg.e)
+        resid = resid + state.a1s * sp[k]
+        if k == 0:
+            resid = resid + state.a2s
+        zero = resid.is_zero()
+        report.append({"h_power": k, "zero": zero, "through_order": resid.order})
+        ok = ok and zero
+    return {"ok": ok, "levels": report}
+
+
+# a branch point over QQ (e = 2), a surd at a branch point (QQ(sqrt 3), e = 2)
+# and a surd away from one (QQ(sqrt -8), e = 1), whatever the draws give
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(random_operator(), st.integers(0, 4))
+@example((AIRY[0], AIRY[1], Fraction(0)), 4)
+@example((rf([0]), rf([0, -3]), INF), 4)
+@example((rf([1, 1], [2, -1]), rf([2, 0, 1]), Fraction(1, 2)), 4)
+def test_one_product_per_level_matches_termwise_check(op, depth):
+    a1, a2, place = op
+    for branch in ("plus", "minus"):
+        state = solve_wkb(WkbConfig(a1, a2, place, branch=branch, order=8, depth=depth))
+        assert verify_operator(state) == _termwise_verify_operator(state)
+
+
+def _count_series_products(monkeypatch):
+    calls = []
+    mul = TruncSeries.__mul__
+
+    def counted(self, other):
+        if isinstance(other, TruncSeries):
+            calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a1,a2,surd", [(*AIRY, False), (rf([0]), rf([0, -3]), True)],
+                         ids=["airy", "surd"])
+def test_verify_operator_forms_one_product_per_level(a1, a2, surd, monkeypatch):
+    state = solve_wkb(WkbConfig(a1, a2, INF, branch="minus", order=8, depth=6))
+    assert isinstance(state.field, QuadExtField) == surd
+    calls = _count_series_products(monkeypatch)
+    rep = verify_operator(state)
+    assert rep["ok"] and len(calls) == state.depth + 1
+
+
+def _bump(series):
+    """The series plus tau^val: its lowest known coefficient moved by one."""
+    one = TruncSeries(series.field, series.val, [series.field.one()], series.order, e=series.e)
+    return series + one
+
+
+@pytest.mark.parametrize("a1,a2,place", [(*AIRY, INF), (*HERMITE, Fraction(2)),
+                                          (rf([0]), rf([0, -3]), INF)],
+                         ids=["airy", "hermite-branch", "surd"])
+def test_verify_operator_catches_a_moved_coefficient(a1, a2, place):
+    depth = 4
+    for k in range(-1, depth + 1):
+        state = solve_wkb(WkbConfig(a1, a2, place, branch="plus", order=10, depth=depth))
+        assert verify_operator(state)["ok"]
+        assert sorted(state._rhs) == list(range(1, depth + 1))
+        if k < 0:
+            state.a2s = _bump(state.a2s)
+        else:
+            state.S_prime[k] = _bump(state.S_prime[k])
+        rep = verify_operator(state)
+        # the memo still holds the sums of the unmoved S', so exactly the
+        # level that reads the moved series directly fails
+        moved = max(k, 0)
+        assert [lv["zero"] for lv in rep["levels"]] == [j != moved for j in range(depth + 1)]
+        assert not rep["ok"]
