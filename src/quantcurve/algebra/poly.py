@@ -1,11 +1,11 @@
-r"""Dense univariate polynomials and rational functions over a field tower.
+r"""Dense univariate polynomials and rational functions over an exact field.
 
 ``Poly`` stores coefficients by degree (zero polynomial = empty list) and is
 generic over the fields of :mod:`quantcurve.algebra.fields`.  ``RatFunc`` is
 a reduced fraction of polynomials with monic denominator.  On top of these,
 ``FractionField`` turns ``RatFunc`` arithmetic into a coefficient field of
 its own, which is how rational functions of the quantization parameter enter
-the tower.  ``RatFunc.order_at`` is the one valuation at a place of the
+the coefficients.  ``RatFunc.order_at`` is the one valuation at a place of the
 projective line: INF, a point, or a monic irreducible polynomial.
 
 ``factor_over`` factors over the rationals in the package: Zassenhaus on
@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from .fields import QQ, _int_convolve, _numerators, three_product_convolve
+from .fields import QQ, _int_convolve, _numerators
 
 
 class _Infinity:
@@ -72,8 +72,8 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        # equal coefficients hash alike across the tower (QQ(sqrt d) elements
-        # with b == 0 hash like their base value), so equal polys do too
+        # equal coefficients hash alike across the fields (QQ(sqrt d) elements
+        # with b == 0 hash like their rational value), so equal polys do too
         return hash(tuple(self.coeffs))
 
     def __add__(self, other):
@@ -169,7 +169,7 @@ class Poly:
         return Poly(self.field, [self.field.zero()] * k + self.coeffs, normalize=False)
 
     def sqrt(self):
-        """Exact square root, or None.  Works recursively over the tower."""
+        """Exact square root, or None, over any coefficient field."""
         f = self.field
         if self.is_zero():
             return self
@@ -807,9 +807,6 @@ class FractionField:
                     if not self.is_zero(y):
                         out[i + j] = out[i + j] + x * y
         return out
-
-    def quad_convolve(self, xa, xb, ya, yb, d, n):
-        return three_product_convolve(self, xa, xb, ya, yb, d, n)
 
     def __repr__(self):
         return self.name

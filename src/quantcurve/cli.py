@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import QQ, QuadExtElement
+from .algebra import QuadExtElement
 from .curvespec import (
     BUILTIN_NAMES,
     MAX_DEPTH,
@@ -42,13 +42,10 @@ MAX_VERIFY_DEPTH = MAX_LEVEL + 1
 MAX_SAMPLES = 10000
 
 
-def _coeff_repr(field, c):
-    if field is QQ or isinstance(c, Fraction):
-        return frac_str(c)
+def _coeff_repr(c):
     if isinstance(c, QuadExtElement):
-        base = c.field.base
-        return [base.to_str(c.a), base.to_str(c.b), base.to_str(c.field.d)]
-    return str(c)
+        return [frac_str(c.a), frac_str(c.b), frac_str(c.field.d)]
+    return frac_str(c)
 
 
 def analyze_report(spec, genus=0):
@@ -114,8 +111,8 @@ def wkb_report(spec, place=None, branch=None, order=None, depth=None, stages=Non
         body = s.body.truncate(min(s.body.order, cfg.order))
         series.append({
             "m": m,
-            "log_coefficient": _coeff_repr(st.field, s.lam),
-            "terms": {str(k): _coeff_repr(st.field, c) for k, c in body.items()},
+            "log_coefficient": _coeff_repr(s.lam),
+            "terms": {str(k): _coeff_repr(c) for k, c in body.items()},
             "guaranteed_order": body.order,
         })
     return {
@@ -124,7 +121,7 @@ def wkb_report(spec, place=None, branch=None, order=None, depth=None, stages=Non
         "ramification_index": cfg.e,
         "branch": cfg.branch,
         "depth": st.depth,
-        "field": getattr(st.field, "name", "QQ"),
+        "field": st.field.name,
         "series": series,
         "operator_annihilation": {
             "ok": check["ok"],

@@ -156,7 +156,7 @@ def parse_curve_spec(text_or_dict):
     extensions = [_parse_rational(d, f"extensions[{i}]") for i, d in enumerate(extensions)]
     for i, dv in enumerate(extensions):
         try:
-            QuadExtField(QQ, dv)  # raises if the adjoined element is already a square
+            QuadExtField(dv)  # raises if the adjoined element is already a square
         except ValueError as exc:
             raise CurveSpecError(f"extensions[{i}]: {exc}") from exc
     par = None

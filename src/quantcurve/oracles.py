@@ -13,7 +13,7 @@ import math
 import warnings
 from fractions import Fraction
 
-from .algebra import HBAR_FIELD, QQ, QuadExtField
+from .algebra import HBAR_FIELD
 
 
 def double_factorial(n):
@@ -204,54 +204,27 @@ def catalan_closed_form(order_n):
 def gauss_2f1_series(order, a=Fraction(1, 2), b=Fraction(1, 2), c=Fraction(1)):
     """Coefficients of the deformed hypergeometric solution, exact in QQ(h).
 
-    The two upper parameters are conjugate over QQ(h) by the square root of
-    (a+b+1-h)^2 - 4ab, so each series coefficient descends to QQ(h); a
-    failure to descend raises.  Returns [c_0, ..., c_order] with
-    Psi = sum c_n x^n.
+    The upper parameters A, B = base -+ sqrt(p) / (2h), with
+    base = (a+b+1)/(2h) - 1/2 and p = (a+b+1-h)^2 - 4ab, are conjugate over
+    QQ(h).  They enter only through (A+j)(B+j) = (base+j)^2 - p/(4h^2), so
+    every Pochhammer factor lies in QQ(h) and the coefficients descend by
+    construction.  Returns [c_0, ..., c_order] with Psi = sum c_n x^n.
     """
     F = HBAR_FIELD
     h = F.gen
-    p = _disc_param(F, a, b)
-    root = F.sqrt(p)
-    if root is not None:
-        ext = None
-        s = root
-        lift = F.of
-        descend = lambda v: v
-    else:
-        ext = QuadExtField(F, p)
-        s = ext.gen
-        lift = ext.of
-        descend = _descend_quadext
-    half = Fraction(1, 2)
-    apb1 = F.of(a + b + 1)
-    base = lift(apb1 / (h + h) - F.of(half))
-    A = base - s * lift(F.one() / (h + h))
-    B = base + s * lift(F.one() / (h + h))
-    C = lift(F.of(c) / h)
+    two_h = h + h
+    base = F.of(a + b + 1) / two_h - F.of(Fraction(1, 2))
+    t = F.of(a + b + 1) - h
+    p_term = (t * t - F.of(4 * a * b)) / (two_h * two_h)
+    C = F.of(c) / h
     out = [F.one()]
-    num = lift(F.one())
-    den = lift(F.one())
+    num = den = F.one()
     for n in range(1, order + 1):
-        j = lift(F.of(n - 1))
-        num = num * (A + j) * (B + j)
-        den = den * (C + j) * lift(F.of(n))
-        coeff = num / den
-        out.append(descend(coeff))
+        j = F.of(n - 1)
+        num = num * ((base + j) * (base + j) - p_term)
+        den = den * (C + j) * F.of(n)
+        out.append(num / den)
     return out
-
-
-def _disc_param(F, a, b):
-    h = F.gen
-    apb1 = F.of(a + b + 1)
-    t = apb1 - h
-    return t * t - F.of(4 * a * b)
-
-
-def _descend_quadext(v):
-    if not v.field.base.is_zero(v.b):
-        raise ValueError("hypergeometric coefficient fails to descend to QQ(h)")
-    return v.a
 
 
 def gauss_pi_product_series(order):

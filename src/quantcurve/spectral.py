@@ -65,9 +65,6 @@ class Divisor:
     def multiplicity(self, place):
         return self.items.get(place, 0)
 
-    def places(self):
-        return list(self.items)
-
     def __eq__(self, other):
         return isinstance(other, Divisor) and self.items == other.items
 

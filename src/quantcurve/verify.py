@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import INF, QQ, RatFunc, expand_ratfunc
+from .algebra import INF, QQ, QuadExtField, RatFunc, expand_ratfunc
 from .curvespec import load_curve
 from .lattice import count_check, lattice_from_spectral
 from .oracles import (
@@ -69,7 +69,6 @@ def engine_for(spec):
 TABLE1 = {
     "airy": {
         "a": 5, "p_a": 2, "p_g": 0, "delta": 2, "singular": True,
-        "uw": ([("0", "0", "0", "0", "0", "-1")], None),
         "points": {"inf": ("irregular 3/2", 3)},
         "blowups_min": {"inf": 2},
     },
@@ -206,9 +205,7 @@ def suite_wkb_golden(records=None):
 
     # Gauss S0: the surd coefficients of the leading series collapse to
     # rationals; checked in QQ(sqrt(3)) arithmetic
-    from .algebra import QuadExtField
-
-    E = QuadExtField(QQ, 3)
+    E = QuadExtField(3)
     r3 = E.gen
     half = E.of(Fraction(1, 2))
     denom = E.of(2) * r3 - E.of(3)

@@ -125,7 +125,7 @@ def _antiderivative_x(series, place, e):
     return logc / e, body
 
 
-def semiclassical_root(cfg, _work_order=None):
+def semiclassical_root(cfg):
     """Solve the leading equation; extends the field by a square root if needed.
 
     The local expansions and the discriminant are computed once over the
@@ -137,14 +137,16 @@ def semiclassical_root(cfg, _work_order=None):
     Each depth of the hierarchy loses v/2 + e tau-orders where the
     discriminant vanishes to tau-order v (a division by 2 S0' + a1 and a
     derivative), so the working order budgets the larger of that and 4 per
-    depth.
+    depth.  Where a1 has a pole of order m whose square cancels against
+    4 a2, a1 a1 loses m orders of the discriminant, and S0' keeps the pole
+    while 2 S0' + a1 does not, so each depth loses e (m + 1) more.
     """
     field = cfg.a1.field
-    work = _work_order
-    if work is None:
-        loss = cfg.e * cfg.disc_order // 2 + cfg.e
-        work = cfg.order + max(4, loss) * (cfg.depth + 2)
-    worder = work // cfg.e + 2
+    e, v = cfg.e, cfg.disc_order
+    m = 0 if cfg.a1.is_zero() else -cfg.a1.order_at(cfg.place)
+    m = m if m > 0 and v > -2 * m else 0  # the order of a cancelling pole
+    loss = e * v // 2 + e + (e * (m + 1) if m else 0)
+    worder = (cfg.order + max(4, loss) * (cfg.depth + 2)) // e + 2 + m
     a1s = expand_ratfunc(cfg.a1, cfg.place, worder, e=cfg.e)
     a2s = expand_ratfunc(cfg.a2, cfg.place, worder, e=cfg.e)
     disc = a1s * a1s - 4 * a2s
@@ -153,7 +155,7 @@ def semiclassical_root(cfg, _work_order=None):
     lead = disc.coeffs[0]
     root = field.sqrt(lead)
     if root is None:
-        field = QuadExtField(field, lead)
+        field = QuadExtField(lead)
         a1s, a2s, disc = (s.map_coeffs(field.of, field=field) for s in (a1s, a2s, disc))
         root = field.gen
     sq = disc.sqrt(root)
@@ -241,7 +243,7 @@ def assemble_wavefunction(state, order_x=None):
     """
     cfg = state.config
     if state.field is not QQ:
-        raise ValueError("wave assembly is supported over the rational tower")
+        raise ValueError(f"wave assembly is supported over QQ only, not {state.field}")
     from .algebra import HBAR_FIELD
 
     hfield = HBAR_FIELD

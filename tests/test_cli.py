@@ -348,6 +348,18 @@ def test_cli_wkb_chart_at_high_order_discriminant_zero(z, e, tmp_path, capsys):
     assert rep["operator_annihilation"]["ok"]
 
 
+def test_cli_wkb_cancelling_pole_of_a1(tmp_path, capsys):
+    # a1 = x^-20, a2 = a1^2/4 - x/4 = (1 - x^41)/(4 x^40): discriminant x
+    spec_file = tmp_path / "curve.json"
+    spec_file.write_text(json.dumps({"coefficients": {
+        "a1": [["1"], ["0"] * 20 + ["1"]],
+        "a2": [["1"] + ["0"] * 40 + ["-1"], ["0"] * 40 + ["4"]]}}))
+    assert main(["wkb", "--curve", str(spec_file), "--place", "0", "--depth", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["ramification_index"] == 2 and rep["depth"] == 2
+    assert rep["operator_annihilation"]["ok"]
+
+
 def test_cli_toprec_conjugate_support_exit_line(capsys):
     # y = -2/t + 1/(t - 1), x = 4/t^2: a node at the conjugate pair t = +-sqrt 2
     spec = Path(__file__).parent / "specs" / "conjugate_node.json"

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -149,10 +150,23 @@ def test_gauss_pi_product_matches_2f1():
     assert all(cs[n] == pp[n] for n in range(7))
 
 
+def _pochhammer(q, n):
+    out = Fraction(1)
+    for j in range(n):
+        out *= q + j
+    return out
+
+
 def test_gauss_parameters_descend():
-    # generic rational parameters still produce coefficients in QQ(h)
-    cs = gauss_2f1_series(3, a=Fraction(1, 3), b=Fraction(1, 5), c=Fraction(2))
-    assert len(cs) == 4
+    # generic rational parameters produce coefficients in QQ(h), and at h = 1
+    # the deformed parameters are (a, b; c): the classical 2F1 coefficients
+    for a, b, c in [(Fraction(1, 3), Fraction(1, 5), Fraction(2)),
+                    (Fraction(1), Fraction(2), Fraction(3, 2))]:
+        cs = gauss_2f1_series(6, a=a, b=b, c=c)
+        assert len(cs) == 7 and all(x.parent is HBAR_FIELD for x in cs)
+        for n, x in enumerate(cs):
+            want = _pochhammer(a, n) * _pochhammer(b, n) / (_pochhammer(c, n) * math.factorial(n))
+            assert hbar_evaluate(x, 1) == want
 
 
 def test_airy_closed_free_energy_values():

@@ -110,7 +110,7 @@ def test_factor_sort_order_within_one_degree():
 
 
 def test_factor_over_is_qq_only():
-    K = QuadExtField(QQ, 2)
+    K = QuadExtField(2)
     with pytest.raises(ValueError, match="QQ only"):
         factor_over(K, Poly(K, [-2, 0, 1]))
 
@@ -162,7 +162,7 @@ def test_order_at_matches_the_expansion(fp):
 
 
 def test_equal_polys_and_ratfuncs_hash_alike():
-    K = QuadExtField(QQ, 2)
+    K = QuadExtField(2)
     p, q = P(1, 2), Poly(K, [1, 2])
     assert p == q and hash(p) == hash(q) and q in {p}
     r, s = RatFunc(p, P(1, 1)), RatFunc(q, Poly(K, [1, 1]))

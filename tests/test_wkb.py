@@ -129,11 +129,27 @@ def test_s0_only_residual_is_consistency_term():
 
 
 def test_truncation_exhausted():
-    # a requested order the working expansion cannot guarantee
-    cfg = WkbConfig(*GAUSS, Fraction(0), branch="plus", order=16, depth=3)
-    st = semiclassical_root(cfg, _work_order=12)
+    # the working expansion is sized for order 12 / depth 3; asking the state
+    # for more afterwards is an order it cannot guarantee
+    st = semiclassical_root(WkbConfig(*GAUSS, Fraction(0), branch="plus", order=12, depth=3))
+    st.config.order, st.config.depth = 40, 6
     with pytest.raises(ValueError, match="truncation exhausted"):
         wkb_extend(st)
+
+
+# a1 = x^-n, a2 = a1^2/4 - x/4: the pole of a1^2 cancels against 4 a2, so the
+# discriminant is x, a branch point at 0; a1 a1 loses n orders of it and the
+# pole of S0' costs every depth, which the working order must budget for
+@pytest.mark.parametrize("n", [1, 5, 20])
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_cancelling_pole_of_a1(n, branch):
+    a1 = rf([1], [0] * n + [1])
+    a2 = a1 * a1 * Fraction(1, 4) - rf([0, 1]) * Fraction(1, 4)
+    for depth in (2, 6):
+        cfg = WkbConfig(a1, a2, Fraction(0), branch=branch, depth=depth)
+        assert (cfg.e, cfg.disc_order) == (2, 1)
+        st = solve_wkb(cfg)
+        assert st.depth == depth and verify_operator(st)["ok"]
 
 
 def test_hermite_hbar_one_double_factorials():
