@@ -8,6 +8,12 @@ its own, which is how rational functions of the quantization parameter enter
 the coefficients.  ``RatFunc.order_at`` is the one valuation at a place of the
 projective line: INF, a point, or a monic irreducible polynomial.
 
+Over QQ, ``divrem``, ``gcd``, the reduction of ``RatFunc`` and
+``ratfunc_sum`` run on integer numerator lists: pseudo-division by the
+primitive divisor, primitive pseudo-remainder gcds and exact integer
+quotients, with one ``Fraction`` per output coefficient.  The other fields
+keep the generic Euclid loop.
+
 ``factor_over`` factors over the rationals in the package: Zassenhaus on
 integer coefficient lists (squarefree parts, a factorization modulo a small
 prime, Hensel lifting and recombination).
@@ -18,7 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .fields import QQ, _int_convolve, _numerators
 
@@ -112,10 +118,24 @@ class Poly:
     __rmul__ = __mul__
 
     def divrem(self, other):
-        """Quotient and remainder; raises on division by the zero polynomial."""
+        """Quotient and remainder; raises on division by the zero polynomial.
+
+        Over QQ this is integer pseudo-division by the primitive divisor
+        (``_pdivrem``), with one ``Fraction`` per output coefficient.
+        """
         f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if f is QQ:
+            (A, da), (B, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+            P = _primitive(B)
+            # s A = q P + r with B = (B[-1] / P[-1]) P, so self = A / da and
+            # other = B / db give q db P[-1] / (s da B[-1]) and r / (s da)
+            s, q, r = _pdivrem(A, P)
+            qd, rd = s * da * B[-1], s * da
+            qn = db * P[-1]
+            return (Poly(f, [Fraction(c * qn, qd) for c in q], normalize=False),
+                    Poly(f, [Fraction(c, rd) for c in r], normalize=False))
         q = [f.zero()] * max(0, self.degree - other.degree + 1)
         r = list(self.coeffs)
         dlead = other.leading()
@@ -137,7 +157,16 @@ class Poly:
         return self.divrem(other)[0]
 
     def gcd(self, other):
-        """Monic greatest common divisor."""
+        """Monic greatest common divisor (zero for two zeros); over QQ the
+        primitive integer gcd ``_int_gcd`` made monic once."""
+        if self.field is QQ:
+            a, b = self.coeffs, other.coeffs
+            if not a:
+                if not b:
+                    return Poly(QQ, [])
+                a, b = b, a
+            g = _int_gcd(_numerators(a)[0], _numerators(b)[0])
+            return Poly(QQ, [Fraction(c, g[-1]) for c in g], normalize=False)
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
@@ -300,21 +329,45 @@ def _exact_quotient(a, b):
     return None if any(a[:db]) else q
 
 
+def _pdivrem(a, b):
+    """(s, q, r) with s a = q b + r in Z[x] and deg r < deg b, for b with a
+    positive leading coefficient.  The scale s starts at 1 and grows only by
+    the part of lc(b) that does not divide the current top coefficient, so
+    division by a monic b is plain int arithmetic."""
+    r, db, lead = list(a), len(b) - 1, b[-1]
+    s, q = 1, [0] * max(0, len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        t = r[k + db]
+        if t:
+            if t % lead:
+                m = lead // gcd(t, lead)
+                s, t = s * m, t * m
+                r = [c * m for c in r[:k + db]]
+                q = [c * m for c in q]
+            c = t // lead
+            q[k] = c
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return s, q, _trim(r[:db])
+
+
 def _int_gcd(a, b):
     """Primitive gcd in Z[x] of a nonzero a and any b, by primitive
     pseudo-remainders."""
     a = _primitive(a)
     while b:
         b = _primitive(b)
-        r, db = list(a), len(b) - 1
-        while len(r) > db:
-            c, k = r[-1], len(r) - 1 - db
-            r = [x * b[-1] for x in r[:-1]]
-            for i in range(db):
-                r[k + i] -= c * b[i]
-            _trim(r)
-        a, b = b, r
+        a, b = b, _pdivrem(a, b)[2]
     return a
+
+
+def _int_lcm(polys):
+    """Primitive lcm in Z[x] of nonzero integer polynomials."""
+    out = [1]
+    for p in polys:
+        p = _primitive(p)
+        out = _mul(out, _exact_quotient(p, _int_gcd(p, out)))
+    return out
 
 
 def _squarefree_parts(f):
@@ -509,17 +562,22 @@ class RatFunc:
     def __init__(self, num, den=None, reduce=True):
         field = num.field
         if den is None:
-            den = Poly.const(field, 1)
+            den, reduce = Poly.const(field, 1), False
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if reduce:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading()
-            if not field.is_zero(lead - field.one()):
-                num = num * (field.one() / lead)
-                den = den.monic()
+            if field is QQ:
+                (N, dn), (D, dd) = _numerators(num.coeffs), _numerators(den.coeffs)
+                num, den = _qq_reduced(N, D, dd, dn)
+            else:
+                if den.degree > 0:
+                    g = num.gcd(den)
+                    if g.degree > 0:
+                        num, den = num // g, den // g
+                lead = den.leading()
+                if not field.is_zero(lead - field.one()):
+                    num = num * (field.one() / lead)
+                    den = den.monic()
         self.num = num
         self.den = den
 
@@ -596,9 +654,7 @@ class RatFunc:
 
     def __call__(self, v):
         dv = self.den(v)
-        if isinstance(dv, Fraction) and dv == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        if not isinstance(dv, Fraction) and self.field.is_zero(dv):
+        if self.field.is_zero(dv):
             raise ZeroDivisionError("evaluation at a pole")
         return self.num(v) / dv
 
@@ -636,25 +692,52 @@ class RatFunc:
         return f"RatFunc({self.to_str()})"
 
 
-def ratfunc_sum(field, terms):
-    """The reduced RatFunc sum of c * num / den over (c, num, den) triples.
+def _qq_reduced(N, D, sn, sd):
+    """(num, den) Polys over QQ of sn N / (sd D) in lowest terms with a monic
+    den, for int lists N and D (D nonzero) and ints sn, sd != 0.  A constant D
+    runs no gcd."""
+    if not N:
+        return Poly(QQ, []), Poly(QQ, [Fraction(1)], normalize=False)
+    if len(D) > 1:
+        g = _int_gcd(D, N)
+        if len(g) > 1:
+            N, D = _exact_quotient(N, g), _exact_quotient(D, g)
+    sd *= D[-1]
+    return (Poly(QQ, [Fraction(c * sn, sd) for c in N], normalize=False),
+            Poly(QQ, [Fraction(c, D[-1]) for c in D], normalize=False))
 
-    Numerators over one denominator add up first; the groups then meet over
-    the least common multiple of their denominators, so the gcd reduction of
-    the result is the only one.
+
+def ratfunc_sum(terms):
+    """The reduced RatFunc over QQ of the sum of c * num / den over
+    (c, num, den) triples.
+
+    Numerators become int lists over one denominator and add up per
+    denominator; each denominator becomes a primitive int list, the groups
+    meet over the primitive lcm of those (``_int_lcm``), and the one gcd
+    reduction is that of the total.
     """
     groups = {}
     for c, num, den in terms:
-        if not field.is_zero(c):
-            part = num * c
-            groups[den] = groups[den] + part if den in groups else part
-    lcm = Poly.const(field, 1)
-    for den in groups:
-        lcm = lcm * (den // lcm.gcd(den))
-    total = Poly(field, [])
-    for den, num in groups.items():
-        total = total + num * (lcm // den)
-    return RatFunc(total, lcm)
+        if c:
+            N, dn = _numerators(num.coeffs)
+            groups.setdefault(den, []).append((N, c.numerator, dn * c.denominator))
+    parts = []
+    for den, nums in groups.items():
+        # sum_t c_t num_t = M / e over one denominator e
+        e = lcm(*[d for _, _, d in nums])
+        M = []
+        for N, cn, d in nums:
+            M = _lincomb(M, N, cn * (e // d))
+        D, dd = _numerators(den.coeffs)
+        P = _primitive(D)
+        # den = (D[-1] / (dd P[-1])) P, so the group is (M dd P[-1] / (e D[-1])) / P
+        parts.append((M, dd * P[-1], e * D[-1], P))
+    L = _int_lcm([P for *_, P in parts])
+    E = lcm(*[d for _, _, d, _ in parts])
+    total = []
+    for M, n, d, P in parts:
+        total = _lincomb(total, _mul(M, _exact_quotient(L, P)), n * (E // d))
+    return RatFunc(*_qq_reduced(total, L, 1, E), reduce=False)
 
 
 def root_multiplicity(p, fac):
@@ -776,9 +859,6 @@ class FractionField:
 
     def is_zero(self, v):
         return not self.of(v)
-
-    def is_square(self, v):
-        return self.of(v).rf.is_square()
 
     def sqrt(self, v):
         rf = self.of(v).rf

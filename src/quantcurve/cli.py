@@ -231,6 +231,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     stages = {} if args.timing else None
+    status = 0
     try:
         if args.command in ("analyze", "wkb", "toprec", "plotdata"):
             spec = load_curve(args.curve)
@@ -259,15 +260,12 @@ def main(argv=None):
         elif args.command == "verify":
             check_size("--depth", args.depth, 1, MAX_VERIFY_DEPTH)
             names = [s.strip() for s in args.suite.split(",") if s.strip()]
-            records = run_suites(names, depth=args.depth)
+            records = run_suites(names, depth=args.depth, stages=stages)
             all_ok = all(r["passed"] for r in records)
             for r in records:
                 sys.stderr.write(f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}\n")
             payload = {"report": {"suites": names, "checks": records, "all_passed": all_ok}}
-            if args.timing:
-                payload["meta"] = {"seconds": round(time.perf_counter() - t0, 3)}
-            _emit(args, payload)
-            return 0 if all_ok else 1
+            status = 0 if all_ok else 1
     except (CurveSpecError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -280,7 +278,7 @@ def main(argv=None):
         if stages:
             payload["meta"]["stages"] = stages
     _emit(args, payload)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
 
-from .algebra import INF, QQ, RatFunc, factor_over
+from .algebra import INF, QQ, Poly, RatFunc, factor_over
 from .algebra.fields import _numerators
+from .algebra.poly import _int_lcm
 
 
 def _place_degree(place):
@@ -244,7 +245,8 @@ def _uw_model(sd):
 
     Coordinates (u, w) with x = 1/u and w = -u^2/y; coefficients of
     w^0, w^1, w^2 are returned as coprime polynomials in u with a canonical
-    sign, matching the usual normal forms like w^2 - u^5.
+    sign, matching the usual normal forms like w^2 - u^5.  Over QQ only, as
+    ``genus_report`` factors the discriminant over QQ before it gets here.
     """
     f = sd.field
     u = RatFunc.x(f)
@@ -254,10 +256,7 @@ def _uw_model(sd):
     t0 = u * u * u * u
     t1 = -A1 * u * u
     t2 = A2
-    den = t0.den
-    for t in (t1, t2):
-        g = den.gcd(t.den)
-        den = den * (t.den // g)
+    den = Poly(QQ, _int_lcm([_numerators(t.den.coeffs)[0] for t in (t0, t1, t2)]))
     polys = []
     for t in (t0, t1, t2):
         cleared = t * RatFunc(den)

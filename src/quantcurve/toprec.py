@@ -669,7 +669,7 @@ class TopRecEngine:
         for key, w in form.items():
             f = value(key, slot)
             terms.append((w, f.num, f.den))
-        return ratfunc_sum(QQ, terms)
+        return ratfunc_sum(terms)
 
     @staticmethod
     def _slot_values(values, deriv, primitive, memo):
@@ -757,7 +757,7 @@ class TopRecEngine:
                         continue
                     dI, dJ = d1(g1, I), d1(g2, J)
                     terms.append((Fraction(1), dI.num * dJ.num, dI.den * dJ.den))
-        rhs = ratfunc_sum(QQ, terms) / omega
+        rhs = ratfunc_sum(terms) / omega
         return lhs == rhs
 
 

@@ -8,6 +8,7 @@ identity, recursion cross-checks, and oracle triangulations.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 from .algebra import INF, QQ, QuadExtField, RatFunc, expand_ratfunc
@@ -387,14 +388,22 @@ SUITES = {
 }
 
 
-def run_suites(names, **kw):
+def run_suites(names, stages=None, **kw):
+    """Run the named suites ("all" for every one) into one record list; a
+    ``stages`` dict receives each suite's wall seconds, keyed by its name."""
     records = []
     for name in names:
         if name == "all":
-            for fn in SUITES.values():
-                fn(records, **kw)
+            todo = list(SUITES)
         elif name in SUITES:
-            SUITES[name](records, **kw)
+            todo = [name]
         else:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+        for suite in todo:
+            if stages is None:
+                SUITES[suite](records, **kw)
+            else:
+                t0 = time.perf_counter()
+                SUITES[suite](records, **kw)
+                stages[suite] = round(stages.get(suite, 0) + time.perf_counter() - t0, 3)
     return records

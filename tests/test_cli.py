@@ -192,6 +192,20 @@ def test_cli_wkb_timing_stages(capsys):
     assert serialize_report(timed) == plain and "meta" not in json.loads(plain)
 
 
+def test_cli_verify_timing_stages(capsys):
+    argv = ["verify", "--suite", "all"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    meta = timed.pop("meta")
+    # one stage per suite that "all" runs, beside the total
+    assert set(meta) == {"seconds", "stages"}
+    assert set(meta["stages"]) == {"table1", "wkb", "cross", "oracles"}
+    assert all(isinstance(t, float) and t >= 0 for t in meta["stages"].values())
+    assert serialize_report(timed) == plain and "meta" not in json.loads(plain)
+
+
 def test_toprec_requires_parametrization():
     with pytest.raises(ValueError, match="parametrization"):
         toprec_report(load_curve("gauss"), level=1)

@@ -14,6 +14,7 @@ from quantcurve.algebra import (
     expand_ratfunc,
     factor_over,
     poly_pow,
+    ratfunc_sum,
 )
 from quantcurve.algebra.poly import MAX_FACTOR_DEGREE
 
@@ -195,3 +196,92 @@ def factored_products(draw):
 @given(factored_products())
 def test_factor_matches_sympy(p):
     assert factor_over(QQ, p) == _sympy_factors(p)
+
+
+# The QQ kernels against sympy: integer pseudo-division, primitive gcds and
+# the integer reduction of RatFunc and ratfunc_sum.
+
+X = sympy.Symbol("x")
+QQ_COEFF = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+# zero, constants and fractional or negative leading coefficients included
+ANY_POLY = st.lists(QQ_COEFF, max_size=5).map(lambda cs: P(*cs))
+NONZERO_POLY = ANY_POLY.filter(lambda p: not p.is_zero())
+FACTOR_POOL = [P(-1, 1), P(Fraction(1, 2), 1), P(3, 0, 2), P(Fraction(-2, 3), Fraction(5, 2))]
+KERNEL_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _sym(p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0],
+                      X, domain="QQ")
+
+
+def _from_sym(sp):
+    return P(*[Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs())])
+
+
+def _sympy_reduced(num, den):
+    """sympy's num / den in lowest terms, as Polys with a monic den."""
+    c, n, d = num.cancel(den)
+    return _from_sym(n.mul_ground(sympy.Rational(c) / d.LC())), _from_sym(d.monic())
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials, either may be zero or constant, times one common
+    nonzero factor (of degree 0 to 4)."""
+    shared = draw(NONZERO_POLY)
+    return draw(ANY_POLY) * shared, draw(ANY_POLY) * shared
+
+
+@KERNEL_SETTINGS
+@given(poly_pairs())
+def test_divrem_matches_sympy(ab):
+    a, b = ab
+    assume(not b.is_zero())
+    q, r = a.divrem(b)
+    assert q * b + r == a and r.degree < b.degree
+    sq, sr = sympy.div(_sym(a), _sym(b))
+    assert (q, r) == (_from_sym(sq), _from_sym(sr))
+
+
+@KERNEL_SETTINGS
+@given(poly_pairs())
+def test_gcd_matches_sympy(ab):
+    a, b = ab
+    g = a.gcd(b)
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+    else:
+        assert g.leading() == 1 and g == _from_sym(sympy.gcd(_sym(a), _sym(b)))
+
+
+@KERNEL_SETTINGS
+@given(poly_pairs())
+def test_ratfunc_reduces_like_sympy(ab):
+    a, b = ab
+    assume(not b.is_zero())
+    f = RatFunc(a, b)
+    assert (f.num, f.den) == _sympy_reduced(_sym(a), _sym(b)) and f.den.leading() == 1
+
+
+@st.composite
+def ratfunc_terms(draw):
+    """1-6 (c, num, den) terms; the denominators are constants times products
+    of a few fixed factors, so they repeat and share factors, and c may be 0."""
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        den = P(draw(QQ_COEFF.filter(bool)))
+        for fac in draw(st.lists(st.sampled_from(FACTOR_POOL), max_size=3)):
+            den = den * fac
+        terms.append((draw(QQ_COEFF), draw(ANY_POLY), den))
+    return terms
+
+
+@KERNEL_SETTINGS
+@given(ratfunc_terms())
+def test_ratfunc_sum_reduces_like_sympy(terms):
+    num, den = _sym(P()), _sym(P(1))
+    for c, n, d in terms:
+        num, den = num * _sym(d) + _sym(n * c) * den, den * _sym(d)
+    f = ratfunc_sum(terms)
+    assert (f.num, f.den) == _sympy_reduced(num, den) and f.den.leading() == 1
