@@ -48,9 +48,29 @@ def _coeff_repr(c):
     return frac_str(c)
 
 
-def analyze_report(spec, genus=0):
+def _stage_clock(stages):
+    """lap(name) records in ``stages`` the wall seconds since the previous
+    lap, or since the clock was made; with ``stages`` None it does nothing
+    and no clock is read."""
+    if stages is None:
+        return lambda name: None
+    last = [time.perf_counter()]
+
+    def lap(name):
+        now = time.perf_counter()
+        stages[name] = round(now - last[0], 3)
+        last[0] = now
+
+    return lap
+
+
+def analyze_report(spec, genus=0, stages=None):
+    """The analyze report; a ``stages`` dict receives the wall seconds of the
+    spectral data and of the lattice cross-check."""
+    lap = _stage_clock(stages)
     rep = genus_report(spec.sd, genus)
     a1, a2 = quantum_operator(spec.sd)
+    lap("spectral")
     if genus == 0:
         lat, smin, _ = lattice_from_spectral(spec.sd, rep, genus)
         cc = count_check(lat, smin)
@@ -59,6 +79,7 @@ def analyze_report(spec, genus=0):
         # formula parameter the divisor-based and chain-based genus counts
         # are not comparable, so the cross-check is a g = 0 statement
         cc = {"skipped": "lattice cross-check applies to base genus 0 data"}
+    lap("lattice")
     profiles = []
     for pr in sorted(rep.profiles, key=lambda p: str(place_repr(p.place))):
         profiles.append({
@@ -98,13 +119,11 @@ def analyze_report(spec, genus=0):
 def wkb_report(spec, place=None, branch=None, order=None, depth=None, stages=None):
     """The wkb report and its state; a ``stages`` dict receives the wall
     seconds of the solve and of the operator check."""
-    t0 = time.perf_counter()
+    lap = _stage_clock(stages)
     st = wkb_state_for(spec, place=place, branch=branch, order=order, depth=depth)
-    t1 = time.perf_counter()
+    lap("solve")
     check = verify_operator(st)
-    if stages is not None:
-        stages["solve"] = round(t1 - t0, 3)
-        stages["check"] = round(time.perf_counter() - t1, 3)
+    lap("check")
     cfg = st.config
     series = []
     for m, s in enumerate(st.S):
@@ -130,8 +149,11 @@ def wkb_report(spec, place=None, branch=None, order=None, depth=None, stages=Non
     }, st
 
 
-def toprec_report(spec, level=3):
+def toprec_report(spec, level=3, stages=None):
+    """The toprec report; a ``stages`` dict receives the wall seconds of each
+    level, as ``level<k>`` (the curve's set-up is in none of them)."""
     curve, eng = engine_for(spec)
+    lap = _stage_clock(stages)
     entries = []
     for lv in range(1, level + 1):
         for (g, n), tab in eng.compute_level(lv):
@@ -142,6 +164,7 @@ def toprec_report(spec, level=3):
                     "coeff": frac_str(c),
                 })
             entries.append({"g": g, "n": n, "level": lv, "terms": terms})
+        lap(f"level{lv}")
     return {
         "curve": spec.name,
         "ramification_points": [place_repr(p) for p in curve.ram_points],
@@ -237,7 +260,7 @@ def main(argv=None):
             spec = load_curve(args.curve)
         if args.command == "analyze":
             check_size("--genus", args.genus, 0)
-            payload = {"report": analyze_report(spec, genus=args.genus)}
+            payload = {"report": analyze_report(spec, genus=args.genus, stages=stages)}
         elif args.command == "wkb":
             check_size("--order", args.order, 1, MAX_ORDER)
             check_size("--depth", args.depth, 0, MAX_DEPTH)
@@ -247,7 +270,7 @@ def main(argv=None):
             payload = {"report": rep}
         elif args.command == "toprec":
             check_size("--depth", args.depth, 1, MAX_LEVEL)
-            payload = {"report": toprec_report(spec, level=args.depth)}
+            payload = {"report": toprec_report(spec, level=args.depth, stages=stages)}
         elif args.command == "plotdata":
             check_size("--samples", args.samples, 1, MAX_SAMPLES)
             text = emit_plotdata(spec, args.xmin, args.xmax, args.samples)

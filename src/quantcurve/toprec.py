@@ -19,6 +19,17 @@ whose coefficients are vectors over the same basis in the external
 variables, so each step stays one-dimensional.  Each residue transform is
 computed once per engine, from local series taken through the exact order
 that the valuations of its inputs fix; an input shorter than that raises.
+
+Inside the recursion a basis key is a small int, d * P + rank(q) with P
+the number of support places ranked in ``key_sort`` order
+(``TopRecEngine._key_id``), and a multiset of keys is a sorted tuple of
+ints; the local vectors, the transforms, the bracket jobs and the
+accumulation all hash and sort ints only, and the accumulation adds int
+numerators over one common denominator per table.  Keys are decoded
+(``TopRecEngine._key_of``) where they leave the recursion: in the public
+tables of ``W``/``F`` (keyed by (place, order) tuples sorted by
+``key_sort``), in the basis functions of scalar factors, in the
+differential-recursion check and in error messages.
 """
 
 from __future__ import annotations
@@ -26,12 +37,13 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .algebra import (
     INF, LogSeries, Poly, QQ, RatFunc, TruncSeries,
     expand_ratfunc, factor_over, poly_pow, ratfunc_sum,
 )
+from .algebra.fields import _numerators
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +197,15 @@ class ParamCurve:
 
 
 class SymTable:
-    """Symmetric table: sorted key tuple -> coefficient of a labeled monomial."""
+    """Symmetric table: sorted key tuple -> coefficient of a labeled monomial.
 
-    def __init__(self, n, table=None):
+    A table built by the engine also holds its items on the engine's integer
+    keys (sorted int tuples), which is what the recursion reads."""
+
+    def __init__(self, n, table=None, ids=None):
         self.n = n
         self.table = dict(table or {})
+        self._ids = ids
 
     def items(self):
         return self.table.items()
@@ -352,6 +368,28 @@ class TopRecEngine:
                 out.append(((g, n), self.W(g, n)))
         return out
 
+    # -- basis keys as ints ----------------------------------------------------
+
+    @_memo
+    def _places(self):
+        """The support places, ranked in key_sort order."""
+        return tuple(sorted(self.curve.support, key=lambda q: key_sort((q, 0))))
+
+    def _key_id(self, key):
+        """The int of the basis key (q, d): d * P + rank(q), P the number of
+        support places; a pure function of the key and the support."""
+        places = self._places()
+        q, d = key
+        if q not in places:
+            raise AssertionError(f"basis key {key} has its place outside the recursion support")
+        return d * len(places) + places.index(q)
+
+    def _key_of(self, i):
+        """The basis key (q, d) of an int from ``_key_id``."""
+        places = self._places()
+        d, r = divmod(i, len(places))
+        return places[r], d
+
     # -- scalar factors: exact valuations and local expansions ---------------
 
     @_memo
@@ -366,9 +404,8 @@ class TopRecEngine:
         if tag == "diag":
             diff = RatFunc.x(QQ) - curve.sigma
             return curve.sigma_prime / (diff * diff)
-        if tag[0] == "phi":
-            return basis_function(tag[1])
-        return basis_function(tag[1]).compose(curve.sigma)
+        phi = basis_function(self._key_of(tag[1]))
+        return phi if tag[0] == "phi" else phi.compose(curve.sigma)
 
     @_memo
     def _val(self, tag, p):
@@ -407,7 +444,7 @@ class TopRecEngine:
 
     def _pole_vectors(self, p, order, side, r):
         """1/(t1 - w)^r at p as a vector series, w = z ("z") or sigma(z)
-        ("s"): vec[j] maps a basis key in t1 to the coefficient of u^j.
+        ("s"): vec[j] maps a basis key id in t1 to the coefficient of u^j.
 
         With l = w - pp the local coordinate of w at its image pp, the key
         (pp, m + r) carries C(m+r-1, r-1) l^m; at pp = INF, with v = 1/w,
@@ -421,9 +458,9 @@ class TopRecEngine:
             if pp is INF:
                 if m < r:
                     continue
-                key, scale = (INF, m - r + 2), (-1) ** r * comb(m - 1, r - 1)
+                key, scale = self._key_id((INF, m - r + 2)), (-1) ** r * comb(m - 1, r - 1)
             else:
-                key, scale = (pp, m + r), comb(m + r - 1, r - 1)
+                key, scale = self._key_id((pp, m + r)), comb(m + r - 1, r - 1)
             for j, c in pw.items():
                 if j <= order:
                     vec[j][key] = scale * c
@@ -449,8 +486,9 @@ class TopRecEngine:
     def _transform(self, fspec, gspec):
         """Residue transform of one z-factor pair at every support point.
 
-        Returns {p: {entry: Fraction}} with entry = (t1_key,) possibly
-        extended by resolved keys of coupled slots (z side first).  Each
+        Returns {p: (den, {entry: numerator})}: the coefficients at p as ints
+        over one common denominator, with entry = (t1_key,) possibly extended
+        by resolved keys of coupled slots (z side first), all key ids.  Each
         point reads its inputs through the order that their valuations fix:
         with v_s the valuation of the scalar part, a scalar factor of
         valuation v_i is expanded through target - (v_s - v_i) and each
@@ -487,18 +525,20 @@ class TopRecEngine:
             factors += [self._coupled_vectors(p, top, side) for side in sides]
             entries = defaultdict(Fraction)
             _residue(entries, factors, scalar, target, sign, p)
-            result[p] = {k: v for k, v in entries.items() if v}
+            keys = [k for k, v in entries.items() if v]
+            nums, den = _numerators([entries[k] for k in keys])
+            result[p] = (den, dict(zip(keys, nums)))
         return result
 
     # -- bracket assembly -------------------------------------------------------
 
     def _one_slot(self, g, n):
         """(spec, rest, c): one slot of W_{g,n} set apart, one item per
-        distinct key of each monomial; W_{0,2} is the single ("w2",)."""
+        distinct key id of each monomial; W_{0,2} is the single ("w2",)."""
         if (g, n) == (0, 2):
             yield ("w2",), (), 1
             return
-        for M, c in self.W(g, n).items():
+        for M, c in self.W(g, n)._ids.items():
             for i, b in self._distinct(M):
                 yield ("phi", b), M[:i] + M[i + 1:], c
 
@@ -528,7 +568,7 @@ class TopRecEngine:
                 right = list(self._one_slot(g2, n2))
                 for fspec, k1, c1 in self._one_slot(g1, n1):
                     for gspec, k2, c2 in right:
-                        rest = sorted_keys(k1 + k2)
+                        rest = tuple(sorted(k1 + k2))
                         jobs[(fspec, gspec, rest)] += c1 * c2 * _merge_binomial(k1, k2)
         return jobs
 
@@ -542,26 +582,30 @@ class TopRecEngine:
 
     @_memo
     def _compute_w(self, g, n):
-        jobs = self._jobs(g, n)
-        half = Fraction(1, 2)
+        # each term, half a job coefficient times a transform coefficient, is
+        # an int over jden * tden: jden clears the halved job coefficients,
+        # tden the denominators of the transforms
+        work = [(self._transform(fspec, gspec), rest, coeff)
+                for (fspec, gspec, rest), coeff in self._jobs(g, n).items() if coeff]
+        jden = lcm(*[2 * coeff.denominator for _, _, coeff in work])
+        tden = lcm(*[den for transform, _, _ in work for den, _ in transform.values()])
         # accumulate per support point to verify vanishing away from ramification
-        perp = {p: defaultdict(Fraction) for p in self.curve.support}
+        perp = {p: defaultdict(int) for p in self.curve.support}
         try:
-            for (fspec, gspec, rest), coeff in jobs.items():
-                if not coeff:
-                    continue
-                transform = self._transform(fspec, gspec)
-                for p, entries in transform.items():
+            for transform, rest, coeff in work:
+                hc = coeff.numerator * (jden // (2 * coeff.denominator))
+                for p, (den, entries) in transform.items():
                     acc = perp[p]
+                    scale = hc * (tden // den)
                     for entry, v in entries.items():
-                        b, extras = entry[0], entry[1:]
-                        term = half * coeff * v
-                        if extras:
-                            acc[(b, sorted_keys(rest + extras))] += term * _placements(rest, extras)
+                        if len(entry) == 1:
+                            acc[(entry[0], rest)] += scale * v
                         else:
-                            acc[(b, rest)] += term
+                            extras = entry[1:]
+                            rx = tuple(sorted(rest + extras))
+                            acc[(entry[0], rx)] += scale * v * _placements(rest, extras)
             # non-ramification support must contribute nothing
-            total = defaultdict(Fraction)
+            total = defaultdict(int)
             for p, acc in perp.items():
                 nonzero = {k: v for k, v in acc.items() if v}
                 if p not in self.curve.ram_points and nonzero:
@@ -570,34 +614,43 @@ class TopRecEngine:
                     total[k] += v
         except AssertionError as exc:  # name the table; _finalize's messages do
             raise AssertionError(f"W_{(g, n)}: {exc}") from exc
-        return self._finalize(g, n, total)
+        return self._finalize(g, n, total, jden * tden)
 
-    def _finalize(self, g, n, bk):
-        """Cross-check slot-1 symmetry and compress (b, rest) data to multisets."""
-        table = {}
+    def _finalize(self, g, n, bk, den):
+        """Cross-check slot-1 symmetry and compress (b, rest) numerators over
+        ``den`` to multisets of key ids."""
         by_multiset = defaultdict(dict)
         for (b, rest), v in bk.items():
-            if not v:
-                continue
-            M = sorted_keys(rest + (b,))
-            by_multiset[M][b] = v
+            if v:
+                by_multiset[tuple(sorted(rest + (b,)))][b] = v
+        ids = {}
         for M, parts in by_multiset.items():
-            vals = set()
-            for b in set(M):
-                got = parts.get(b, Fraction(0))
-                vals.add(got)
+            vals = {parts.get(b, 0) for b in set(M)}
             if len(vals) != 1:
-                raise AssertionError(f"W_{(g, n)} fails the symmetry re-check at {M}: {parts}")
+                named = ", ".join(f"{k}: {Fraction(parts[self._key_id(k)], den)!r}"
+                                  for k in self._keys_of(parts))
+                raise AssertionError(f"W_{(g, n)} fails the symmetry re-check at "
+                                     f"{self._keys_of(M)}: {{{named}}}")
             v = vals.pop()
             if v:
-                table[M] = v
-        for M in table:
-            for (q, d) in M:
-                if q not in self.curve.ram_points:
-                    raise AssertionError(f"pole of W_{(g, n)} at non-ramification point {q}")
-                if q is not INF and d < 2:
-                    raise AssertionError(f"residue term dt/(t - {q}) in stable W_{(g, n)}")
-        return SymTable(n, table)
+                ids[M] = Fraction(v, den)
+        for i in dict.fromkeys(i for M in ids for i in M):
+            q, d = self._key_of(i)
+            if q not in self.curve.ram_points:
+                raise AssertionError(f"pole of W_{(g, n)} at non-ramification point {q}")
+            if q is not INF and d < 2:
+                raise AssertionError(f"residue term dt/(t - {q}) in stable W_{(g, n)}")
+        return self._public_table(n, ids)
+
+    def _keys_of(self, M):
+        """The basis keys of the key ids M, sorted by key_sort."""
+        return sorted_keys(map(self._key_of, M))
+
+    def _public_table(self, n, ids):
+        """The boundary where a table leaves the recursion: the public table is
+        keyed by (place, order) tuples sorted by key_sort, and the id-keyed
+        items stay beside it for the recursion to read."""
+        return SymTable(n, {self._keys_of(M): v for M, v in ids.items()}, ids)
 
     # -- free energies: evaluation, specialization, checks -----------------------
 
@@ -739,12 +792,13 @@ class TopRecEngine:
             terms.append((-djf / omega(zj), kern_num * omega.num, kern_den * omega.den))
         # quadratic terms: F_{g-1,n+1} with both differentiated slots at z_1
         if g >= 1:
+            key_of = self._key_of
             at_points = self._slot_values(points, None, prim, memo)
             weights = defaultdict(Fraction)
             for (_, b1), (_, b2), rest, c in self._two_slots(g - 1, n + 1):
-                weights[(b1, b2)] += c * arrangement_sum(rest, at_points)
+                weights[(b1, b2)] += c * arrangement_sum(rest, lambda b, i: at_points(key_of(b), i))
             for (b1, b2), w in weights.items():
-                f1, f2 = basis_function(b1), basis_function(b2)
+                f1, f2 = basis_function(key_of(b1)), basis_function(key_of(b2))
                 terms.append((w, f1.num * f2.num, f1.den * f2.den))
         # and the products over the splittings of the sample points
         for g1 in range(0, g + 1):

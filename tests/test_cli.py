@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -190,6 +191,31 @@ def test_cli_wkb_timing_stages(capsys):
     assert set(meta) == {"seconds", "stages"} and set(meta["stages"]) == {"solve", "check"}
     assert all(isinstance(t, float) and t >= 0 for t in meta["stages"].values())
     assert serialize_report(timed) == plain and "meta" not in json.loads(plain)
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["toprec", "--curve", "catalan", "--depth", "3"], {"level1", "level2", "level3"}),
+    (["analyze", "--curve", "airy"], {"spectral", "lattice"}),
+])
+def test_cli_toprec_and_analyze_timing_stages(argv, names, capsys):
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    meta = timed.pop("meta")
+    assert set(meta) == {"seconds", "stages"} and set(meta["stages"]) == names
+    assert all(isinstance(t, float) and t >= 0 for t in meta["stages"].values())
+    assert serialize_report(timed) == plain and "meta" not in json.loads(plain)
+
+
+def test_reports_read_no_clock_without_stages(monkeypatch):
+    def no_clock():
+        raise AssertionError("a report without stages read the clock")
+
+    monkeypatch.setattr(quantcurve.cli, "time", SimpleNamespace(perf_counter=no_clock))
+    analyze_report(load_curve("airy"))
+    toprec_report(load_curve("airy"), level=2)
+    wkb_report(load_curve("airy"), depth=1)
 
 
 def test_cli_verify_timing_stages(capsys):

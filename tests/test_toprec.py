@@ -139,6 +139,49 @@ def test_tables_do_not_depend_on_history(name):
     assert any(used._memo[k][0] > cold._memo[k][0] for k in local)
 
 
+# the builtins with a parametrization, so with a recursion support
+PARAMETRIZED = [name for name in ("airy", "catalan", "gauss", "hermite", "mixed", "smooth")
+                if load_curve(name).parametrization is not None]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(name=st.sampled_from(PARAMETRIZED), d=st.integers(1, 60), data=st.data())
+def test_key_ids_round_trip(name, d, data):
+    _, eng = engine_for(load_curve(name))
+    key = (data.draw(st.sampled_from(eng.curve.support)), d)
+    i = eng._key_id(key)
+    assert isinstance(i, int) and eng._key_of(i) == key
+    # a pure function of the key and the support: a fresh engine agrees
+    assert engine_for(load_curve(name))[1]._key_id(key) == i
+
+
+def test_key_ids_rank_places_in_key_sort_order(catalan_engine):
+    _, eng = catalan_engine
+    keys = [(q, d) for q in eng.curve.support for d in (2, 5)]
+    ids = {eng._key_id(k): k for k in keys}
+    same_order = [ids[i] for i in sorted(ids) if ids[i][1] == 2]
+    assert same_order == list(sorted_keys(k for k in keys if k[1] == 2))
+
+
+@pytest.mark.parametrize("place", [Fraction(2), Fraction(1, 3)])
+def test_key_id_outside_the_support_raises(airy_engine, place):
+    _, eng = airy_engine
+    with pytest.raises(AssertionError, match="outside the recursion support"):
+        eng._key_id((place, 2))
+
+
+@pytest.mark.parametrize("name", ["airy", "catalan"])
+def test_public_tables_hold_sorted_place_keys(name, request):
+    curve, eng = request.getfixturevalue(f"{name}_engine")
+    for level in range(1, 6):
+        for _, tab in eng.compute_level(level):
+            for M in tab.table:
+                assert M == sorted_keys(M)
+                for key in M:
+                    assert isinstance(key, tuple) and len(key) == 2
+                    assert key[0] in curve.support and type(key[1]) is int
+
+
 @pytest.mark.parametrize("name,count", [("airy", 35), ("catalan", 102)])
 def test_each_transform_is_computed_once(name, count, monkeypatch):
     computed = []
@@ -544,14 +587,20 @@ def _reference_coupled_vectors(eng, p, order, side):
     return vec
 
 
+def _decoded(eng, vec):
+    # the engine's vector series keyed by basis keys instead of their ints
+    return [{eng._key_of(b): c for b, c in part.items()} for part in vec]
+
+
 @pytest.mark.parametrize("name", ["airy", "catalan"])
 def test_pole_vectors_match_reference_loops(name):
     _, eng = engine_for(load_curve(name))
     for p in eng.curve.support:
         for order in (1, 2, 5, 12, 34):
-            assert eng._kernel_vectors(p, order) == _reference_kernel_vectors(eng, p, order), (p, order)
+            assert (_decoded(eng, eng._kernel_vectors(p, order))
+                    == _reference_kernel_vectors(eng, p, order)), (p, order)
             for side in ("z", "s"):
-                assert (eng._coupled_vectors(p, order, side)
+                assert (_decoded(eng, eng._coupled_vectors(p, order, side))
                         == _reference_coupled_vectors(eng, p, order, side)), (p, order, side)
 
 
