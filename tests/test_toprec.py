@@ -31,7 +31,7 @@ from quantcurve.verify import (
     engine_for,
     wkb_state_for,
 )
-from quantcurve.curvespec import load_curve
+from quantcurve.curvespec import BUILTIN_NAMES, load_curve
 
 
 def rf(num, den=(1,)):
@@ -140,8 +140,7 @@ def test_tables_do_not_depend_on_history(name):
 
 
 # the builtins with a parametrization, so with a recursion support
-PARAMETRIZED = [name for name in ("airy", "catalan", "gauss", "hermite", "mixed", "smooth")
-                if load_curve(name).parametrization is not None]
+PARAMETRIZED = [name for name in BUILTIN_NAMES if load_curve(name).parametrization is not None]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
