@@ -85,7 +85,7 @@ class TruncSeries:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TruncSeries(self.field, self.val, self.coeffs, order, e=self.e)
+        return TruncSeries(self.field, self.val, self.coeffs[: max(0, order - self.val + 1)], order, e=self.e)
 
     def map_coeffs(self, fn, field=None):
         field = field or self.field

@@ -12,6 +12,7 @@ invariant broke; every failure is one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -273,6 +274,10 @@ def main(argv=None):
             payload = {"report": toprec_report(spec, level=args.depth, stages=stages)}
         elif args.command == "plotdata":
             check_size("--samples", args.samples, 1, MAX_SAMPLES)
+            for what, value in (("--xmin", args.xmin), ("--xmax", args.xmax),
+                                ("the span --xmax - --xmin", args.xmax - args.xmin)):
+                if not math.isfinite(value):
+                    raise CurveSpecError(f"{what} must be finite, got {value}")
             text = emit_plotdata(spec, args.xmin, args.xmax, args.samples)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:

@@ -19,16 +19,25 @@ whose coefficients are vectors over the same basis in the external
 variables, so each step stays one-dimensional.  Each residue transform is
 computed once per engine, from local series taken through the exact order
 that the valuations of its inputs fix; an input shorter than that raises.
+A local series is rebuilt only when a transform reads beyond it, and then
+through at least twice its old order.  Since sigma is a Mobius map, the
+pullback of a basis function by sigma is written down in closed form, and
+its valuation at p is that of the basis function at sigma(p).
 
 Inside the recursion a basis key is a small int, d * P + rank(q) with P
 the number of support places ranked in ``key_sort`` order
 (``TopRecEngine._key_id``), and a multiset of keys is a sorted tuple of
 ints; the local vectors, the transforms, the bracket jobs and the
-accumulation all hash and sort ints only, and the accumulation adds int
-numerators over one common denominator per table.  Keys are decoded
-(``TopRecEngine._key_of``) where they leave the recursion: in the public
-tables of ``W``/``F`` (keyed by (place, order) tuples sorted by
-``key_sort``), in the basis functions of scalar factors, in the
+accumulation all hash and sort ints only.  The arithmetic is on int
+numerators over one denominator per piece: the residue fold scales each
+vector factor and the scalar's coefficients once, and a transform returns
+ints over one denominator per point; a table keeps (den, {key ids: int})
+beside its public table, the bracket's job coefficients are ints over one
+denominator per bracket, and the accumulation adds ints over one common
+denominator per table.  Keys are decoded (``TopRecEngine._key_of``) where
+they leave the recursion: in the public tables of ``W``/``F`` (keyed by
+(place, order) tuples sorted by ``key_sort``, with ``Fraction``
+coefficients), in the basis functions of scalar factors, in the
 differential-recursion check and in error messages.
 """
 
@@ -37,13 +46,13 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .algebra import (
     INF, LogSeries, Poly, QQ, RatFunc, TruncSeries,
     expand_ratfunc, factor_over, poly_pow, ratfunc_sum,
 )
-from .algebra.fields import _numerators
+from .algebra.fields import _int_convolve, _numerators
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +126,15 @@ def basis_function(key):
         out = RatFunc(Poly.const(QQ, 1), poly_pow(Poly(QQ, [-q, 1]), d), reduce=False)
     _basis_cache[key] = out
     return out
+
+
+def basis_order(key, r):
+    """Order at the point r of P^1 of the basis function of key."""
+    q, d = key
+    if q is INF:  # t^(d - 2), or 1 for d <= 2
+        k = max(0, d - 2)
+        return -k if r is INF else k if r == 0 else 0
+    return d if r is INF else -d if r == q else 0
 
 
 def basis_antiderivative(key, normpt):
@@ -200,7 +218,8 @@ class SymTable:
     """Symmetric table: sorted key tuple -> coefficient of a labeled monomial.
 
     A table built by the engine also holds its items on the engine's integer
-    keys (sorted int tuples), which is what the recursion reads."""
+    keys (sorted int tuples) as (den, {key ids: int numerator}), which is
+    what the recursion reads."""
 
     def __init__(self, n, table=None, ids=None):
         self.n = n
@@ -268,14 +287,17 @@ def arrangement_sum(M, value, last=None):
     return out
 
 
-def _residue(entries, factors, scalar, target, sign, p):
-    """Add sign * (coefficient of u^target in scalar * prod(factors)) to entries.
+def _residue(factors, scalar, target, sign, p):
+    """sign * (coefficient of u^target in scalar * prod(factors)), as
+    (den, {keys: numerator}): ints over one denominator, zeros left out.
 
     Each factor is a vector series: its j-th item maps a basis key to the
-    coefficient of u^j.  The factors fold one at a time into one vector
-    series keyed by tuples of basis keys, one key per factor, which then
-    pairs with the scalar coefficient at the complementary exponent.  The
-    scalar must be known through u^target and each factor through
+    coefficient of u^j.  The scalar's coefficients and each factor are
+    scaled once to int numerators over one denominator of their own.  The
+    fold starts from the scalar coefficient of u^(target - r), which leaves
+    r to the vector factors; each factor takes m <= r of it, the last one
+    all, and the keys it reads extend a tuple of basis keys, one per factor.
+    The scalar must be known through u^target and each factor through
     u^(target - val(scalar)); a shorter input is an error, not a truncation,
     and names the support point p.
     """
@@ -285,24 +307,39 @@ def _residue(entries, factors, scalar, target, sign, p):
     for vec in factors:
         if len(vec) <= top:
             raise AssertionError(f"residue at {p} needs {top + 1} terms of each vector factor, one has {len(vec)}")
-    acc = {0: {(): Fraction(1)}}
-    for vec in factors:
+    nums, den = _numerators([scalar.coefficient(target - r) for r in range(top + 1)])
+    acc = {r: {(): sign * c} for r, c in enumerate(nums) if c}
+    *inner, last = [_int_vector(vec[: top + 1]) for vec in factors]
+    for vec, vden in inner:
+        den *= vden
         nxt = {}
-        for j, part in acc.items():
-            for m in range(top - j + 1):
+        for r, part in acc.items():
+            for m in range(r + 1):
                 if not vec[m]:
                     continue
-                dst = nxt.setdefault(j + m, defaultdict(Fraction))
+                dst = nxt.setdefault(r - m, defaultdict(int))
                 for keys, c in part.items():
-                    for b, vc in vec[m].items():
+                    for b, vc in vec[m]:
                         dst[keys + (b,)] += c * vc
         acc = nxt
-    for j, part in acc.items():
-        c = scalar.coefficient(target - j)
-        if c:
-            c *= sign
-            for keys, v in part.items():
-                entries[keys] += v * c
+    vec, vden = last
+    den *= vden
+    out = defaultdict(int)
+    for r, part in acc.items():
+        for keys, c in part.items():
+            for b, vc in vec[r]:
+                out[keys + (b,)] += c * vc
+    out = {keys: v for keys, v in out.items() if v}
+    k = gcd(den, *out.values())
+    return den // k, {keys: v // k for keys, v in out.items()}
+
+
+def _int_vector(vec):
+    """A vector series as ([[(key, numerator), ...] per power], den): int
+    numerators over one common denominator."""
+    nums, den = _numerators([c for part in vec for c in part.values()])
+    it = iter(nums)
+    return [[(b, next(it)) for b in part] for part in vec], den
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +363,18 @@ def _memo(build):
 
 def _per_point(build):
     """Build a method's local data once per point and trailing arguments (a
-    side or a factor tag), again only when a longer expansion is asked for:
-    callers read the first order + 1 terms.  The memo holds (order, data)
-    under the key (method name, point, *arguments)."""
+    side or a factor tag), again only when a longer expansion is asked for,
+    and then through at least twice the order built before, so that a
+    series a level lengthens by a few terms is rebuilt a logarithmic number
+    of times: callers read the first order + 1 terms.  The memo holds
+    (order, data) under the key (method name, point, *arguments)."""
 
     def cached(self, p, order, *args):
         key = (build.__name__, p) + args
         hit = self._memo.get(key)
         if hit is None or hit[0] < order:
+            if hit is not None:
+                order = max(order, 2 * hit[0])
             hit = self._memo[key] = (order, build(self, p, order, *args))
         return hit[1]
 
@@ -404,12 +445,46 @@ class TopRecEngine:
         if tag == "diag":
             diff = RatFunc.x(QQ) - curve.sigma
             return curve.sigma_prime / (diff * diff)
-        phi = basis_function(self._key_of(tag[1]))
-        return phi if tag[0] == "phi" else phi.compose(curve.sigma)
+        key = self._key_of(tag[1])
+        if tag[0] == "phi":
+            return basis_function(key)
+        # phi(sigma(t)) in closed form, with sigma(t) = (a t + b) / (c t + e):
+        # (c t + e)^d / ((a - q c) t + (b - q e))^d for the key (q, d), and
+        # sigma^(d - 2) for (INF, d)
+        (b, a), (e, c) = self._mobius()
+        q, d = key
+        if q is INF:
+            num, den, k = [b, a], [e, c], max(0, d - 2)
+        else:
+            num, den, k = [e, c], [b - q * e, a - q * c], d
+        # the two linear forms are coprime (a e - b c != 0): only the
+        # denominator is made monic
+        lead = den[1] or den[0]
+        return RatFunc(poly_pow(Poly(QQ, num), k) * (1 / lead ** k),
+                       poly_pow(Poly(QQ, [den[0] / lead, den[1] / lead]), k), reduce=False)
+
+    @_memo
+    def _mobius(self):
+        """((b, a), (e, c)) with sigma(t) = (a t + b) / (c t + e).  A rational
+        involution of P^1 has degree 1 (sigma of degree k composes with itself
+        to degree k^2), and ParamCurve checks the involution."""
+        sigma = self.curve.sigma
+        return tuple((f.coeffs + [Fraction(0)] * 2)[:2] for f in (sigma.num, sigma.den))
+
+    @_memo
+    def _image(self, p):
+        """sigma(p) on P^1."""
+        return eval_extended(self.curve.sigma, p)
 
     @_memo
     def _val(self, tag, p):
         """Exact valuation of a scalar factor at a support point."""
+        if tag[0] == "phi":
+            return basis_order(self._key_of(tag[1]), p)
+        if tag[0] == "phis":
+            # a Mobius map keeps orders: phi(sigma(t)) has at p the order
+            # that phi has at sigma(p)
+            return basis_order(self._key_of(tag[1]), self._image(p))
         v = self._factor_fn(tag).order_at(p)
         return -v if tag == "invw" else v
 
@@ -426,18 +501,19 @@ class TopRecEngine:
         """(image point p', {m: {exponent: coeff}}) for the powers of the
         local coordinate at p' of sigma(z), expanded at p."""
         sigma = self.curve.sigma
-        pp = eval_extended(sigma, p)
+        pp = self._image(p)
         loc = RatFunc.const(QQ, 1) / sigma if pp is INF else sigma - RatFunc.const(QQ, pp)
         s = expand_ratfunc(loc, p, order)
+        # s^m starts at u^(m v) (v = 1: sigma is a Mobius map); its
+        # coefficients through u^order are int convolution powers of the
+        # numerators of s over the m-th power of their denominator
+        S, den = _numerators(s.coeffs)
+        v = s.val
         out = {0: {0: Fraction(1)}}
-        cur = TruncSeries.const(QQ, Fraction(1), s.order)
-        m = 1
-        while m * max(1, s.val) <= order:
-            cur = cur * s
-            out[m] = {k: c for k, c in cur.items() if k <= order}
-            if not out[m]:
-                break
-            m += 1
+        cur, cden = [1], 1
+        for m in range(1, order // v + 1):
+            cur, cden = _int_convolve(cur, S, order - m * v + 1), cden * den
+            out[m] = {m * v + k: Fraction(c, cden) for k, c in enumerate(cur) if c}
         return pp, out
 
     # -- kernel and coupled factors as vector-valued series -------------------
@@ -453,14 +529,16 @@ class TopRecEngine:
             pp, powers = p, {m: {m: Fraction(1)} for m in range(order + 1)}
         else:
             pp, powers = self._sigma_powers(p, order)
+        # the id of (pp, d) is d * P + the id of (pp, 0)
+        P, rank = len(self._places()), self._key_id((pp, 0))
         vec = [{} for _ in range(order + 1)]
         for m, pw in powers.items():
             if pp is INF:
                 if m < r:
                     continue
-                key, scale = self._key_id((INF, m - r + 2)), (-1) ** r * comb(m - 1, r - 1)
+                key, scale = (m - r + 2) * P + rank, (-1) ** r * comb(m - 1, r - 1)
             else:
-                key, scale = self._key_id((pp, m + r)), comb(m + r - 1, r - 1)
+                key, scale = (m + r) * P + rank, comb(m + r - 1, r - 1)
             for j, c in pw.items():
                 if j <= order:
                     vec[j][key] = scale * c
@@ -519,58 +597,61 @@ class TopRecEngine:
                 continue
             scalar = None
             for tag, v in zip(tags, vals):
-                s = self._expansion(p, v + top, tag)
+                # a cached series may run longer than this transform reads
+                s = self._expansion(p, v + top, tag).truncate(v + top)
                 scalar = s if scalar is None else scalar * s
             factors = [self._kernel_vectors(p, top)]
             factors += [self._coupled_vectors(p, top, side) for side in sides]
-            entries = defaultdict(Fraction)
-            _residue(entries, factors, scalar, target, sign, p)
-            keys = [k for k, v in entries.items() if v]
-            nums, den = _numerators([entries[k] for k in keys])
-            result[p] = (den, dict(zip(keys, nums)))
+            result[p] = _residue(factors, scalar, target, sign, p)
         return result
 
     # -- bracket assembly -------------------------------------------------------
 
     def _one_slot(self, g, n):
-        """(spec, rest, c): one slot of W_{g,n} set apart, one item per
-        distinct key id of each monomial; W_{0,2} is the single ("w2",)."""
+        """(den, items): one slot of W_{g,n} set apart, one item (spec, rest,
+        c) per distinct key id of each monomial, c an int numerator over den;
+        W_{0,2} is the single ("w2",)."""
         if (g, n) == (0, 2):
-            yield ("w2",), (), 1
-            return
-        for M, c in self.W(g, n)._ids.items():
-            for i, b in self._distinct(M):
-                yield ("phi", b), M[:i] + M[i + 1:], c
+            return 1, [(("w2",), (), 1)]
+        den, ids = self.W(g, n)._ids
+        return den, [(("phi", b), M[:i] + M[i + 1:], c)
+                     for M, c in ids.items() for i, b in self._distinct(M)]
 
     def _two_slots(self, g, n):
-        """(spec1, spec2, rest, c): a second slot set apart from the rest of
-        each _one_slot item; W_{0,2} is the single pair ("diag",) twice."""
+        """(den, items): a second slot set apart from the rest of each
+        _one_slot item, items (spec1, spec2, rest, c); W_{0,2} is the single
+        pair ("diag",) twice."""
         if (g, n) == (0, 2):
-            yield ("diag",), ("diag",), (), 1
-            return
-        for spec1, rest1, c in self._one_slot(g, n):
-            for i, b in self._distinct(rest1):
-                yield spec1, ("phi", b), rest1[:i] + rest1[i + 1:], c
+            return 1, [(("diag",), ("diag",), (), 1)]
+        den, items = self._one_slot(g, n)
+        return den, [(spec1, ("phi", b), rest1[:i] + rest1[i + 1:], c)
+                     for spec1, rest1, c in items for i, b in self._distinct(rest1)]
 
     def _jobs(self, g, n):
-        """{(fspec, gspec, rest_multiset): coefficient} for the bracket."""
-        jobs = defaultdict(Fraction)
+        """(jden, {(fspec, gspec, rest_multiset): numerator}): half of each
+        job coefficient of the bracket, as ints over the one denominator
+        jden (twice the lcm of the denominators of the tables it reads)."""
         # W_{g-1, n+1}(z, sigma z, rest)
-        if g >= 1:
-            for fspec, gspec, rest, c in self._two_slots(g - 1, n + 1):
-                jobs[(fspec, gspec, rest)] += c
+        twin = self._two_slots(g - 1, n + 1) if g >= 1 else (1, [])
         # splits W_{g1, n1}(z, .) W_{g2, n2}(sigma z, .), W_{0,2} allowed on either side
+        splits = []
         for g1 in range(0, g + 1):
             for n1 in range(1, n + 1):
                 g2, n2 = g - g1, n + 1 - n1
-                if 2 * g1 - 2 + n1 < 0 or 2 * g2 - 2 + n2 < 0:
-                    continue
-                right = list(self._one_slot(g2, n2))
-                for fspec, k1, c1 in self._one_slot(g1, n1):
-                    for gspec, k2, c2 in right:
-                        rest = tuple(sorted(k1 + k2))
-                        jobs[(fspec, gspec, rest)] += c1 * c2 * _merge_binomial(k1, k2)
-        return jobs
+                if 2 * g1 - 2 + n1 >= 0 and 2 * g2 - 2 + n2 >= 0:
+                    splits.append((self._one_slot(g1, n1), self._one_slot(g2, n2)))
+        den = lcm(twin[0], *[d1 * d2 for (d1, _), (d2, _) in splits])
+        jobs = defaultdict(int)
+        scale = den // twin[0]
+        for fspec, gspec, rest, c in twin[1]:
+            jobs[(fspec, gspec, rest)] += scale * c
+        for (d1, left), (d2, right) in splits:
+            scale = den // (d1 * d2)
+            for fspec, k1, c1 in left:
+                for gspec, k2, c2 in right:
+                    rest = tuple(sorted(k1 + k2))
+                    jobs[(fspec, gspec, rest)] += scale * c1 * c2 * _merge_binomial(k1, k2)
+        return 2 * den, jobs
 
     @staticmethod
     def _distinct(M):
@@ -583,17 +664,16 @@ class TopRecEngine:
     @_memo
     def _compute_w(self, g, n):
         # each term, half a job coefficient times a transform coefficient, is
-        # an int over jden * tden: jden clears the halved job coefficients,
-        # tden the denominators of the transforms
-        work = [(self._transform(fspec, gspec), rest, coeff)
-                for (fspec, gspec, rest), coeff in self._jobs(g, n).items() if coeff]
-        jden = lcm(*[2 * coeff.denominator for _, _, coeff in work])
+        # an int over jden * tden: jden is the denominator of the halved job
+        # coefficients, tden the lcm of the denominators of the transforms
+        jden, jobs = self._jobs(g, n)
+        work = [(self._transform(fspec, gspec), rest, hc)
+                for (fspec, gspec, rest), hc in jobs.items() if hc]
         tden = lcm(*[den for transform, _, _ in work for den, _ in transform.values()])
         # accumulate per support point to verify vanishing away from ramification
         perp = {p: defaultdict(int) for p in self.curve.support}
         try:
-            for transform, rest, coeff in work:
-                hc = coeff.numerator * (jden // (2 * coeff.denominator))
+            for transform, rest, hc in work:
                 for p, (den, entries) in transform.items():
                     acc = perp[p]
                     scale = hc * (tden // den)
@@ -618,7 +698,8 @@ class TopRecEngine:
 
     def _finalize(self, g, n, bk, den):
         """Cross-check slot-1 symmetry and compress (b, rest) numerators over
-        ``den`` to multisets of key ids."""
+        ``den`` to multisets of key ids, reduced to the table's least common
+        denominator."""
         by_multiset = defaultdict(dict)
         for (b, rest), v in bk.items():
             if v:
@@ -633,24 +714,29 @@ class TopRecEngine:
                                      f"{self._keys_of(M)}: {{{named}}}")
             v = vals.pop()
             if v:
-                ids[M] = Fraction(v, den)
+                ids[M] = v
         for i in dict.fromkeys(i for M in ids for i in M):
             q, d = self._key_of(i)
             if q not in self.curve.ram_points:
                 raise AssertionError(f"pole of W_{(g, n)} at non-ramification point {q}")
             if q is not INF and d < 2:
                 raise AssertionError(f"residue term dt/(t - {q}) in stable W_{(g, n)}")
-        return self._public_table(n, ids)
+        k = gcd(den, *ids.values())
+        return self._public_table(n, den // k, {M: v // k for M, v in ids.items()})
 
     def _keys_of(self, M):
-        """The basis keys of the key ids M, sorted by key_sort."""
-        return sorted_keys(map(self._key_of, M))
+        """The basis keys of the key ids M, sorted by key_sort: by the rank
+        of the place (the id mod P), then by order (the id)."""
+        P = len(self._places())
+        return tuple(map(self._key_of, sorted(M, key=lambda i: (i % P, i))))
 
-    def _public_table(self, n, ids):
+    def _public_table(self, n, den, ids):
         """The boundary where a table leaves the recursion: the public table is
-        keyed by (place, order) tuples sorted by key_sort, and the id-keyed
-        items stay beside it for the recursion to read."""
-        return SymTable(n, {self._keys_of(M): v for M, v in ids.items()}, ids)
+        keyed by (place, order) tuples sorted by key_sort, with Fraction
+        coefficients, and the id-keyed int numerators over ``den`` stay beside
+        it for the recursion to read."""
+        table = {self._keys_of(M): Fraction(v, den) for M, v in ids.items()}
+        return SymTable(n, table, (den, ids))
 
     # -- free energies: evaluation, specialization, checks -----------------------
 
@@ -794,12 +880,14 @@ class TopRecEngine:
         if g >= 1:
             key_of = self._key_of
             at_points = self._slot_values(points, None, prim, memo)
+            # int numerators c over the table's denominator, divided once
+            den, items = self._two_slots(g - 1, n + 1)
             weights = defaultdict(Fraction)
-            for (_, b1), (_, b2), rest, c in self._two_slots(g - 1, n + 1):
+            for (_, b1), (_, b2), rest, c in items:
                 weights[(b1, b2)] += c * arrangement_sum(rest, lambda b, i: at_points(key_of(b), i))
             for (b1, b2), w in weights.items():
                 f1, f2 = basis_function(key_of(b1)), basis_function(key_of(b2))
-                terms.append((w, f1.num * f2.num, f1.den * f2.den))
+                terms.append((w / den, f1.num * f2.num, f1.den * f2.den))
         # and the products over the splittings of the sample points
         for g1 in range(0, g + 1):
             g2 = g - g1

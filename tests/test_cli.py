@@ -278,6 +278,19 @@ def test_cli_plotdata_skips_values_beyond_float_range(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bounds,line", [
+    (["--xmin=nan"], "--xmin must be finite, got nan"),
+    (["--xmin=inf"], "--xmin must be finite, got inf"),
+    (["--xmax=-inf"], "--xmax must be finite, got -inf"),
+    (["--xmin=-1e308", "--xmax=1e308"], "the span --xmax - --xmin must be finite, got inf"),
+])
+def test_cli_plotdata_rejects_a_non_finite_range(bounds, line, capsys):
+    assert main(["plotdata", "--curve", "airy", *bounds]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {line}\n"
+
+
 def test_cli_analyze_exit_and_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

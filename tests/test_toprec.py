@@ -198,27 +198,99 @@ def test_each_transform_is_computed_once(name, count, monkeypatch):
     assert len(computed) == len(set(computed)) == count
 
 
+# ceilings on the expand_ratfunc calls of a cold engine through level 5: a
+# rebuild at each longer order a transform asks for makes 61 (airy) and 190
+# (catalan)
+@pytest.mark.parametrize("name,ceiling", [("airy", 39), ("catalan", 134)])
+def test_local_series_are_rebuilt_a_few_times(name, ceiling, monkeypatch):
+    calls = []
+    expand = toprec.expand_ratfunc
+
+    def counted(f, place, order, e=1):
+        calls.append((place, order))
+        return expand(f, place, order, e)
+
+    monkeypatch.setattr(toprec, "expand_ratfunc", counted)
+    _, eng = engine_for(load_curve(name))
+    for level in range(1, 6):
+        eng.compute_level(level)
+    assert len(calls) <= ceiling
+
+
+# xy: sigma(z) = c / z, a Mobius map with a pole, unlike t -> -t
+@pytest.mark.parametrize("name", ["airy", "catalan", "hermite", "xy"])
+def test_sigma_pullbacks_match_compose(name):
+    if name == "xy":
+        eng = TopRecEngine(xy_family(random.Random(5)))
+    else:
+        _, eng = engine_for(load_curve(name))
+    curve = eng.curve
+    for q in curve.support:
+        for d in range(1, 9):
+            key = (q, d)
+            phi = basis_function(key)
+            want = phi.compose(curve.sigma)
+            tag = ("phis", eng._key_id(key))
+            assert eng._factor_fn(tag) == want, key
+            for p in curve.support:
+                assert eng._val(tag, p) == want.order_at(p), (key, p)
+                assert eng._val(("phi", tag[1]), p) == phi.order_at(p), (key, p)
+
+
 def _residue_inputs():
     # u^-2 + u^-1, exact through u^-1, against the vector series a + 2a u:
     # the u^-1 coefficient of the product is 1 * 2 + 1 * 1
     scalar = TruncSeries(QQ, -2, [1, 1], -1)
     vec = [{"a": Fraction(1)}, {"a": Fraction(2)}]
-    entries = defaultdict(Fraction)
-    _residue(entries, [vec], scalar, -1, 1, Fraction(0))
-    assert entries == {("a",): 3}
+    assert _residue([vec], scalar, -1, 1, Fraction(0)) == (1, {("a",): 3})
     return scalar, vec
 
 
 def test_residue_raises_on_a_scalar_one_order_short():
     scalar, vec = _residue_inputs()
     with pytest.raises(AssertionError, match="residue at 0 needs the scalar"):
-        _residue(defaultdict(Fraction), [vec], scalar.truncate(-2), -1, 1, Fraction(0))
+        _residue([vec], scalar.truncate(-2), -1, 1, Fraction(0))
 
 
 def test_residue_raises_on_a_vector_one_term_short():
     scalar, vec = _residue_inputs()
     with pytest.raises(AssertionError, match="residue at 0 needs 2 terms of each vector factor"):
-        _residue(defaultdict(Fraction), [vec, vec[:1]], scalar, -1, 1, Fraction(0))
+        _residue([vec, vec[:1]], scalar, -1, 1, Fraction(0))
+
+
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def _residue_draws(draw):
+    # a scalar known through u^target and 1-3 vector factors of top + 1 or
+    # more terms over a few keys, with mixed denominators and signs
+    val = draw(st.integers(-6, 2))
+    target = draw(st.integers(val, val + 6))
+    top = target - val
+    coeffs = draw(st.lists(_fractions, min_size=1, max_size=top + 3))
+    scalar = TruncSeries(QQ, val, coeffs, draw(st.integers(target, target + 3)))
+    part = st.dictionaries(st.sampled_from("abcd"), _fractions, max_size=3)
+    factors = draw(st.lists(st.lists(part, min_size=top + 1, max_size=top + 3), min_size=1, max_size=3))
+    return factors, scalar, target, draw(st.sampled_from([1, -1]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_residue_draws())
+def test_residue_matches_a_fraction_fold(draw):
+    factors, scalar, target, sign = draw
+    # reference: every choice of one power and one key per factor, in Fractions
+    want = defaultdict(Fraction)
+    terms = [((), 0, Fraction(sign))]
+    for vec in factors:
+        terms = [(keys + (b,), j + m, c * vc)
+                 for keys, j, c in terms for m, part in enumerate(vec) for b, vc in part.items()]
+    for keys, j, c in terms:
+        want[keys] += c * scalar.coefficient(target - j)
+    den, nums = _residue(factors, scalar, target, sign, Fraction(0))
+    assert isinstance(den, int) and den > 0
+    assert all(type(v) is int and v for v in nums.values())
+    assert {k: Fraction(v, den) for k, v in nums.items()} == {k: v for k, v in want.items() if v}
 
 
 def test_stable_range_guard(airy_engine):
