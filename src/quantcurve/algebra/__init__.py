@@ -13,7 +13,7 @@ from .poly import (
 from .series import LogSeries, TruncSeries, expand_poly, expand_ratfunc
 
 #: shared field of rational functions in the quantization parameter
-HBAR_FIELD = FractionField(QQ, "h")
+HBAR_FIELD = FractionField()
 
 __all__ = [
     "HBAR_FIELD",

@@ -5,12 +5,13 @@ computations on the line require:
 
 * ``QQ``                       rationals (elements are ``fractions.Fraction``)
 * ``QuadExtField(d)``          the quadratic extension ``QQ(sqrt(d))``
-* ``FractionField(QQ, "h")``   rational functions in one generator
+* ``FractionField()``          ``QQ(h)``, rational functions in one generator
   (:mod:`quantcurve.algebra.poly`)
 
 Elements of ``QuadExtField`` and ``FractionField`` overload the usual
-arithmetic operators, so polynomial and series code is generic over the
-field.  Everything is exact; there is no floating point anywhere.
+arithmetic operators, so series code is generic over the field; polynomials
+and rational functions are over QQ only.  Everything is exact; there is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -216,9 +217,6 @@ class QuadExtField:
         if isinstance(v, QuadExtElement) and v.field is self:
             return v
         return QuadExtElement(self, QQ.of(v), Fraction(0))
-
-    def make(self, a, b):
-        return QuadExtElement(self, QQ.of(a), QQ.of(b))
 
     def is_zero(self, v):
         return not self.of(v)

@@ -1,18 +1,18 @@
-r"""Dense univariate polynomials and rational functions over an exact field.
+r"""Dense univariate polynomials and rational functions over QQ.
 
-``Poly`` stores coefficients by degree (zero polynomial = empty list) and is
-generic over the fields of :mod:`quantcurve.algebra.fields`.  ``RatFunc`` is
-a reduced fraction of polynomials with monic denominator.  On top of these,
-``FractionField`` turns ``RatFunc`` arithmetic into a coefficient field of
-its own, which is how rational functions of the quantization parameter enter
-the coefficients.  ``RatFunc.order_at`` is the one valuation at a place of the
-projective line: INF, a point, or a monic irreducible polynomial.
+``Poly`` stores ``Fraction`` coefficients by degree (zero polynomial = empty
+list).  ``RatFunc`` is a reduced fraction of polynomials with monic
+denominator.  Other fields enter only as series coefficients, and series
+code is generic over the fields of :mod:`quantcurve.algebra.fields`.  On top
+of ``RatFunc``, ``FractionField`` turns rational functions of the
+quantization parameter into a coefficient field of its own.
+``RatFunc.order_at`` is the one valuation at a place of the projective line:
+INF, a point, or a monic irreducible polynomial.
 
-Over QQ, ``divrem``, ``gcd``, the reduction of ``RatFunc`` and
-``ratfunc_sum`` run on integer numerator lists: pseudo-division by the
-primitive divisor, primitive pseudo-remainder gcds and exact integer
-quotients, with one ``Fraction`` per output coefficient.  The other fields
-keep the generic Euclid loop.
+``divrem``, ``gcd``, the reduction of ``RatFunc`` and ``ratfunc_sum`` run on
+integer numerator lists: pseudo-division by the primitive divisor, primitive
+pseudo-remainder gcds and exact integer quotients, with one ``Fraction`` per
+output coefficient.
 
 ``factor_over`` factors over the rationals in the package: Zassenhaus on
 integer coefficient lists (squarefree parts, a factorization modulo a small
@@ -41,23 +41,27 @@ INF = _Infinity()
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    """Polynomial over QQ: ``Fraction`` coefficients by degree, no trailing
+    zeros.  ``normalize`` coerces each coefficient with ``QQ.of``, which
+    raises ``TypeError`` for one outside QQ, and strips trailing zeros."""
 
-    def __init__(self, field, coeffs, normalize=True):
+    __slots__ = ("coeffs",)
+    field = QQ
+
+    def __init__(self, coeffs, normalize=True):
         if normalize:
-            coeffs = [field.of(c) for c in coeffs]
-            while coeffs and field.is_zero(coeffs[-1]):
+            coeffs = [QQ.of(c) for c in coeffs]
+            while coeffs and not coeffs[-1]:
                 coeffs.pop()
-        self.field = field
         self.coeffs = coeffs
 
     @staticmethod
-    def const(field, c):
-        return Poly(field, [field.of(c)])
+    def const(c):
+        return Poly([c])
 
     @staticmethod
-    def x(field):
-        return Poly(field, [field.zero(), field.one()])
+    def x():
+        return Poly([Fraction(0), Fraction(1)], normalize=False)
 
     @property
     def degree(self):
@@ -68,9 +72,7 @@ class Poly:
         return not self.coeffs
 
     def leading(self):
-        if not self.coeffs:
-            return self.field.zero()
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -78,77 +80,56 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        # equal coefficients hash alike across the fields (QQ(sqrt d) elements
-        # with b == 0 hash like their rational value), so equal polys do too
         return hash(tuple(self.coeffs))
 
     def __add__(self, other):
-        f = self.field
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else f.zero()
-            y = b[i] if i < len(b) else f.zero()
-            out.append(x + y)
-        return Poly(f, out, normalize=False)._trim()
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] += y
+        return Poly(out, normalize=False)._trim()
 
     def _trim(self):
-        f = self.field
-        while self.coeffs and f.is_zero(self.coeffs[-1]):
+        while self.coeffs and not self.coeffs[-1]:
             self.coeffs.pop()
         return self
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs], normalize=False)
+        return Poly([-c for c in self.coeffs], normalize=False)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        f = self.field
         if isinstance(other, Poly):
             a, b = self.coeffs, other.coeffs
             if not a or not b:
-                return Poly(f, [])
-            return Poly(f, f.convolve(a, b, len(a) + len(b) - 1), normalize=False)._trim()
-        c = f.of(other)
-        return Poly(f, [ci * c for ci in self.coeffs], normalize=False)._trim()
+                return Poly([], normalize=False)
+            return Poly(QQ.convolve(a, b, len(a) + len(b) - 1), normalize=False)._trim()
+        c = QQ.of(other)
+        return Poly([ci * c for ci in self.coeffs], normalize=False)._trim()
 
     __rmul__ = __mul__
 
     def divrem(self, other):
         """Quotient and remainder; raises on division by the zero polynomial.
 
-        Over QQ this is integer pseudo-division by the primitive divisor
-        (``_pdivrem``), with one ``Fraction`` per output coefficient.
+        Integer pseudo-division by the primitive divisor (``_pdivrem``), with
+        one ``Fraction`` per output coefficient.
         """
-        f = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if f is QQ:
-            (A, da), (B, db) = _numerators(self.coeffs), _numerators(other.coeffs)
-            P = _primitive(B)
-            # s A = q P + r with B = (B[-1] / P[-1]) P, so self = A / da and
-            # other = B / db give q db P[-1] / (s da B[-1]) and r / (s da)
-            s, q, r = _pdivrem(A, P)
-            qd, rd = s * da * B[-1], s * da
-            qn = db * P[-1]
-            return (Poly(f, [Fraction(c * qn, qd) for c in q], normalize=False),
-                    Poly(f, [Fraction(c, rd) for c in r], normalize=False))
-        q = [f.zero()] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        dlead = other.leading()
-        dd = other.degree
-        while len(r) - 1 >= dd and r:
-            k = len(r) - 1 - dd
-            c = r[-1] / dlead
-            q[k] = c
-            for i, oc in enumerate(other.coeffs):
-                r[k + i] = r[k + i] - c * oc
-            while r and f.is_zero(r[-1]):
-                r.pop()
-        return Poly(f, q, normalize=False)._trim(), Poly(f, r, normalize=False)._trim()
+        (A, da), (B, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+        P = _primitive(B)
+        # s A = q P + r with B = (B[-1] / P[-1]) P, so self = A / da and
+        # other = B / db give q db P[-1] / (s da B[-1]) and r / (s da)
+        s, q, r = _pdivrem(A, P)
+        qd, rd = s * da * B[-1], s * da
+        qn = db * P[-1]
+        return (Poly([Fraction(c * qn, qd) for c in q], normalize=False),
+                Poly([Fraction(c, rd) for c in r], normalize=False))
 
     def __mod__(self, other):
         return self.divrem(other)[1]
@@ -157,69 +138,53 @@ class Poly:
         return self.divrem(other)[0]
 
     def gcd(self, other):
-        """Monic greatest common divisor (zero for two zeros); over QQ the
-        primitive integer gcd ``_int_gcd`` made monic once."""
-        if self.field is QQ:
-            a, b = self.coeffs, other.coeffs
-            if not a:
-                if not b:
-                    return Poly(QQ, [])
-                a, b = b, a
-            g = _int_gcd(_numerators(a)[0], _numerators(b)[0])
-            return Poly(QQ, [Fraction(c, g[-1]) for c in g], normalize=False)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        """Monic greatest common divisor (zero for two zeros): the primitive
+        integer gcd ``_int_gcd`` made monic once."""
+        a, b = self.coeffs, other.coeffs
+        if not a:
+            if not b:
+                return Poly([], normalize=False)
+            a, b = b, a
+        g = _int_gcd(_numerators(a)[0], _numerators(b)[0])
+        return Poly([Fraction(c, g[-1]) for c in g], normalize=False)
 
     def monic(self):
         if self.is_zero():
             return self
         lead = self.leading()
-        return Poly(self.field, [c / lead for c in self.coeffs], normalize=False)
+        return Poly([c / lead for c in self.coeffs], normalize=False)
 
     def derivative(self):
-        f = self.field
-        return Poly(f, [f.of(i) * c for i, c in enumerate(self.coeffs)][1:], normalize=False)._trim()
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], normalize=False)
 
     def __call__(self, v):
-        f = self.field
-        acc = f.zero()
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * v + c
         return acc
 
-    def shift(self, k):
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, [self.field.zero()] * k + self.coeffs, normalize=False)
-
     def sqrt(self):
-        """Exact square root, or None, over any coefficient field."""
-        f = self.field
+        """Exact square root, or None."""
         if self.is_zero():
             return self
         if self.degree % 2 != 0:
             return None
-        rl = f.sqrt(self.leading())
+        rl = QQ.sqrt(self.leading())
         if rl is None:
             return None
         n = self.degree // 2
-        out = [f.zero()] * (n + 1)
+        out = [Fraction(0)] * (n + 1)
         out[n] = rl
         # Solve (sum out_i x^i)^2 = self from the top coefficient down.
         for k in range(n - 1, -1, -1):
             idx = k + n
-            acc = self.coeffs[idx] if idx < len(self.coeffs) else f.zero()
+            acc = self.coeffs[idx]
             for i in range(k + 1, n):
                 j = idx - i
                 if k < j <= n:
                     acc = acc - out[i] * out[j]
             out[k] = acc / (rl + rl)
-        cand = Poly(f, out)
+        cand = Poly(out, normalize=False)
         if cand * cand == self:
             return cand
         return None
@@ -229,15 +194,14 @@ class Poly:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
-            if self.field.is_zero(c):
+            if not c:
                 continue
-            cs = self.field.to_str(c)
             if i == 0:
-                parts.append(cs)
+                parts.append(str(c))
             elif i == 1:
-                parts.append(f"({cs})*{var}")
+                parts.append(f"({c})*{var}")
             else:
-                parts.append(f"({cs})*{var}^{i}")
+                parts.append(f"({c})*{var}^{i}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -249,18 +213,16 @@ class Poly:
 MAX_FACTOR_DEGREE = 32
 
 
-def factor_over(field, p):
+def factor_over(p):
     """Irreducible monic factors of a Poly over QQ: list of (Poly, mult),
     sorted by (degree, coefficient strings).
 
     Zassenhaus on integer coefficient lists (Cohen, GTM 138, §3.5): clear
     denominators, split off Yun's squarefree parts, factor each part modulo
     the smallest good odd prime, Hensel-lift past the Landau–Mignotte bound
-    and recombine subsets by trial division.  A field other than QQ, the zero
-    polynomial and a degree above ``MAX_FACTOR_DEGREE`` raise ``ValueError``.
+    and recombine subsets by trial division.  The zero polynomial and a
+    degree above ``MAX_FACTOR_DEGREE`` raise ``ValueError``.
     """
-    if field is not QQ or p.field is not QQ:
-        raise ValueError(f"factorization is supported over QQ only, not {field}")
     if p.degree <= 1:
         if p.is_zero():
             raise ValueError("the zero polynomial has no factorization")
@@ -271,7 +233,7 @@ def factor_over(field, p):
     out = []
     for mult, part in enumerate(_squarefree_parts(_primitive(_numerators(p.coeffs)[0])), 1):
         if len(part) > 1:
-            out += [(Poly(QQ, [Fraction(c, g[-1]) for c in g], normalize=False), mult)
+            out += [(Poly([Fraction(c, g[-1]) for c in g], normalize=False), mult)
                     for g in _zassenhaus(part)]
     out.sort(key=lambda fm: (fm[0].degree, tuple(str(c) for c in fm[0].coeffs)))
     return out
@@ -555,47 +517,34 @@ def _zassenhaus(f):
 
 
 class RatFunc:
-    """Reduced quotient of polynomials with monic denominator."""
+    """Reduced quotient of polynomials over QQ with monic denominator; the
+    reduction runs on integer numerator lists (``_qq_reduced``)."""
 
     __slots__ = ("num", "den")
+    field = QQ
 
     def __init__(self, num, den=None, reduce=True):
-        field = num.field
         if den is None:
-            den, reduce = Poly.const(field, 1), False
+            den, reduce = Poly([Fraction(1)], normalize=False), False
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if reduce:
-            if field is QQ:
-                (N, dn), (D, dd) = _numerators(num.coeffs), _numerators(den.coeffs)
-                num, den = _qq_reduced(N, D, dd, dn)
-            else:
-                if den.degree > 0:
-                    g = num.gcd(den)
-                    if g.degree > 0:
-                        num, den = num // g, den // g
-                lead = den.leading()
-                if not field.is_zero(lead - field.one()):
-                    num = num * (field.one() / lead)
-                    den = den.monic()
+            (N, dn), (D, dd) = _numerators(num.coeffs), _numerators(den.coeffs)
+            num, den = _qq_reduced(N, D, dd, dn)
         self.num = num
         self.den = den
 
-    @property
-    def field(self):
-        return self.num.field
+    @staticmethod
+    def const(c):
+        return RatFunc(Poly.const(c))
 
     @staticmethod
-    def const(field, c):
-        return RatFunc(Poly.const(field, c))
+    def x():
+        return RatFunc(Poly.x())
 
     @staticmethod
-    def x(field):
-        return RatFunc(Poly.x(field))
-
-    @staticmethod
-    def from_coeffs(field, num_coeffs, den_coeffs=(1,)):
-        return RatFunc(Poly(field, list(num_coeffs)), Poly(field, list(den_coeffs)))
+    def from_coeffs(num_coeffs, den_coeffs=(1,)):
+        return RatFunc(Poly(num_coeffs), Poly(den_coeffs))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -646,7 +595,7 @@ class RatFunc:
             return other
         if isinstance(other, Poly):
             return RatFunc(other)
-        return RatFunc.const(self.field, other)
+        return RatFunc.const(other)
 
     def derivative(self):
         n, d = self.num, self.den
@@ -654,7 +603,7 @@ class RatFunc:
 
     def __call__(self, v):
         dv = self.den(v)
-        if self.field.is_zero(dv):
+        if dv == 0:
             raise ZeroDivisionError("evaluation at a pole")
         return self.num(v) / dv
 
@@ -672,15 +621,14 @@ class RatFunc:
     def order_at(self, place):
         """Order of vanishing at a place of P^1 (negative for a pole).
 
-        ``place`` is INF, a point of the field, or a monic irreducible Poly.
+        ``place`` is INF, a rational point, or a monic irreducible Poly.
         """
         if self.is_zero():
             raise ValueError("zero function has no order")
         if place is INF:
             return self.den.degree - self.num.degree
         if not isinstance(place, Poly):
-            f = self.field
-            place = Poly(f, [-f.of(place), f.one()])
+            place = Poly([-QQ.of(place), Fraction(1)], normalize=False)
         return root_multiplicity(self.num, place) - root_multiplicity(self.den, place)
 
     def to_str(self, var="x"):
@@ -697,14 +645,14 @@ def _qq_reduced(N, D, sn, sd):
     den, for int lists N and D (D nonzero) and ints sn, sd != 0.  A constant D
     runs no gcd."""
     if not N:
-        return Poly(QQ, []), Poly(QQ, [Fraction(1)], normalize=False)
+        return Poly([], normalize=False), Poly([Fraction(1)], normalize=False)
     if len(D) > 1:
         g = _int_gcd(D, N)
         if len(g) > 1:
             N, D = _exact_quotient(N, g), _exact_quotient(D, g)
     sd *= D[-1]
-    return (Poly(QQ, [Fraction(c * sn, sd) for c in N], normalize=False),
-            Poly(QQ, [Fraction(c, D[-1]) for c in D], normalize=False))
+    return (Poly([Fraction(c * sn, sd) for c in N], normalize=False),
+            Poly([Fraction(c, D[-1]) for c in D], normalize=False))
 
 
 def ratfunc_sum(terms):
@@ -833,29 +781,28 @@ class FracFuncElement:
 
 
 class FractionField:
-    """Field of rational functions base(var), used as a coefficient field."""
+    """The field QQ(h) of rational functions in the quantization parameter,
+    used as a coefficient field (its one instance is ``HBAR_FIELD``)."""
 
-    def __init__(self, base, var="h"):
-        self.base = base
-        self.var = var
-        self.name = f"{base.name}({var})"
-        self.gen = FracFuncElement(self, RatFunc.x(base))
+    base = QQ
+    var = "h"
+    name = "QQ(h)"
+
+    def __init__(self):
+        self.gen = FracFuncElement(self, RatFunc.x())
 
     def zero(self):
-        return FracFuncElement(self, RatFunc.const(self.base, 0))
+        return FracFuncElement(self, RatFunc.const(0))
 
     def one(self):
-        return FracFuncElement(self, RatFunc.const(self.base, 1))
+        return FracFuncElement(self, RatFunc.const(1))
 
     def of(self, v):
-        if isinstance(v, FracFuncElement):
-            if v.parent is self:
-                return v
-            if v.parent.base is self.base and v.parent.var == self.var:
-                return FracFuncElement(self, v.rf)
-        if isinstance(v, RatFunc) and v.field is self.base:
+        if isinstance(v, FracFuncElement) and v.parent is self:
+            return v
+        if isinstance(v, RatFunc):
             return FracFuncElement(self, v)
-        return FracFuncElement(self, RatFunc.const(self.base, self.base.of(v)))
+        return FracFuncElement(self, RatFunc.const(v))
 
     def is_zero(self, v):
         return not self.of(v)
@@ -894,7 +841,7 @@ class FractionField:
 
 def poly_pow(p, k):
     """p**k for k >= 0."""
-    out = Poly.const(p.field, 1)
+    out = Poly([Fraction(1)], normalize=False)
     for _ in range(k):
         out = out * p
     return out

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, Poly, QQ, QuadExtField, RatFunc
+from .algebra import INF, Poly, QuadExtField, RatFunc
 from .spectral import SpectralData
 
 
@@ -86,7 +86,7 @@ def _parse_ratfunc(obj, where):
         den = [Fraction(1)]
     if all(c == 0 for c in den):
         raise CurveSpecError(f"{where}: zero denominator")
-    return RatFunc.from_coeffs(QQ, num, den)
+    return RatFunc.from_coeffs(num, den)
 
 
 def parse_point(v, where):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
 
-from .algebra import INF, QQ, Poly, RatFunc, factor_over
+from .algebra import INF, Poly, RatFunc, factor_over
 from .algebra.fields import _numerators
 from .algebra.poly import _int_lcm
 
@@ -32,10 +32,6 @@ class KSection:
 
     f: RatFunc
     weight: int
-
-    @property
-    def field(self):
-        return self.f.field
 
     def is_zero(self):
         return self.f.is_zero()
@@ -87,9 +83,9 @@ def divisor_of(section):
         raise ValueError("zero section has no divisor")
     f = section.f
     items = {}
-    for fac, mult in factor_over(f.field, f.num):
+    for fac, mult in factor_over(f.num):
         items[fac] = items.get(fac, 0) + mult
-    for fac, mult in factor_over(f.field, f.den):
+    for fac, mult in factor_over(f.den):
         items[fac] = items.get(fac, 0) - mult
     oinf = section.order_at(INF)
     if oinf:
@@ -123,12 +119,8 @@ class SpectralData:
         a2 = m00 * m11 - m01 * m10
         return SpectralData(a1, a2)
 
-    @property
-    def field(self):
-        return self.a1.field
-
     def _disc_func(self):
-        quarter = RatFunc.const(self.field, Fraction(1, 4))
+        quarter = RatFunc.const(Fraction(1, 4))
         return self.a1.f * self.a1.f * quarter - self.a2.f
 
     def discriminant(self):
@@ -141,7 +133,7 @@ class SpectralData:
         for sec in (self.a1, self.a2):
             if sec.is_zero():
                 continue
-            for fac, _ in factor_over(self.field, sec.f.den):
+            for fac, _ in factor_over(sec.f.den):
                 places[fac] = True
             if sec.pole_order_at(INF) > 0:
                 places[INF] = True
@@ -245,18 +237,16 @@ def _uw_model(sd):
 
     Coordinates (u, w) with x = 1/u and w = -u^2/y; coefficients of
     w^0, w^1, w^2 are returned as coprime polynomials in u with a canonical
-    sign, matching the usual normal forms like w^2 - u^5.  Over QQ only, as
-    ``genus_report`` factors the discriminant over QQ before it gets here.
+    sign, matching the usual normal forms like w^2 - u^5.
     """
-    f = sd.field
-    u = RatFunc.x(f)
-    inv_u = RatFunc.from_coeffs(f, [1], [0, 1])
+    u = RatFunc.x()
+    inv_u = RatFunc.from_coeffs([1], [0, 1])
     A1 = sd.a1.f.compose(inv_u)
     A2 = sd.a2.f.compose(inv_u)
     t0 = u * u * u * u
     t1 = -A1 * u * u
     t2 = A2
-    den = Poly(QQ, _int_lcm([_numerators(t.den.coeffs)[0] for t in (t0, t1, t2)]))
+    den = Poly(_int_lcm([_numerators(t.den.coeffs)[0] for t in (t0, t1, t2)]))
     polys = []
     for t in (t0, t1, t2):
         cleared = t * RatFunc(den)
@@ -268,22 +258,16 @@ def _uw_model(sd):
     if g.degree > 0:
         polys = [p // g for p in polys]
     # primitive integer normalization with a canonical sign
-    if f is QQ:
-        nums, denlcm = _numerators([c for p in polys for c in p.coeffs])
-        content = gcd(*nums)
-        if content:
-            scale = Fraction(denlcm, content)
-            polys = [p * scale for p in polys]
+    nums, denlcm = _numerators([c for p in polys for c in p.coeffs])
+    content = gcd(*nums)
+    if content:
+        scale = Fraction(denlcm, content)
+        polys = [p * scale for p in polys]
     pivot = polys[2] if not polys[2].is_zero() else polys[0]
-    lead = pivot.leading()
-    if isinstance(lead, Fraction) and lead < 0:
+    if pivot.leading() < 0:
         polys = [-p for p in polys]
-    p0, p1, p2 = polys
-    singular = (
-        f.is_zero(p0(f.zero()))
-        and f.is_zero(p0.derivative()(f.zero()))
-        and f.is_zero(p1(f.zero()))
-    )
+    p0, p1, _ = polys
+    singular = p0(0) == 0 and p0.derivative()(0) == 0 and p1(0) == 0
     return polys, singular
 
 
@@ -299,7 +283,12 @@ def genus_report(sd, g=0):
     for prof in profiles:
         k_eff = prof.k if prof.k is not None else 0
         l_eff = prof.l if prof.l is not None else 0
-        a += max(k_eff, l_eff) * _place_degree(prof.place)
+        # where l >= 2k the local model is the completed square y'^2 = disc/4,
+        # so the place adds the discriminant's pole order n, as the chain
+        # length n // 2 of pole_profile does; it is below l when the leading
+        # terms of a1^2/4 and a2 cancel
+        twist = prof.disc_pole if l_eff >= 2 * k_eff else max(k_eff, l_eff)
+        a += twist * _place_degree(prof.place)
     uw, singular0 = _uw_model(sd)
     return CurveReport(
         base_genus=g,

@@ -62,7 +62,7 @@ from .algebra.fields import _int_convolve, _numerators
 def rational_points_of(poly, what):
     """All roots of a QQ-polynomial, which must all be rational."""
     roots = []
-    for fac, mult in factor_over(QQ, poly):
+    for fac, mult in factor_over(poly):
         if fac.degree != 1:
             raise ValueError(
                 f"{what} has an irrational point (factor {fac.to_str()}); "
@@ -107,10 +107,6 @@ def key_sort(k):
     return (0, q, d)
 
 
-def sorted_keys(keys):
-    return tuple(sorted(keys, key=key_sort))
-
-
 _basis_cache = {}
 
 
@@ -121,9 +117,9 @@ def basis_function(key):
         return cached
     q, d = key
     if q is INF:
-        out = RatFunc(Poly(QQ, [0] * (d - 2) + [1])) if d > 2 else RatFunc.const(QQ, 1)
+        out = RatFunc(Poly([0] * (d - 2) + [1])) if d > 2 else RatFunc.const(1)
     else:
-        out = RatFunc(Poly.const(QQ, 1), poly_pow(Poly(QQ, [-q, 1]), d), reduce=False)
+        out = RatFunc(Poly.const(1), poly_pow(Poly([-q, 1]), d), reduce=False)
     _basis_cache[key] = out
     return out
 
@@ -143,14 +139,14 @@ def basis_antiderivative(key, normpt):
     if q is INF:
         if normpt is INF:
             raise ValueError("cannot normalize a polynomial primitive at infinity")
-        prim = RatFunc(Poly(QQ, [0] * (d - 1) + [Fraction(1, d - 1)]))
-        return prim - RatFunc.const(QQ, prim(normpt))
+        prim = RatFunc(Poly([0] * (d - 1) + [Fraction(1, d - 1)]))
+        return prim - RatFunc.const(prim(normpt))
     if d == 1:
         raise ValueError("first-order pole integrates to a log in the stable range")
-    prim = RatFunc(Poly.const(QQ, Fraction(-1, d - 1)), poly_pow(Poly(QQ, [-q, 1]), d - 1))
+    prim = RatFunc(Poly.const(Fraction(-1, d - 1)), poly_pow(Poly([-q, 1]), d - 1))
     if normpt is INF:
         return prim
-    return prim - RatFunc.const(QQ, prim(normpt))
+    return prim - RatFunc.const(prim(normpt))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +159,7 @@ class ParamCurve:
         self.y = y
         self.sigma = sigma
         self.normpt = normalization_point
-        field = x.field
-        t = RatFunc.x(field)
-        if sigma.compose(sigma) != t:
+        if sigma.compose(sigma) != RatFunc.x():
             raise ValueError("sigma is not an involution")
         if x.compose(sigma) != x:
             raise ValueError("x is not sigma-invariant")
@@ -443,7 +437,7 @@ class TopRecEngine:
         if tag == "sigp":
             return curve.sigma_prime
         if tag == "diag":
-            diff = RatFunc.x(QQ) - curve.sigma
+            diff = RatFunc.x() - curve.sigma
             return curve.sigma_prime / (diff * diff)
         key = self._key_of(tag[1])
         if tag[0] == "phi":
@@ -460,8 +454,8 @@ class TopRecEngine:
         # the two linear forms are coprime (a e - b c != 0): only the
         # denominator is made monic
         lead = den[1] or den[0]
-        return RatFunc(poly_pow(Poly(QQ, num), k) * (1 / lead ** k),
-                       poly_pow(Poly(QQ, [den[0] / lead, den[1] / lead]), k), reduce=False)
+        return RatFunc(poly_pow(Poly(num), k) * (1 / lead ** k),
+                       poly_pow(Poly([den[0] / lead, den[1] / lead]), k), reduce=False)
 
     @_memo
     def _mobius(self):
@@ -502,7 +496,7 @@ class TopRecEngine:
         local coordinate at p' of sigma(z), expanded at p."""
         sigma = self.curve.sigma
         pp = self._image(p)
-        loc = RatFunc.const(QQ, 1) / sigma if pp is INF else sigma - RatFunc.const(QQ, pp)
+        loc = RatFunc.const(1) / sigma if pp is INF else sigma - RatFunc.const(pp)
         s = expand_ratfunc(loc, p, order)
         # s^m starts at u^(m v) (v = 1: sigma is a Mobius map); its
         # coefficients through u^order are int convolution powers of the
@@ -751,7 +745,7 @@ class TopRecEngine:
         # gauges coincide), while tables and specializations use the
         # vanishing-at-normalization-point gauge
         phi = basis_antiderivative(key, self.curve.normpt)
-        return (phi - phi.compose(self.curve.sigma)) * RatFunc.const(QQ, Fraction(1, 2))
+        return (phi - phi.compose(self.curve.sigma)) * RatFunc.const(Fraction(1, 2))
 
     def principal_specialize(self, m, branch_series):
         """S_m from the table: sum over 2g-2+n = m-1 of F_{g,n}(t,...,t)/n!.
@@ -870,8 +864,8 @@ class TopRecEngine:
         # transport terms, with K_j = 1/(z_1 - z_j) - 1/(z_1 - sigma(z_j)):
         # K_j (d1 F_{g,n-1}(z_1, rest) - Omega dj F_{g,n-1}(points) / Omega(z_j))
         for j, (zj, szj) in enumerate(zip(points, images)):
-            kern_num = Poly.const(QQ, zj - szj)
-            kern_den = Poly(QQ, [-zj, 1]) * Poly(QQ, [-szj, 1])
+            kern_num = Poly.const(zj - szj)
+            kern_den = Poly([-zj, 1]) * Poly([-szj, 1])
             d1f = d1(g, idx[:j] + idx[j + 1:])
             terms.append((Fraction(1), kern_num * d1f.num, kern_den * d1f.den))
             djf = self._eval_table(self.F(g, n - 1), list(points), deriv=j, primitive=prim, memo=memo)
@@ -922,9 +916,9 @@ def branch_maps(curve, place, e, order):
     """
     t0 = curve.normpt
     if place is INF:
-        w = RatFunc.const(QQ, 1) / curve.x
+        w = RatFunc.const(1) / curve.x
     else:
-        w = curve.x - RatFunc.const(QQ, place)
+        w = curve.x - RatFunc.const(place)
     local_degree = w.order_at(t0)
     if local_degree != e:
         raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .algebra import INF, QQ, QuadExtField, RatFunc, expand_ratfunc
+from .algebra import INF, QuadExtField, RatFunc, expand_ratfunc
 from .curvespec import load_curve
 from .lattice import count_check, lattice_from_spectral
 from .oracles import (
@@ -128,8 +128,8 @@ def suite_table1(records=None):
     for name, want in TABLE1.items():
         spec = load_curve(name)
         a1_want, a2_want = OPERATORS[name]
-        a1 = RatFunc.from_coeffs(QQ, *a1_want)
-        a2 = RatFunc.from_coeffs(QQ, *a2_want)
+        a1 = RatFunc.from_coeffs(*a1_want)
+        a2 = RatFunc.from_coeffs(*a2_want)
         _check(records, f"table1/{name}/operator",
                spec.sd.a1.f == a1 and spec.sd.a2.f == a2,
                f"(h d/dx)^2 + ({a1.to_str()})(h d/dx) + ({a2.to_str()})")
@@ -182,12 +182,11 @@ def suite_wkb_golden(records=None):
     # Catalan: S0 = -z^2/2 + log z, S1 = -(1/2) log(1 - z^2), z the Catalan series
     spec = load_curve("catalan")
     st = wkb_state_for(spec, depth=1, order=14)
-    x = RatFunc.from_coeffs(QQ, [1, 0, 1], [0, 1])  # z + 1/z
+    x = RatFunc.from_coeffs([1, 0, 1], [0, 1])  # z + 1/z
     z = expand_ratfunc(x, Fraction(0), 15).reversion()  # z(xi), xi = 1/x
     s0_expect = -(z * z) * Fraction(1, 2) + z.shift(-1).log1()  # log z = log xi + log(z/xi)
     ok0 = st.S[0].lam == 1 and st.S[0].body.eq_through(s0_expect, 12)
     _check(records, "wkb/catalan/S0", ok0, repr(st.S[0]))
-    one = z.field.one()
     s1_expect = (1 - z * z).log1() * Fraction(-1, 2)
     ok1 = st.S[1].lam == 0 and st.S[1].body.eq_through(s1_expect, 12)
     _check(records, "wkb/catalan/S1", ok1, repr(st.S[1]))

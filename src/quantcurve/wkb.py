@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import INF, LogSeries, QuadExtField, QQ, RatFunc, TruncSeries, expand_ratfunc
+from .algebra import INF, LogSeries, Poly, QuadExtField, QQ, RatFunc, TruncSeries, expand_ratfunc
 from .algebra.series import product_order
 
 
@@ -141,7 +141,7 @@ def semiclassical_root(cfg):
     4 a2, a1 a1 loses m orders of the discriminant, and S0' keeps the pole
     while 2 S0' + a1 does not, so each depth loses e (m + 1) more.
     """
-    field = cfg.a1.field
+    field = QQ
     e, v = cfg.e, cfg.disc_order
     m = 0 if cfg.a1.is_zero() else -cfg.a1.order_at(cfg.place)
     m = m if m > 0 and v > -2 * m else 0  # the order of a cancelling pole
@@ -289,16 +289,13 @@ def assemble_wavefunction(state, order_x=None):
 
 def _pack_hpoly(hfield, d):
     """{h power: Fraction} -> element of the h-field, without gcd work."""
-    from .algebra import Poly, RatFunc as RF
-
-    base = hfield.base
     if not d:
         return hfield.zero()
     shift = max(0, -min(d))
     deg = max(d) + shift
-    coeffs = [base.zero()] * (deg + 1)
+    coeffs = [Fraction(0)] * (deg + 1)
     for p, c in d.items():
         coeffs[p + shift] = c
-    num = Poly(base, coeffs)
-    den = Poly(base, [base.zero()] * shift + [base.one()])
-    return hfield.of(RF(num, den, reduce=False))
+    num = Poly(coeffs)
+    den = Poly([Fraction(0)] * shift + [Fraction(1)], normalize=False)
+    return hfield.of(RatFunc(num, den, reduce=False))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from quantcurve.algebra import HBAR_FIELD, INF, QQ, RatFunc, expand_ratfunc
+from quantcurve.algebra import HBAR_FIELD, INF, RatFunc, expand_ratfunc
 from quantcurve.curvespec import load_curve
 from quantcurve.lattice import adjunction_genus, build_lattice, count_check, lattice_from_spectral
 from quantcurve.oracles import (
@@ -235,10 +235,10 @@ def test_criterion_8_property_suites():
             c = Fraction(rng.randint(-6, 6))
             if c not in roots:
                 roots.append(c)
-        den = Poly.const(QQ, 1)
+        den = Poly.const(1)
         for r in roots:
-            den = den * Poly(QQ, [-r, 1])
-        num = Poly(QQ, [Fraction(rng.randint(-8, 8)) for _ in range(rng.randint(1, len(roots) + 2))])
+            den = den * Poly([-r, 1])
+        num = Poly([Fraction(rng.randint(-8, 8)) for _ in range(rng.randint(1, len(roots) + 2))])
         if num.is_zero():
             continue
         f = RatFunc(num, den)
@@ -276,8 +276,8 @@ def test_criterion_8_property_suites():
     done = 0
     while done < 15:
         c = Fraction(rng.randint(1, 5))
-        a1 = RatFunc.from_coeffs(QQ, [Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))])
-        g = RatFunc.from_coeffs(QQ, [c * c, Fraction(rng.randint(-4, 4))])
+        a1 = RatFunc.from_coeffs([Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))])
+        g = RatFunc.from_coeffs([c * c, Fraction(rng.randint(-4, 4))])
         a2 = (a1 * a1 - g * g) * Fraction(1, 4)
         try:
             st = solve_wkb(WkbConfig(a1, a2, Fraction(0),

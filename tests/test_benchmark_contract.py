@@ -2,21 +2,27 @@
 Installing its tracer here makes a deleted or renamed name fail the test
 suite, not only a benchmark run.  Nothing under perfbench/ is written."""
 
+from fractions import Fraction
 from pathlib import Path
 
 from quantcurve import cli, toprec, wkb
+from quantcurve.algebra import RatFunc
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+def _tracer(monkeypatch):
     monkeypatch.setattr("sys.dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
+    return Tracer()
+
+
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
+    tracer = _tracer(monkeypatch)
     originals = (toprec.TopRecEngine.__dict__["W"], wkb.solve_wkb, wkb.wkb_extend,
                  wkb.verify_operator)
-    tracer = Tracer()
     tracer.install()
     try:
         assert tracer._undo
@@ -28,3 +34,15 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert (toprec.TopRecEngine.__dict__["W"], wkb.solve_wkb, wkb.wkb_extend,
             wkb.verify_operator) == originals
+
+
+def test_traced_expand_ratfunc_reads_the_ratfunc_field(monkeypatch):
+    # the tracer tags an expand_ratfunc span by the .field of its RatFunc
+    tracer = _tracer(monkeypatch)
+    tracer.install()
+    try:
+        toprec.expand_ratfunc(RatFunc.from_coeffs([1], [1, 1]), Fraction(0), 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["series.expand_ratfunc"] == 1
+    assert tracer.calls["series.field.qq"] == 1

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import quantcurve
-from quantcurve.algebra import QQ, RatFunc
+from quantcurve.algebra import RatFunc
 from quantcurve.cli import (
     MAX_SAMPLES,
     MAX_VERIFY_DEPTH,
@@ -32,7 +32,7 @@ from quantcurve.toprec import TopRecEngine
 
 
 def rf(num, den=(1,)):
-    return RatFunc.from_coeffs(QQ, num, den)
+    return RatFunc.from_coeffs(num, den)
 
 
 def test_builtin_airy_coefficients():

@@ -14,15 +14,15 @@ def sample(field, rng, name):
     if name == "QQ":
         return Fraction(rng.randint(-20, 20), rng.randint(1, 9))
     if name == "QQ(sqrt3)":
-        return field.make(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
-                          Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        return (field.of(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                + field.gen * Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
     num = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3))]
     den = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, 3))]
     if all(c == 0 for c in den):
         den = [Fraction(1)]
     if all(c == 0 for c in num):
         num = [Fraction(1)]
-    return field.of(RatFunc.from_coeffs(QQ, num, den))
+    return field.of(RatFunc.from_coeffs(num, den))
 
 
 @pytest.mark.parametrize("name,field", fields())

@@ -20,9 +20,9 @@ from quantcurve.toprec import (
     arrangement_sum,
     basis_function,
     branch_maps,
+    key_sort,
     matching_branch_map,
     ratfunc_at_series,
-    sorted_keys,
 )
 from quantcurve.verify import (
     DIFF_SAMPLE_POINTS,
@@ -35,7 +35,7 @@ from quantcurve.curvespec import BUILTIN_NAMES, load_curve
 
 
 def rf(num, den=(1,)):
-    return RatFunc.from_coeffs(QQ, num, den)
+    return RatFunc.from_coeffs(num, den)
 
 
 def test_airy_curve_data(airy_engine):
@@ -159,7 +159,7 @@ def test_key_ids_rank_places_in_key_sort_order(catalan_engine):
     keys = [(q, d) for q in eng.curve.support for d in (2, 5)]
     ids = {eng._key_id(k): k for k in keys}
     same_order = [ids[i] for i in sorted(ids) if ids[i][1] == 2]
-    assert same_order == list(sorted_keys(k for k in keys if k[1] == 2))
+    assert same_order == sorted((k for k in keys if k[1] == 2), key=key_sort)
 
 
 @pytest.mark.parametrize("place", [Fraction(2), Fraction(1, 3)])
@@ -175,7 +175,7 @@ def test_public_tables_hold_sorted_place_keys(name, request):
     for level in range(1, 6):
         for _, tab in eng.compute_level(level):
             for M in tab.table:
-                assert M == sorted_keys(M)
+                assert M == tuple(sorted(M, key=key_sort))
                 for key in M:
                     assert isinstance(key, tuple) and len(key) == 2
                     assert key[0] in curve.support and type(key[1]) is int
@@ -564,7 +564,7 @@ def test_arrangement_sum_with_symbolic_slot(M, table, data):
     assert all(isinstance(w, Fraction) for w in form.values())
     assert len(calls) == len(set(calls)) == len(set(M)) * (len(M) - 1)
     assert all(i != last for _, i in calls)
-    got = sum((w * value(key, last) for key, w in form.items()), RatFunc.const(QQ, 0))
+    got = sum((w * value(key, last) for key, w in form.items()), RatFunc.const(0))
     assert got == _brute_arrangement_sum(M, value)
 
 
@@ -587,7 +587,7 @@ _PLACEMENT_KEYS = [(INF, 2), (INF, 4), (Fraction(-1), 3)]
 @given(rest=st.lists(st.sampled_from(_PLACEMENT_KEYS), max_size=6),
        extras=st.lists(st.sampled_from(_PLACEMENT_KEYS), max_size=3))
 def test_placements_count_slot_assignments(rest, extras):
-    rest, extras = sorted_keys(rest), tuple(extras)
+    rest, extras = tuple(sorted(rest, key=key_sort)), tuple(extras)
     full = rest + extras
     # brute force: a distinct slot of rest + extras for each coupled key in
     # turn, holding that key
@@ -745,7 +745,7 @@ def _composed_branch_maps(curve, place, e, order):
     # INF) in rational-function algebra, then expand at s = 0
     t0 = curve.normpt
     X = curve.x.compose(rf([1], [0, 1]) if t0 is INF else rf([t0, 1]))
-    w = RatFunc.const(QQ, 1) / X if place is INF else X - RatFunc.const(QQ, place)
+    w = RatFunc.const(1) / X if place is INF else X - RatFunc.const(place)
     wser = expand_ratfunc(w, Fraction(0), order + 4)
     roots = [wser] if e == 1 else [wser.sqrt(), -wser.sqrt()]
     outs = []
