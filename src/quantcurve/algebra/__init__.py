@@ -10,7 +10,7 @@ from .poly import (
     ratfunc_sum,
     root_multiplicity,
 )
-from .series import LogSeries, TruncSeries, expand_poly, expand_ratfunc
+from .series import LogSeries, TruncSeries, expand_poly, expand_ratfunc, laurent_ints
 
 #: shared field of rational functions in the quantization parameter
 HBAR_FIELD = FractionField()
@@ -34,4 +34,5 @@ __all__ = [
     "TruncSeries",
     "expand_poly",
     "expand_ratfunc",
+    "laurent_ints",
 ]

@@ -608,9 +608,32 @@ class RatFunc:
         return self.num(v) / dv
 
     def compose(self, other):
-        """self(other) for a RatFunc argument: Horner in the RatFunc algebra,
-        without the pole test of a point evaluation."""
-        return self.num(other) / self.den(other)
+        """self(other) for a RatFunc argument, by homogenization: with
+        other = A / B and k = max(deg num, deg den), self(A / B) is
+        B^k num(A / B) / B^k den(A / B), two int polynomials in A and B
+        (sum c_i A^i B^(k-i)) and one reduction."""
+        (N, dn), (D, dd) = _numerators(self.num.coeffs), _numerators(self.den.coeffs)
+        (A, da), (B, db) = _numerators(other.num.coeffs), _numerators(other.den.coeffs)
+        # A / B over Z[x]: (A db) / (B da)
+        A, B = [c * db for c in A], [c * da for c in B]
+        k = max(len(N), len(D)) - 1
+        apow, bpow = [[1]], [[1]]
+        for _ in range(k):
+            apow.append(_mul(apow[-1], A))
+            bpow.append(_mul(bpow[-1], B))
+
+        def homogenized(P):
+            out = []
+            for i, c in enumerate(P):
+                if c:
+                    out = _lincomb(out, _mul(apow[i], bpow[k - i]), c)
+            return out
+
+        num, den = homogenized(N), homogenized(D)
+        if not den:
+            raise ZeroDivisionError("division by zero rational function")
+        # self = (N / dn) / (D / dd)
+        return RatFunc(*_qq_reduced(num, den, dd, dn), reduce=False)
 
     def is_square(self):
         rn = self.num.sqrt()
@@ -702,19 +725,16 @@ def root_multiplicity(p, fac):
 
 
 class FracFuncElement:
-    """Element of a rational function field, wrapping a RatFunc."""
+    """Element of QQ(h), wrapping a RatFunc in h."""
 
-    __slots__ = ("parent", "rf")
+    __slots__ = ("rf",)
 
-    def __init__(self, parent, rf):
-        self.parent = parent
+    def __init__(self, rf):
         self.rf = rf
 
     def _coerce(self, other):
-        if isinstance(other, FracFuncElement) and other.parent is self.parent:
-            return other
         try:
-            return self.parent.of(other)
+            return FractionField.of(other)
         except TypeError:
             return None
 
@@ -722,18 +742,18 @@ class FracFuncElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FracFuncElement(self.parent, self.rf + o.rf)
+        return FracFuncElement(self.rf + o.rf)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FracFuncElement(self.parent, -self.rf)
+        return FracFuncElement(-self.rf)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FracFuncElement(self.parent, self.rf - o.rf)
+        return FracFuncElement(self.rf - o.rf)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -745,7 +765,7 @@ class FracFuncElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FracFuncElement(self.parent, self.rf * o.rf)
+        return FracFuncElement(self.rf * o.rf)
 
     __rmul__ = __mul__
 
@@ -753,7 +773,7 @@ class FracFuncElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FracFuncElement(self.parent, self.rf / o.rf)
+        return FracFuncElement(self.rf / o.rf)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -777,7 +797,7 @@ class FracFuncElement:
         return not self.rf.is_zero()
 
     def __repr__(self):
-        return self.rf.to_str(self.parent.var)
+        return self.rf.to_str(FractionField.var)
 
 
 class FractionField:
@@ -789,20 +809,21 @@ class FractionField:
     name = "QQ(h)"
 
     def __init__(self):
-        self.gen = FracFuncElement(self, RatFunc.x())
+        self.gen = FracFuncElement(RatFunc.x())
 
     def zero(self):
-        return FracFuncElement(self, RatFunc.const(0))
+        return FracFuncElement(RatFunc.const(0))
 
     def one(self):
-        return FracFuncElement(self, RatFunc.const(1))
+        return FracFuncElement(RatFunc.const(1))
 
-    def of(self, v):
-        if isinstance(v, FracFuncElement) and v.parent is self:
+    @staticmethod
+    def of(v):
+        if isinstance(v, FracFuncElement):
             return v
         if isinstance(v, RatFunc):
-            return FracFuncElement(self, v)
-        return FracFuncElement(self, RatFunc.const(v))
+            return FracFuncElement(v)
+        return FracFuncElement(RatFunc.const(v))
 
     def is_zero(self, v):
         return not self.of(v)
@@ -815,7 +836,7 @@ class FractionField:
         rd = rf.den.sqrt()
         if rd is None:
             return None
-        return FracFuncElement(self, RatFunc(rn, rd))
+        return FracFuncElement(RatFunc(rn, rd))
 
     def to_str(self, v):
         rf = self.of(v).rf

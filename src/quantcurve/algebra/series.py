@@ -14,7 +14,9 @@ series body; antiderivatives produce it, derivatives fold it back.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
+from .fields import QQ, _numerators
 from .poly import INF
 
 
@@ -339,31 +341,84 @@ def expand_poly(p, place, order):
     return TruncSeries(f, 0, cs, order)
 
 
+def _local_ints(N, D, place):
+    """Int lists n, d and the valuation v with N(x) / D(x) = u^v n(u) / d(u)
+    in the uniformizer u at the place (x - place, or 1/x at INF), for int
+    lists N and D (D nonzero); n[0] and d[0] are nonzero, and d[0] > 0."""
+    if place is INF:
+        n, d, v = N[::-1], D[::-1], len(D) - len(N)
+    else:
+        # with place = a / b and m = max(deg N, deg D), b^m P((a + y) / b) is
+        # the int list b^(m - i) p_i shifted by a; y = b u scales y^k by b^k
+        a, b = place.numerator, place.denominator
+        m = max(len(N), len(D)) - 1
+        n, d = ([c * b ** (m - i) for i, c in enumerate(P)] for P in (N, D))
+        for P in (n, d):
+            if a:
+                for i in range(len(P) - 1):
+                    for k in range(len(P) - 2, i - 1, -1):
+                        P[k] += a * P[k + 1]
+            if b != 1:
+                P[:] = [c * b ** k for k, c in enumerate(P)]
+        zn = next(i for i, c in enumerate(n) if c)
+        zd = next(i for i, c in enumerate(d) if c)
+        n, d, v = n[zn:], d[zd:], zn - zd
+    if d[0] < 0:
+        n, d = [-c for c in n], [-c for c in d]
+    return n, d, v
+
+
+def laurent_ints(f, place, order):
+    """The Laurent expansion of a QQ rational function at a place, exact
+    through u^order in the uniformizer u (x - place, or 1/x at INF), as
+    (val, den, nums): the coefficient of u^(val + k) is nums[k] / den.
+
+    nums has order - val + 1 entries (none when order < val), trailing zeros
+    kept, so the series is known through val + len(nums) - 1; den > 0, and
+    gcd(den, *nums) = 1.  With n / d the local numerator and denominator on
+    ints, the quotient q_k = (n_k - sum_i d_i q_{k-i}) / d_0 runs on
+    Q_k = q_k d_0^(k+1) = n_k d_0^k - sum_i d_i d_0^(i-1) Q_{k-i}: n terms
+    cost O(n * deg den) int products and one gcd at the end.  The zero
+    function gives (order + 1, 1, []).
+    """
+    if f.is_zero():
+        return order + 1, 1, []
+    (N, dn), (D, dd) = _numerators(f.num.coeffs), _numerators(f.den.coeffs)
+    n, d, val = _local_ints(N, D, place)
+    size = order - val + 1
+    if size <= 0:
+        return val, 1, []
+    d0 = d[0]
+    # e[i - 1] = d_i d0^(i-1)
+    e = [c * d0 ** j for j, c in enumerate(d[1:])]
+    Q, p = [], 1
+    for k in range(size):
+        acc = n[k] * p if k < len(n) else 0
+        for i, c in enumerate(e[:k], 1):
+            acc -= c * Q[k - i]
+        Q.append(acc)
+        p *= d0
+    # q_k = Q_k / d0^(k+1) = Q_k d0^(size-1-k) / d0^size, times dd / dn
+    nums, s = [0] * size, dd
+    for k in range(size - 1, -1, -1):
+        nums[k] = Q[k] * s
+        s *= d0
+    den = p * dn
+    g = gcd(den, *nums)
+    return val, den // g, [c // g for c in nums]
+
+
 def expand_ratfunc(f, place, order, e=1):
-    """Laurent expansion of a rational function at a place.
+    """Laurent expansion of a QQ rational function at a place, as a
+    ``TruncSeries`` exact through ``order``: the ``Fraction`` view of
+    ``laurent_ints``, which runs the quotient's recurrence on ints.
 
     The result is a series in the local parameter tau with tau**e equal to
     the uniformizer (x - place, or 1/x at INF); rational functions only
-    produce exponents divisible by e.  It is exact through ``order``: the
-    local coefficients N of num and D of den are taken exactly, without
-    padding, and the quotient follows q_k = (N_k - sum_i D_i q_{k-i}) / D_0,
-    so n terms cost O(n * deg den).
+    produce exponents divisible by e.
     """
-    field = f.field
-    if f.is_zero():
-        return TruncSeries.zero(field, order * e, e=e)
-    num = expand_poly(f.num, place, f.num.degree)
-    den = expand_poly(f.den, place, f.den.degree)
-    val = num.val - den.val
-    n, d = num.coeffs, den.coeffs
-    inv0 = field.one() / d[0]
-    q = []
-    for k in range(order - val + 1):
-        acc = n[k] if k < len(n) else field.zero()
-        for i in range(1, min(k, len(d) - 1) + 1):
-            acc = acc - d[i] * q[k - i]
-        q.append(acc * inv0)
-    out = TruncSeries(field, val, q, order)
+    val, den, nums = laurent_ints(f, place, order)
+    out = TruncSeries(QQ, val, [Fraction(c, den) for c in nums], order)
     if e != 1:
         out = out.scale_exponents(e).copy(e=e)
     return out

@@ -16,8 +16,8 @@ recursion), and ``"expansion"`` (default place/branch/orders for the WKB
 subcommand).
 
 The registry ships the five standard examples: airy, hermite (alias
-catalan, which carries the enumerative parametrization), gauss, and the two
-unnamed table rows (mixed, smooth).
+catalan, the same spec under a second name), gauss, and the two unnamed
+table rows (mixed, smooth).
 """
 
 from __future__ import annotations
@@ -228,7 +228,8 @@ BUILTIN_SPECS = {
     },
 }
 
-# catalan: the Hermite operator seen through its enumerative parametrization
+# catalan is an alias of hermite: the same operator and the same
+# parametrization under a second name
 BUILTIN_SPECS["catalan"] = dict(BUILTIN_SPECS["hermite"], name="catalan")
 
 BUILTIN_NAMES = tuple(sorted(BUILTIN_SPECS))

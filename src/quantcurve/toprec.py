@@ -29,12 +29,15 @@ the number of support places ranked in ``key_sort`` order
 (``TopRecEngine._key_id``), and a multiset of keys is a sorted tuple of
 ints; the local vectors, the transforms, the bracket jobs and the
 accumulation all hash and sort ints only.  The arithmetic is on int
-numerators over one denominator per piece: the residue fold scales each
-vector factor and the scalar's coefficients once, and a transform returns
-ints over one denominator per point; a table keeps (den, {key ids: int})
-beside its public table, the bracket's job coefficients are ints over one
-denominator per bracket, and the accumulation adds ints over one common
-denominator per table.  Keys are decoded (``TopRecEngine._key_of``) where
+numerators over one denominator per piece.  A local series is (val, den,
+nums) as ``laurent_ints`` expands it; every transform's scalar carries
+sigma'/Omega, which is one factor per point, and the scalar of a transform
+is one int convolution chain of its factors.  The kernel and coupled
+vectors are (key id, int) pairs over one denominator per point, and a
+transform returns ints over one denominator per point.  A table keeps
+(den, {key ids: int}) beside its public table, the bracket's job
+coefficients are ints over one denominator per bracket, and the
+accumulation adds ints over one common denominator per table.  Keys are decoded (``TopRecEngine._key_of``) where
 they leave the recursion: in the public tables of ``W``/``F`` (keyed by
 (place, order) tuples sorted by ``key_sort``, with ``Fraction``
 coefficients), in the basis functions of scalar factors, in the
@@ -50,7 +53,7 @@ from math import comb, factorial, gcd, lcm
 
 from .algebra import (
     INF, LogSeries, Poly, QQ, RatFunc, TruncSeries,
-    expand_ratfunc, factor_over, poly_pow, ratfunc_sum,
+    expand_ratfunc, factor_over, laurent_ints, poly_pow, ratfunc_sum,
 )
 from .algebra.fields import _int_convolve, _numerators
 
@@ -285,25 +288,25 @@ def _residue(factors, scalar, target, sign, p):
     """sign * (coefficient of u^target in scalar * prod(factors)), as
     (den, {keys: numerator}): ints over one denominator, zeros left out.
 
-    Each factor is a vector series: its j-th item maps a basis key to the
-    coefficient of u^j.  The scalar's coefficients and each factor are
-    scaled once to int numerators over one denominator of their own.  The
-    fold starts from the scalar coefficient of u^(target - r), which leaves
-    r to the vector factors; each factor takes m <= r of it, the last one
-    all, and the keys it reads extend a tuple of basis keys, one per factor.
-    The scalar must be known through u^target and each factor through
-    u^(target - val(scalar)); a shorter input is an error, not a truncation,
-    and names the support point p.
+    The scalar is (val, den, nums) as ``laurent_ints`` gives it, known
+    through u^(val + len(nums) - 1).  Each factor is a vector series (vec,
+    den): vec[j] lists the (basis key, numerator) pairs of the coefficient
+    of u^j, over den.  The fold starts from the scalar coefficient of
+    u^(target - r), which leaves r to the vector factors; each factor takes
+    m <= r of it, the last one all, and the keys it reads extend a tuple of
+    basis keys, one per factor.  The scalar must be known through u^target
+    and each factor through u^(target - val); a shorter input is an error,
+    not a truncation, and names the support point p.
     """
-    top = target - scalar.val
-    if scalar.order < target:
-        raise AssertionError(f"residue at {p} needs the scalar through u^{target}, not u^{scalar.order}")
-    for vec in factors:
+    val, den, nums = scalar
+    top, known = target - val, val + len(nums) - 1
+    if known < target:
+        raise AssertionError(f"residue at {p} needs the scalar through u^{target}, not u^{known}")
+    for vec, _ in factors:
         if len(vec) <= top:
             raise AssertionError(f"residue at {p} needs {top + 1} terms of each vector factor, one has {len(vec)}")
-    nums, den = _numerators([scalar.coefficient(target - r) for r in range(top + 1)])
-    acc = {r: {(): sign * c} for r, c in enumerate(nums) if c}
-    *inner, last = [_int_vector(vec[: top + 1]) for vec in factors]
+    acc = {r: {(): sign * nums[top - r]} for r in range(top + 1) if nums[top - r]}
+    *inner, last = factors
     for vec, vden in inner:
         den *= vden
         nxt = {}
@@ -328,12 +331,10 @@ def _residue(factors, scalar, target, sign, p):
     return den // k, {keys: v // k for keys, v in out.items()}
 
 
-def _int_vector(vec):
-    """A vector series as ([[(key, numerator), ...] per power], den): int
-    numerators over one common denominator."""
-    nums, den = _numerators([c for part in vec for c in part.values()])
-    it = iter(nums)
-    return [[(b, next(it)) for b in part] for part in vec], den
+def _pairs(vec):
+    """A vector series of {key: numerator} dicts as lists of (key,
+    numerator) pairs, zeros left out."""
+    return [[(b, c) for b, c in part.items() if c] for part in vec]
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +430,14 @@ class TopRecEngine:
 
     @_memo
     def _factor_fn(self, tag):
-        """The rational function of a scalar factor ("invw" stands for
-        1/Omega and names Omega itself)."""
+        """The rational function of a scalar factor: "diag" is
+        1/(t - sigma(t))^2, ("phi", id) a basis function and ("phis", id) its
+        pullback by sigma.  The factor "sigw", sigma'/Omega, has none: its
+        series is taken from those of Omega and sigma'."""
         curve = self.curve
-        if tag == "invw":
-            return curve.omega
-        if tag == "sigp":
-            return curve.sigma_prime
         if tag == "diag":
             diff = RatFunc.x() - curve.sigma
-            return curve.sigma_prime / (diff * diff)
+            return RatFunc.const(1) / (diff * diff)
         key = self._key_of(tag[1])
         if tag[0] == "phi":
             return basis_function(key)
@@ -473,56 +472,67 @@ class TopRecEngine:
     @_memo
     def _val(self, tag, p):
         """Exact valuation of a scalar factor at a support point."""
+        if tag == "sigw":
+            return self.curve.sigma_prime.order_at(p) - self.curve.omega.order_at(p)
         if tag[0] == "phi":
             return basis_order(self._key_of(tag[1]), p)
         if tag[0] == "phis":
             # a Mobius map keeps orders: phi(sigma(t)) has at p the order
             # that phi has at sigma(p)
             return basis_order(self._key_of(tag[1]), self._image(p))
-        v = self._factor_fn(tag).order_at(p)
-        return -v if tag == "invw" else v
+        return self._factor_fn(tag).order_at(p)
 
     @_per_point
     def _expansion(self, p, order, tag):
-        """Local series of a scalar factor at p, exact through ``order``."""
-        if tag != "invw":
-            return expand_ratfunc(self._factor_fn(tag), p, order)
-        # Omega through order + 2 val(Omega) inverts to exactly `order`
-        return expand_ratfunc(self.curve.omega, p, order - 2 * self._val(tag, p)).inverse()
+        """Local series of a scalar factor at p, exact through ``order``, as
+        int numerators (val, den, nums) (see ``laurent_ints``)."""
+        if tag != "sigw":
+            return laurent_ints(self._factor_fn(tag), p, order)
+        # Omega (order w at p) through order - s + 2 w inverts to order - s,
+        # and times sigma' (order s) through order + w is exact through order
+        curve = self.curve
+        s, w = curve.sigma_prime.order_at(p), curve.omega.order_at(p)
+        ser = (expand_ratfunc(curve.omega, p, order - s + 2 * w).inverse()
+               * expand_ratfunc(curve.sigma_prime, p, order + w))
+        nums, den = _numerators(ser.coeffs)
+        return ser.val, den, nums + [0] * (order - ser.val + 1 - len(nums))
 
     @_per_point
     def _sigma_powers(self, p, order):
-        """(image point p', {m: {exponent: coeff}}) for the powers of the
-        local coordinate at p' of sigma(z), expanded at p."""
+        """(image point p', den, {m: {exponent: numerator}}) for the powers of
+        the local coordinate at p' of sigma(z), expanded at p, all over the
+        one denominator den."""
         sigma = self.curve.sigma
         pp = self._image(p)
         loc = RatFunc.const(1) / sigma if pp is INF else sigma - RatFunc.const(pp)
-        s = expand_ratfunc(loc, p, order)
+        v, den, S = laurent_ints(loc, p, order)
         # s^m starts at u^(m v) (v = 1: sigma is a Mobius map); its
-        # coefficients through u^order are int convolution powers of the
-        # numerators of s over the m-th power of their denominator
-        S, den = _numerators(s.coeffs)
-        v = s.val
-        out = {0: {0: Fraction(1)}}
-        cur, cden = [1], 1
-        for m in range(1, order // v + 1):
-            cur, cden = _int_convolve(cur, S, order - m * v + 1), cden * den
-            out[m] = {m * v + k: Fraction(c, cden) for k, c in enumerate(cur) if c}
-        return pp, out
+        # coefficients through u^order are the int convolution powers of S
+        # over den^m, put over D = den^top for the top power
+        top = order // v
+        D = den ** top
+        out, cur = {0: {0: D}}, [1]
+        for m in range(1, top + 1):
+            cur, scale = _int_convolve(cur, S, order - m * v + 1), den ** (top - m)
+            out[m] = {m * v + k: c * scale for k, c in enumerate(cur) if c}
+        # one gcd takes D down to the least common denominator
+        g = gcd(D, *[c for pw in out.values() for c in pw.values()])
+        return pp, D // g, {m: {j: c // g for j, c in pw.items()} for m, pw in out.items()}
 
     # -- kernel and coupled factors as vector-valued series -------------------
 
     def _pole_vectors(self, p, order, side, r):
         """1/(t1 - w)^r at p as a vector series, w = z ("z") or sigma(z)
-        ("s"): vec[j] maps a basis key id in t1 to the coefficient of u^j.
+        ("s"): (vec, den) with vec[j] mapping a basis key id in t1 to the
+        numerator of the coefficient of u^j over den.
 
         With l = w - pp the local coordinate of w at its image pp, the key
         (pp, m + r) carries C(m+r-1, r-1) l^m; at pp = INF, with v = 1/w,
         the key (INF, k + 2) carries (-1)^r C(k+r-1, r-1) v^(k+r)."""
         if side == "z":
-            pp, powers = p, {m: {m: Fraction(1)} for m in range(order + 1)}
+            pp, den, powers = p, 1, {m: {m: 1} for m in range(order + 1)}
         else:
-            pp, powers = self._sigma_powers(p, order)
+            pp, den, powers = self._sigma_powers(p, order)
         # the id of (pp, d) is d * P + the id of (pp, 0)
         P, rank = len(self._places()), self._key_id((pp, 0))
         vec = [{} for _ in range(order + 1)]
@@ -536,21 +546,24 @@ class TopRecEngine:
             for j, c in pw.items():
                 if j <= order:
                     vec[j][key] = scale * c
-        return vec
+        return vec, den
 
     @_per_point
     def _kernel_vectors(self, p, order):
-        """1/(t1 - sigma(z)) - 1/(t1 - z) as a vector series at p."""
-        kv = self._pole_vectors(p, order, "s", 1)
-        for part, zpart in zip(kv, self._pole_vectors(p, order, "z", 1)):
+        """1/(t1 - sigma(z)) - 1/(t1 - z) at p as (vec, den), vec[j] the
+        (key id, numerator) pairs of u^j."""
+        kv, den = self._pole_vectors(p, order, "s", 1)
+        zv, _ = self._pole_vectors(p, order, "z", 1)  # over 1
+        for part, zpart in zip(kv, zv):
             for key, c in zpart.items():
-                part[key] = part.get(key, 0) - c
-        return kv
+                part[key] = part.get(key, 0) - den * c
+        return _pairs(kv), den
 
     @_per_point
     def _coupled_vectors(self, p, order, side):
-        """1/(w - t_j)^2 as a vector series at p, w = z or sigma(z)."""
-        return self._pole_vectors(p, order, side, 2)
+        """1/(w - t_j)^2 at p as (vec, den), w = z or sigma(z)."""
+        vec, den = self._pole_vectors(p, order, side, 2)
+        return _pairs(vec), den
 
     # -- transforms ------------------------------------------------------------
 
@@ -567,9 +580,10 @@ class TopRecEngine:
         vector factor through top = target - v_s.  The vector factors start
         at u^0, so for top < 0 the point contributes nothing and is left out.
         """
-        # scalar part of H: 1/Omega times the z-factors that are functions;
-        # vector factors: the kernel, then the coupled slots
-        tags, sides = ["invw"], []
+        # scalar part of H: sigma'/Omega times the z-factors that are
+        # functions, 1/(z - sigma(z))^2 for the diagonal; vector factors: the
+        # kernel, then the coupled slots
+        tags, sides = ["sigw"], []
         if fspec[0] == "diag":
             tags.append("diag")
         else:
@@ -581,7 +595,6 @@ class TopRecEngine:
                 tags.append(("phis", gspec[1]))
             else:
                 sides.append("s")
-            tags.append("sigp")
         result = {}
         for p in self.curve.support:
             target, sign = (1, -1) if p is INF else (-1, 1)
@@ -589,14 +602,15 @@ class TopRecEngine:
             top = target - sum(vals)
             if top < 0:
                 continue
-            scalar = None
+            # the first top + 1 terms of each factor: a cached series may
+            # run longer than this transform reads
+            nums, den = [1], 1
             for tag, v in zip(tags, vals):
-                # a cached series may run longer than this transform reads
-                s = self._expansion(p, v + top, tag).truncate(v + top)
-                scalar = s if scalar is None else scalar * s
+                _, d, s = self._expansion(p, v + top, tag)
+                nums, den = _int_convolve(nums, s, top + 1), den * d
             factors = [self._kernel_vectors(p, top)]
             factors += [self._coupled_vectors(p, top, side) for side in sides]
-            result[p] = _residue(factors, scalar, target, sign, p)
+            result[p] = _residue(factors, (target - top, den, nums), target, sign, p)
         return result
 
     # -- bracket assembly -------------------------------------------------------

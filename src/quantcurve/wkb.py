@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra import INF, LogSeries, Poly, QuadExtField, QQ, RatFunc, TruncSeries, expand_ratfunc
+from .algebra import (
+    HBAR_FIELD, INF, LogSeries, Poly, QuadExtField, QQ, RatFunc, TruncSeries, expand_ratfunc,
+)
 from .algebra.series import product_order
 
 
@@ -244,9 +246,6 @@ def assemble_wavefunction(state, order_x=None):
     cfg = state.config
     if state.field is not QQ:
         raise ValueError(f"wave assembly is supported over QQ only, not {state.field}")
-    from .algebra import HBAR_FIELD
-
-    hfield = HBAR_FIELD
     body_order = min(s.body.order for s in state.S)
     if order_x is not None:
         if order_x > body_order:
@@ -282,15 +281,15 @@ def assemble_wavefunction(state, order_x=None):
                     key = p1 + p2
                     acc[key] = acc.get(key, Fraction(0)) + scaled * c2
         E[n] = {p: c / n for p, c in acc.items() if c}
-    coeffs = [_pack_hpoly(hfield, E[n]) for n in range(body_order + 1)]
-    body = TruncSeries(hfield, 0, coeffs, body_order, e=cfg.e)
-    return WaveExpansion(_pack_hpoly(hfield, pref), body)
+    coeffs = [_pack_hpoly(E[n]) for n in range(body_order + 1)]
+    body = TruncSeries(HBAR_FIELD, 0, coeffs, body_order, e=cfg.e)
+    return WaveExpansion(_pack_hpoly(pref), body)
 
 
-def _pack_hpoly(hfield, d):
-    """{h power: Fraction} -> element of the h-field, without gcd work."""
+def _pack_hpoly(d):
+    """{h power: Fraction} -> element of QQ(h), without gcd work."""
     if not d:
-        return hfield.zero()
+        return HBAR_FIELD.zero()
     shift = max(0, -min(d))
     deg = max(d) + shift
     coeffs = [Fraction(0)] * (deg + 1)
@@ -298,4 +297,4 @@ def _pack_hpoly(hfield, d):
         coeffs[p + shift] = c
     num = Poly(coeffs)
     den = Poly([Fraction(0)] * shift + [Fraction(1)], normalize=False)
-    return hfield.of(RatFunc(num, den, reduce=False))
+    return HBAR_FIELD.of(RatFunc(num, den, reduce=False))

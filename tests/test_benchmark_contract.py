@@ -46,3 +46,17 @@ def test_traced_expand_ratfunc_reads_the_ratfunc_field(monkeypatch):
         tracer.uninstall()
     assert tracer.calls["series.expand_ratfunc"] == 1
     assert tracer.calls["series.field.qq"] == 1
+
+
+def test_traced_toprec_job_reaches_the_series_layers(monkeypatch):
+    # layers.py maps series.mul, series.inverse and series.expand_ratfunc to
+    # toprec-cold: a traced toprec job must record a call of each, or the
+    # traced run of that workload fails its coverage check
+    tracer = _tracer(monkeypatch)
+    import workloads
+
+    job = workloads.toprec_job("airy", 3)
+    result = tracer.run_job(1, job.kind, job.run)
+    assert job.check(result) == []
+    for name in ("series.mul", "series.inverse", "series.expand_ratfunc"):
+        assert tracer.calls[name] > 0, name

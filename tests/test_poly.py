@@ -287,3 +287,36 @@ def test_ratfunc_sum_reduces_like_sympy(terms):
         num, den = num * _sym(d) + _sym(n * c) * den, den * _sym(d)
     f = ratfunc_sum(terms)
     assert (f.num, f.den) == _sympy_reduced(num, den) and f.den.leading() == 1
+
+
+# RatFunc.compose against the Horner evaluation in the RatFunc algebra it
+# replaced
+
+SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def small_ratfuncs(draw):
+    num = Poly(draw(st.lists(SMALL, max_size=4)))
+    den = Poly(draw(st.lists(SMALL, min_size=1, max_size=4)))
+    return RatFunc(num, den if not den.is_zero() else Poly.const(1))
+
+
+def _horner_compose(f, g):
+    out = f.num(g) / f.den(g)
+    # a constant f evaluates to a Fraction
+    return out if isinstance(out, RatFunc) else RatFunc.const(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_ratfuncs(), small_ratfuncs())
+def test_compose_matches_horner(f, g):
+    try:
+        want = _horner_compose(f, g)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.compose(g)
+        return
+    got = f.compose(g)
+    assert got == want
+    assert got.den.leading() == 1

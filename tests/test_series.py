@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from quantcurve.algebra import (
     TruncSeries,
     expand_poly,
     expand_ratfunc,
+    laurent_ints,
 )
 
 
@@ -220,6 +222,78 @@ def test_expand_ratfunc_matches_padded_division(fp, order, e):
     # the old padding loses order at a pole of order >= 3 and agrees below it
     old = _division_reference(f, place, order, e, n + d + 2)
     assert _fields(got.truncate(old.order)) == _fields(old)
+
+
+# laurent_ints against the Fraction recurrence it replaced
+
+
+def _fraction_recurrence(f, place, order):
+    """(val, [Fraction]): q_k = (N_k - sum_i D_i q_{k-i}) / D_0 in Fractions
+    over the local coefficients N of num and D of den."""
+    num = expand_poly(f.num, place, f.num.degree)
+    den = expand_poly(f.den, place, f.den.degree)
+    n, d = num.coeffs, den.coeffs
+    val, q = num.val - den.val, []
+    for k in range(order - val + 1):
+        acc = n[k] if k < len(n) else Fraction(0)
+        for i in range(1, min(k, len(d) - 1) + 1):
+            acc -= d[i] * q[k - i]
+        q.append(acc / d[0])
+    return val, q
+
+
+@st.composite
+def ratfunc_at_any_place(draw):
+    num = Poly(draw(st.lists(SMALL_QQ, min_size=1, max_size=4)))
+    den = Poly(draw(st.lists(SMALL_QQ, min_size=1, max_size=4)))
+    if num.is_zero():
+        num = Poly.const(1)
+    if den.is_zero():
+        den = Poly.const(1)
+    where = draw(st.sampled_from(["inf", "zero", "random", "pole", "zero of num"]))
+    place = {"inf": INF, "zero": Fraction(0)}.get(where)
+    if place is None:
+        place = draw(st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5)))
+        lin = Poly([-place, 1])
+        for _ in range(draw(st.integers(1, 3)) if where != "random" else 0):
+            if where == "pole":
+                den = den * lin
+            else:
+                num = num * lin
+    return RatFunc(num, den), place
+
+
+def _check_laurent_ints(f, place, order):
+    val, den, nums = laurent_ints(f, place, order)
+    want_val, want = _fraction_recurrence(f, place, order)
+    assert val == want_val
+    assert len(nums) == max(0, order - val + 1)
+    assert type(den) is int and den > 0 and all(type(c) is int for c in nums)
+    assert math.gcd(den, *nums) == 1
+    assert [Fraction(c, den) for c in nums] == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ratfunc_at_any_place(), st.integers(-6, 12))
+def test_laurent_ints_match_the_fraction_recurrence(fp, order):
+    _check_laurent_ints(*fp, order)
+
+
+@pytest.mark.parametrize("f, place, order", [
+    (rf([1], [-1, 1]), Fraction(0), 6),                # D_0 = -1
+    (rf([3], [-5, 0, 1]), Fraction(1), 6),             # D_0 = 1 - 5 < 0
+    (rf([1], [4, -4, 1]), Fraction(2), 4),             # a double pole at the place
+    (rf([0, 0, 0, 1], [2, 1]), Fraction(0), 1),        # order < val
+    (rf([0, 0, 0, 1], [2, 1]), Fraction(0), 2),        # order = val - 1
+    (rf([1], [0, 0, 1]), INF, 1),                      # order < val at INF
+    (rf([1, 2, 1], [-3, 0, 7]), Fraction(-5, 3), 9),
+])
+def test_laurent_ints_edge_cases(f, place, order):
+    _check_laurent_ints(f, place, order)
+
+
+def test_laurent_ints_of_zero():
+    assert laurent_ints(RatFunc.const(0), Fraction(1), 4) == (5, 1, [])
 
 
 # field.convolve, Poly.__mul__ and the Newton inverse against the schoolbook

@@ -4,11 +4,14 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantcurve.algebra import INF, QQ, Poly, RatFunc, TruncSeries, expand_ratfunc
+from quantcurve.algebra import series as series_module
+from quantcurve.algebra.fields import _numerators
 from quantcurve.oracles import airy_closed_free_energy, enumerate_cellular
 from quantcurve.spectral import SpectralData
 from quantcurve import toprec
@@ -198,19 +201,20 @@ def test_each_transform_is_computed_once(name, count, monkeypatch):
     assert len(computed) == len(set(computed)) == count
 
 
-# ceilings on the expand_ratfunc calls of a cold engine through level 5: a
-# rebuild at each longer order a transform asks for makes 61 (airy) and 190
-# (catalan)
-@pytest.mark.parametrize("name,ceiling", [("airy", 39), ("catalan", 134)])
+# ceilings on the laurent_ints calls of a cold engine through level 5, made
+# directly and through expand_ratfunc: a rebuild at each longer order a
+# transform asks for makes 61 (airy) and 190 (catalan)
+@pytest.mark.parametrize("name,ceiling", [("airy", 40), ("catalan", 136)])
 def test_local_series_are_rebuilt_a_few_times(name, ceiling, monkeypatch):
     calls = []
-    expand = toprec.expand_ratfunc
+    kernel = series_module.laurent_ints
 
-    def counted(f, place, order, e=1):
+    def counted(f, place, order):
         calls.append((place, order))
-        return expand(f, place, order, e)
+        return kernel(f, place, order)
 
-    monkeypatch.setattr(toprec, "expand_ratfunc", counted)
+    monkeypatch.setattr(series_module, "laurent_ints", counted)
+    monkeypatch.setattr(toprec, "laurent_ints", counted)
     _, eng = engine_for(load_curve(name))
     for level in range(1, 6):
         eng.compute_level(level)
@@ -240,22 +244,22 @@ def test_sigma_pullbacks_match_compose(name):
 def _residue_inputs():
     # u^-2 + u^-1, exact through u^-1, against the vector series a + 2a u:
     # the u^-1 coefficient of the product is 1 * 2 + 1 * 1
-    scalar = TruncSeries(QQ, -2, [1, 1], -1)
-    vec = [{"a": Fraction(1)}, {"a": Fraction(2)}]
+    scalar = (-2, 1, [1, 1])
+    vec = ([[("a", 1)], [("a", 2)]], 1)
     assert _residue([vec], scalar, -1, 1, Fraction(0)) == (1, {("a",): 3})
     return scalar, vec
 
 
 def test_residue_raises_on_a_scalar_one_order_short():
-    scalar, vec = _residue_inputs()
+    (val, den, nums), vec = _residue_inputs()
     with pytest.raises(AssertionError, match="residue at 0 needs the scalar"):
-        _residue([vec], scalar.truncate(-2), -1, 1, Fraction(0))
+        _residue([vec], (val, den, nums[:1]), -1, 1, Fraction(0))
 
 
 def test_residue_raises_on_a_vector_one_term_short():
     scalar, vec = _residue_inputs()
     with pytest.raises(AssertionError, match="residue at 0 needs 2 terms of each vector factor"):
-        _residue([vec, vec[:1]], scalar, -1, 1, Fraction(0))
+        _residue([vec, (vec[0][:1], 1)], scalar, -1, 1, Fraction(0))
 
 
 _fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
@@ -275,6 +279,19 @@ def _residue_draws(draw):
     return factors, scalar, target, draw(st.sampled_from([1, -1]))
 
 
+def _int_scalar(s):
+    # (val, den, nums) of a TruncSeries, one numerator per power through its order
+    nums, den = _numerators(s.coeffs)
+    return s.val, den, nums + [0] * (s.order - s.val + 1 - len(nums))
+
+
+def _int_factor(vec):
+    # ([[(key, numerator)] per power], den) of a vector series of Fraction dicts
+    nums, den = _numerators([c for part in vec for c in part.values()])
+    it = iter(nums)
+    return [[(b, next(it)) for b in part] for part in vec], den
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_residue_draws())
 def test_residue_matches_a_fraction_fold(draw):
@@ -287,7 +304,8 @@ def test_residue_matches_a_fraction_fold(draw):
                  for keys, j, c in terms for m, part in enumerate(vec) for b, vc in part.items()]
     for keys, j, c in terms:
         want[keys] += c * scalar.coefficient(target - j)
-    den, nums = _residue(factors, scalar, target, sign, Fraction(0))
+    den, nums = _residue([_int_factor(vec) for vec in factors], _int_scalar(scalar),
+                         target, sign, Fraction(0))
     assert isinstance(den, int) and den > 0
     assert all(type(v) is int and v for v in nums.values())
     assert {k: Fraction(v, den) for k, v in nums.items()} == {k: v for k, v in want.items() if v}
@@ -598,6 +616,23 @@ def test_placements_count_slot_assignments(rest, extras):
         assert _three_branch_placements(rest, extras) == brute
 
 
+def _fraction_sigma_powers(eng, p, order):
+    # the engine's powers of sigma's local coordinate, as Fractions: over
+    # their least common denominator, and equal to the TruncSeries powers of
+    # its expansion
+    pp, den, powers = eng._sigma_powers(p, order)
+    assert gcd(den, *[c for pw in powers.values() for c in pw.values()]) == 1
+    out = {m: {j: Fraction(c, den) for j, c in pw.items()} for m, pw in powers.items()}
+    sigma = eng.curve.sigma
+    s = expand_ratfunc(RatFunc.const(1) / sigma if pp is INF else sigma - RatFunc.const(pp), p, order)
+    power = TruncSeries.const(QQ, 1, order)
+    for m in range(len(out)):
+        assert out[m] == {j: c for j, c in power.items() if j <= order}, (p, order, m)
+        power = power * s
+    assert power.val > order
+    return pp, out
+
+
 def _reference_kernel_vectors(eng, p, order):
     # 1/(t1 - sigma(z)) - 1/(t1 - z), one hand-written loop per case
     kv = [defaultdict(Fraction) for _ in range(order + 1)]
@@ -607,7 +642,7 @@ def _reference_kernel_vectors(eng, p, order):
     else:
         for k in range(order + 1):
             kv[k][(p, k + 1)] -= 1
-    pp, powers = eng._sigma_powers(p, order)
+    pp, powers = _fraction_sigma_powers(eng, p, order)
     if pp is INF:
         for k in range(order):
             v = powers.get(k + 1)
@@ -638,7 +673,7 @@ def _reference_coupled_vectors(eng, p, order, side):
             for k in range(order + 1):
                 vec[k][(p, k + 2)] += k + 1
         return vec
-    pp, powers = eng._sigma_powers(p, order)
+    pp, powers = _fraction_sigma_powers(eng, p, order)
     if pp is INF:
         for k in range(order):
             v = powers.get(k + 2)
@@ -659,20 +694,30 @@ def _reference_coupled_vectors(eng, p, order, side):
 
 
 def _decoded(eng, vec):
-    # the engine's vector series keyed by basis keys instead of their ints
-    return [{eng._key_of(b): c for b, c in part.items()} for part in vec]
+    # the engine's (vec, den) keyed by basis keys instead of their ints, as
+    # Fractions
+    pairs, den = vec
+    return [{eng._key_of(b): Fraction(c, den) for b, c in part} for part in pairs]
 
 
-@pytest.mark.parametrize("name", ["airy", "catalan"])
+def _nonzero(vec):
+    return [{k: c for k, c in part.items() if c} for part in vec]
+
+
+# xy: sigma(z) = c / z, whose local powers have denominators
+@pytest.mark.parametrize("name", ["airy", "catalan", "xy"])
 def test_pole_vectors_match_reference_loops(name):
-    _, eng = engine_for(load_curve(name))
+    if name == "xy":
+        eng = TopRecEngine(xy_family(random.Random(5)))
+    else:
+        _, eng = engine_for(load_curve(name))
     for p in eng.curve.support:
         for order in (1, 2, 5, 12, 34):
             assert (_decoded(eng, eng._kernel_vectors(p, order))
-                    == _reference_kernel_vectors(eng, p, order)), (p, order)
+                    == _nonzero(_reference_kernel_vectors(eng, p, order))), (p, order)
             for side in ("z", "s"):
                 assert (_decoded(eng, eng._coupled_vectors(p, order, side))
-                        == _reference_coupled_vectors(eng, p, order, side)), (p, order, side)
+                        == _nonzero(_reference_coupled_vectors(eng, p, order, side))), (p, order, side)
 
 
 def test_reads_leave_no_reference_cycles(catalan_engine):
