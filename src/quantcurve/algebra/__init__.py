@@ -10,7 +10,7 @@ from .poly import (
     ratfunc_sum,
     root_multiplicity,
 )
-from .series import LogSeries, TruncSeries, expand_poly, expand_ratfunc, laurent_ints
+from .series import LogSeries, TruncSeries, expand_ratfunc, laurent_ints, linear_forms_ints
 
 #: shared field of rational functions in the quantization parameter
 HBAR_FIELD = FractionField()
@@ -32,7 +32,7 @@ __all__ = [
     "INF",
     "LogSeries",
     "TruncSeries",
-    "expand_poly",
     "expand_ratfunc",
     "laurent_ints",
+    "linear_forms_ints",
 ]

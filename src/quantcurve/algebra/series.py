@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import QQ, _numerators
+from .fields import QQ, _int_convolve, _numerators
 from .poly import INF
 
 
@@ -326,21 +326,6 @@ class TruncSeries:
         return f"TruncSeries({self.to_str()})"
 
 
-def expand_poly(p, place, order):
-    """Expansion of a polynomial at a finite point or at INF (in w = 1/x)."""
-    f = p.field
-    if place is INF:
-        return TruncSeries(f, -p.degree, p.coeffs[::-1], order)
-    # Taylor coefficients of p(c + u), by synthetic division in place
-    cs = list(p.coeffs)
-    c = f.of(place)
-    if not f.is_zero(c):
-        for i in range(len(cs) - 1):
-            for k in range(len(cs) - 2, i - 1, -1):
-                cs[k] = cs[k] + c * cs[k + 1]
-    return TruncSeries(f, 0, cs, order)
-
-
 def _local_ints(N, D, place):
     """Int lists n, d and the valuation v with N(x) / D(x) = u^v n(u) / d(u)
     in the uniformizer u at the place (x - place, or 1/x at INF), for int
@@ -404,6 +389,59 @@ def laurent_ints(f, place, order):
         nums[k] = Q[k] * s
         s *= d0
     den = p * dn
+    g = gcd(den, *nums)
+    return val, den // g, [c // g for c in nums]
+
+
+def linear_forms_ints(forms, place, order):
+    """The product of the powers (alpha t + beta)^k over ``forms``, a list of
+    (alpha, beta, k) with rational alpha and beta not both zero, at a place
+    of P^1: exact through u^order in the uniformizer u (t - place, or 1/t
+    at INF), as (val, den, nums) in the reduced form of ``laurent_ints``.
+
+    At the place a form is u^s (A + B u) with A != 0 and s in {-1, 0, 1},
+    and (A + B u)^k = A^k sum_j C(k, j) (B/A)^j u^j is a binomial series,
+    C(k, j) = k (k - 1) ... (k - j + 1) / j! for k of either sign.  The
+    recursion's basis functions 1/(t - q)^d and t^(d - 2), and their
+    pullbacks by a Mobius involution, are such products.
+    """
+    val, parts = 0, []
+    for alpha, beta, k in forms:
+        if place is INF:
+            s, A, B = (-1, alpha, beta) if alpha else (0, beta, 0)
+        else:
+            A = alpha * place + beta
+            s, A, B = (0, A, alpha) if A else (1, alpha, 0)
+        val += s * k
+        if k:
+            # A^k = ln / ld and B / A = rn / rd on ints, with ld, rd > 0
+            an, ad, bn, bd = A.numerator, A.denominator, B.numerator, B.denominator
+            ln, ld = (an ** k, ad ** k) if k > 0 else (ad ** -k, an ** -k)
+            rn, rd = bn * ad, bd * an
+            if ld < 0:
+                ln, ld = -ln, -ld
+            if rd < 0:
+                rn, rd = -rn, -rd
+            parts.append((ln, ld, rn, rd, k))
+    size = order - val + 1
+    if size <= 0:
+        return val, 1, []
+    nums, den = [1] + [0] * (size - 1), 1
+    for ln, ld, rn, rd, k in parts:
+        den *= ld
+        if not rn:
+            nums = [c * ln for c in nums]
+            continue
+        # ln C(k, j) rn^j rd^(size - 1 - j) over ld rd^(size - 1)
+        rdp = [1]
+        for _ in range(size - 1):
+            rdp.append(rdp[-1] * rd)
+        series, c, rnj = [], ln, 1
+        for j in range(size):
+            series.append(c * rnj * rdp[size - 1 - j])
+            c = c * (k - j) // (j + 1)
+            rnj *= rn
+        nums, den = _int_convolve(nums, series, size), den * rdp[-1]
     g = gcd(den, *nums)
     return val, den // g, [c // g for c in nums]
 

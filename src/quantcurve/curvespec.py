@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .algebra import INF, Poly, QuadExtField, RatFunc
 from .spectral import SpectralData
@@ -276,6 +277,98 @@ def place_repr(place):
     return frac_str(place)
 
 
+# the types of the items of a list whose text the report writer reuses: a str
+# never equals an int, and equal ints have one text (bools, equal to 0 and 1,
+# and floats, with 0.0 == -0.0, are left out)
+_LEAF_TYPES = frozenset((str, int))
+_INF = float("inf")
+
+
 def serialize_report(report):
-    """Canonical JSON text for a report dict: sorted keys, stable layout."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text for a report dict: the text of
+    ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder.  This writer
+    makes the same text with json's C string encoder, and writes a list of
+    strs and ints, such as a basis key ``[place, d]``, once per indentation
+    depth.  A value json cannot write raises ``TypeError``, as in json.
+    """
+    out = []
+    _write(report, "\n", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar_text(o):
+    """The JSON text of a scalar, as json writes it."""
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k):
+    """A dict key as json writes it: a str, or the quoted text of a scalar."""
+    if isinstance(k, str):
+        return _json_str(k)
+    if isinstance(k, (int, float)) or k is None:
+        return _json_str(_scalar_text(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write(o, nl, out, leaves):
+    """Append the JSON text of o to out.  nl is a newline and the indentation
+    of o's line; ``leaves`` maps (nl, *items) to the text of a list of strs
+    and ints at that depth.  No type is both a container and a scalar, so
+    the containers can go first."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            head = sep + _key_text(k) + ": "
+            if type(v) is str:
+                out.append(head + _json_str(v))
+            else:
+                out.append(head)
+                _write(v, inner, out, leaves)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if _LEAF_TYPES.issuperset(map(type, o)):
+            key = (nl, *o)
+            text = leaves.get(key)
+            if text is None:
+                items = [_json_str(x) if type(x) is str else int.__repr__(x) for x in o]
+                text = leaves[key] = "[" + inner + ("," + inner).join(items) + nl + "]"
+            out.append(text)
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write(v, inner, out, leaves)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(_scalar_text(o))

@@ -22,26 +22,31 @@ that the valuations of its inputs fix; an input shorter than that raises.
 A local series is rebuilt only when a transform reads beyond it, and then
 through at least twice its old order.  Since sigma is a Mobius map, the
 pullback of a basis function by sigma is written down in closed form, and
-its valuation at p is that of the basis function at sigma(p).
+its valuation at p is that of the basis function at sigma(p): a basis
+function and its pullback are products of powers of linear forms in t,
+whose local series are binomial series (``series.linear_forms_ints``).
 
 Inside the recursion a basis key is a small int, d * P + rank(q) with P
 the number of support places ranked in ``key_sort`` order
 (``TopRecEngine._key_id``), and a multiset of keys is a sorted tuple of
 ints; the local vectors, the transforms, the bracket jobs and the
-accumulation all hash and sort ints only.  The arithmetic is on int
-numerators over one denominator per piece.  A local series is (val, den,
-nums) as ``laurent_ints`` expands it; every transform's scalar carries
-sigma'/Omega, which is one factor per point, and the scalar of a transform
-is one int convolution chain of its factors.  The kernel and coupled
-vectors are (key id, int) pairs over one denominator per point, and a
-transform returns ints over one denominator per point.  A table keeps
-(den, {key ids: int}) beside its public table, the bracket's job
-coefficients are ints over one denominator per bracket, and the
-accumulation adds ints over one common denominator per table.  Keys are decoded (``TopRecEngine._key_of``) where
-they leave the recursion: in the public tables of ``W``/``F`` (keyed by
-(place, order) tuples sorted by ``key_sort``, with ``Fraction``
-coefficients), in the basis functions of scalar factors, in the
-differential-recursion check and in error messages.
+accumulation all hash and sort ints only.  So do the local memo keys: a
+support point is its index in ``curve.support``, a transform maps indices
+to its coefficients, and a factor's valuations are one tuple over the
+indices.  The arithmetic is on int numerators over one denominator per
+piece.  A local series is (val, den, nums) as ``laurent_ints`` gives it;
+every transform's scalar carries sigma'/Omega, which is one factor per
+point, and the scalar of a transform is one int convolution chain of its
+factors.  The kernel and coupled vectors are (key id, int) pairs over one
+denominator per point, and a transform returns ints over one denominator
+per point.  A table keeps (den, {key ids: int}) beside its public table,
+the bracket's job coefficients are ints over one denominator per bracket,
+and the accumulation adds ints over one common denominator per table.
+Keys are decoded (``TopRecEngine._key_of``) where they leave the
+recursion: in the public tables of ``W``/``F`` (keyed by (place, order)
+tuples sorted by ``key_sort``, with ``Fraction`` coefficients), in the
+scalar factors of basis functions, in the differential-recursion check
+and in error messages.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from math import comb, factorial, gcd, lcm
 
 from .algebra import (
     INF, LogSeries, Poly, QQ, RatFunc, TruncSeries,
-    expand_ratfunc, factor_over, laurent_ints, poly_pow, ratfunc_sum,
+    expand_ratfunc, factor_over, laurent_ints, linear_forms_ints, poly_pow, ratfunc_sum,
 )
 from .algebra.fields import _int_convolve, _numerators
 
@@ -357,20 +362,21 @@ def _memo(build):
 
 
 def _per_point(build):
-    """Build a method's local data once per point and trailing arguments (a
-    side or a factor tag), again only when a longer expansion is asked for,
-    and then through at least twice the order built before, so that a
-    series a level lengthens by a few terms is rebuilt a logarithmic number
-    of times: callers read the first order + 1 terms.  The memo holds
-    (order, data) under the key (method name, point, *arguments)."""
+    """Build a method's local data once per support point and trailing
+    arguments (a side or a factor tag), again only when a longer expansion
+    is asked for, and then through at least twice the order built before,
+    so that a series a level lengthens by a few terms is rebuilt a
+    logarithmic number of times: callers read the first order + 1 terms.
+    A point is its index i in ``curve.support``, and the memo holds (order,
+    data) under the key (method name, i, *arguments)."""
 
-    def cached(self, p, order, *args):
-        key = (build.__name__, p) + args
+    def cached(self, i, order, *args):
+        key = (build.__name__, i) + args
         hit = self._memo.get(key)
         if hit is None or hit[0] < order:
             if hit is not None:
                 order = max(order, 2 * hit[0])
-            hit = self._memo[key] = (order, build(self, p, order, *args))
+            hit = self._memo[key] = (order, build(self, i, order, *args))
         return hit[1]
 
     return cached
@@ -429,32 +435,10 @@ class TopRecEngine:
     # -- scalar factors: exact valuations and local expansions ---------------
 
     @_memo
-    def _factor_fn(self, tag):
-        """The rational function of a scalar factor: "diag" is
-        1/(t - sigma(t))^2, ("phi", id) a basis function and ("phis", id) its
-        pullback by sigma.  The factor "sigw", sigma'/Omega, has none: its
-        series is taken from those of Omega and sigma'."""
-        curve = self.curve
-        if tag == "diag":
-            diff = RatFunc.x() - curve.sigma
-            return RatFunc.const(1) / (diff * diff)
-        key = self._key_of(tag[1])
-        if tag[0] == "phi":
-            return basis_function(key)
-        # phi(sigma(t)) in closed form, with sigma(t) = (a t + b) / (c t + e):
-        # (c t + e)^d / ((a - q c) t + (b - q e))^d for the key (q, d), and
-        # sigma^(d - 2) for (INF, d)
-        (b, a), (e, c) = self._mobius()
-        q, d = key
-        if q is INF:
-            num, den, k = [b, a], [e, c], max(0, d - 2)
-        else:
-            num, den, k = [e, c], [b - q * e, a - q * c], d
-        # the two linear forms are coprime (a e - b c != 0): only the
-        # denominator is made monic
-        lead = den[1] or den[0]
-        return RatFunc(poly_pow(Poly(num), k) * (1 / lead ** k),
-                       poly_pow(Poly([den[0] / lead, den[1] / lead]), k), reduce=False)
+    def _diag(self):
+        """1/(t - sigma(t))^2, the scalar factor of the diagonal W_{0,2}."""
+        diff = RatFunc.x() - self.curve.sigma
+        return RatFunc.const(1) / (diff * diff)
 
     @_memo
     def _mobius(self):
@@ -465,47 +449,68 @@ class TopRecEngine:
         return tuple((f.coeffs + [Fraction(0)] * 2)[:2] for f in (sigma.num, sigma.den))
 
     @_memo
-    def _image(self, p):
-        """sigma(p) on P^1."""
-        return eval_extended(self.curve.sigma, p)
+    def _images(self):
+        """sigma(p) on P^1 for the support points p, by index."""
+        return tuple(eval_extended(self.curve.sigma, p) for p in self.curve.support)
 
     @_memo
-    def _val(self, tag, p):
-        """Exact valuation of a scalar factor at a support point."""
-        if tag == "sigw":
-            return self.curve.sigma_prime.order_at(p) - self.curve.omega.order_at(p)
-        if tag[0] == "phi":
-            return basis_order(self._key_of(tag[1]), p)
-        if tag[0] == "phis":
-            # a Mobius map keeps orders: phi(sigma(t)) has at p the order
-            # that phi has at sigma(p)
-            return basis_order(self._key_of(tag[1]), self._image(p))
-        return self._factor_fn(tag).order_at(p)
-
-    @_per_point
-    def _expansion(self, p, order, tag):
-        """Local series of a scalar factor at p, exact through ``order``, as
-        int numerators (val, den, nums) (see ``laurent_ints``)."""
-        if tag != "sigw":
-            return laurent_ints(self._factor_fn(tag), p, order)
-        # Omega (order w at p) through order - s + 2 w inverts to order - s,
-        # and times sigma' (order s) through order + w is exact through order
+    def _vals(self, tag):
+        """Exact valuations of a scalar factor at the support points, by
+        index.  The factor "sigw" is sigma'/Omega, "diag" 1/(t - sigma(t))^2,
+        ("phi", id) a basis function and ("phis", id) its pullback by sigma."""
         curve = self.curve
-        s, w = curve.sigma_prime.order_at(p), curve.omega.order_at(p)
-        ser = (expand_ratfunc(curve.omega, p, order - s + 2 * w).inverse()
-               * expand_ratfunc(curve.sigma_prime, p, order + w))
-        nums, den = _numerators(ser.coeffs)
-        return ser.val, den, nums + [0] * (order - ser.val + 1 - len(nums))
+        support = curve.support
+        if tag == "sigw":
+            return tuple(curve.sigma_prime.order_at(p) - curve.omega.order_at(p) for p in support)
+        if tag == "diag":
+            return tuple(self._diag().order_at(p) for p in support)
+        # a Mobius map keeps orders: phi(sigma(t)) has at p the order that
+        # phi has at sigma(p)
+        key = self._key_of(tag[1])
+        return tuple(basis_order(key, p) for p in (support if tag[0] == "phi" else self._images()))
 
     @_per_point
-    def _sigma_powers(self, p, order):
+    def _expansion(self, i, order, tag):
+        """Local series of a scalar factor at the support point i, exact
+        through ``order``, as int numerators (val, den, nums) (see
+        ``laurent_ints``)."""
+        curve = self.curve
+        p = curve.support[i]
+        if tag == "diag":
+            return laurent_ints(self._diag(), p, order)
+        if tag == "sigw":
+            # Omega (order w at p) through order - s + 2 w inverts to order - s,
+            # and times sigma' (order s) through order + w is exact through order
+            s, w = curve.sigma_prime.order_at(p), curve.omega.order_at(p)
+            ser = (expand_ratfunc(curve.omega, p, order - s + 2 * w).inverse()
+                   * expand_ratfunc(curve.sigma_prime, p, order + w))
+            nums, den = _numerators(ser.coeffs)
+            return ser.val, den, nums + [0] * (order - ser.val + 1 - len(nums))
+        # a basis function, or its pullback by sigma(t) = (a t + b) / (c t + e),
+        # as a product of powers of linear forms: for the key (q, d),
+        # 1/(t - q)^d pulls back to (c t + e)^d ((a - q c) t + (b - q e))^-d,
+        # and t^k, k = max(0, d - 2) (the key (INF, d)), to (a t + b)^k (c t + e)^-k
+        q, d = self._key_of(tag[1])
+        k = max(0, d - 2)
+        if tag[0] == "phi":
+            forms = [(1, 0, k)] if q is INF else [(1, -q, -d)]
+        else:
+            (b, a), (e, c) = self._mobius()
+            if q is INF:
+                forms = [(a, b, k), (c, e, -k)]
+            else:
+                forms = [(c, e, d), (a - q * c, b - q * e, -d)]
+        return linear_forms_ints(forms, p, order)
+
+    @_per_point
+    def _sigma_powers(self, i, order):
         """(image point p', den, {m: {exponent: numerator}}) for the powers of
-        the local coordinate at p' of sigma(z), expanded at p, all over the
-        one denominator den."""
+        the local coordinate at p' of sigma(z), expanded at the support point
+        i, all over the one denominator den."""
         sigma = self.curve.sigma
-        pp = self._image(p)
+        pp = self._images()[i]
         loc = RatFunc.const(1) / sigma if pp is INF else sigma - RatFunc.const(pp)
-        v, den, S = laurent_ints(loc, p, order)
+        v, den, S = laurent_ints(loc, self.curve.support[i], order)
         # s^m starts at u^(m v) (v = 1: sigma is a Mobius map); its
         # coefficients through u^order are the int convolution powers of S
         # over den^m, put over D = den^top for the top power
@@ -521,18 +526,18 @@ class TopRecEngine:
 
     # -- kernel and coupled factors as vector-valued series -------------------
 
-    def _pole_vectors(self, p, order, side, r):
-        """1/(t1 - w)^r at p as a vector series, w = z ("z") or sigma(z)
-        ("s"): (vec, den) with vec[j] mapping a basis key id in t1 to the
-        numerator of the coefficient of u^j over den.
+    def _pole_vectors(self, i, order, side, r):
+        """1/(t1 - w)^r at the support point i as a vector series, w = z
+        ("z") or sigma(z) ("s"): (vec, den) with vec[j] mapping a basis key
+        id in t1 to the numerator of the coefficient of u^j over den.
 
         With l = w - pp the local coordinate of w at its image pp, the key
         (pp, m + r) carries C(m+r-1, r-1) l^m; at pp = INF, with v = 1/w,
         the key (INF, k + 2) carries (-1)^r C(k+r-1, r-1) v^(k+r)."""
         if side == "z":
-            pp, den, powers = p, 1, {m: {m: 1} for m in range(order + 1)}
+            pp, den, powers = self.curve.support[i], 1, {m: {m: 1} for m in range(order + 1)}
         else:
-            pp, den, powers = self._sigma_powers(p, order)
+            pp, den, powers = self._sigma_powers(i, order)
         # the id of (pp, d) is d * P + the id of (pp, 0)
         P, rank = len(self._places()), self._key_id((pp, 0))
         vec = [{} for _ in range(order + 1)]
@@ -549,20 +554,21 @@ class TopRecEngine:
         return vec, den
 
     @_per_point
-    def _kernel_vectors(self, p, order):
-        """1/(t1 - sigma(z)) - 1/(t1 - z) at p as (vec, den), vec[j] the
-        (key id, numerator) pairs of u^j."""
-        kv, den = self._pole_vectors(p, order, "s", 1)
-        zv, _ = self._pole_vectors(p, order, "z", 1)  # over 1
+    def _kernel_vectors(self, i, order):
+        """1/(t1 - sigma(z)) - 1/(t1 - z) at the support point i as (vec,
+        den), vec[j] the (key id, numerator) pairs of u^j."""
+        kv, den = self._pole_vectors(i, order, "s", 1)
+        zv, _ = self._pole_vectors(i, order, "z", 1)  # over 1
         for part, zpart in zip(kv, zv):
             for key, c in zpart.items():
                 part[key] = part.get(key, 0) - den * c
         return _pairs(kv), den
 
     @_per_point
-    def _coupled_vectors(self, p, order, side):
-        """1/(w - t_j)^2 at p as (vec, den), w = z or sigma(z)."""
-        vec, den = self._pole_vectors(p, order, side, 2)
+    def _coupled_vectors(self, i, order, side):
+        """1/(w - t_j)^2 at the support point i as (vec, den), w = z or
+        sigma(z)."""
+        vec, den = self._pole_vectors(i, order, side, 2)
         return _pairs(vec), den
 
     # -- transforms ------------------------------------------------------------
@@ -571,14 +577,15 @@ class TopRecEngine:
     def _transform(self, fspec, gspec):
         """Residue transform of one z-factor pair at every support point.
 
-        Returns {p: (den, {entry: numerator})}: the coefficients at p as ints
-        over one common denominator, with entry = (t1_key,) possibly extended
-        by resolved keys of coupled slots (z side first), all key ids.  Each
-        point reads its inputs through the order that their valuations fix:
-        with v_s the valuation of the scalar part, a scalar factor of
-        valuation v_i is expanded through target - (v_s - v_i) and each
-        vector factor through top = target - v_s.  The vector factors start
-        at u^0, so for top < 0 the point contributes nothing and is left out.
+        Returns {i: (den, {entry: numerator})}: the coefficients at the
+        support point i as ints over one common denominator, with entry =
+        (t1_key,) possibly extended by resolved keys of coupled slots (z side
+        first), all key ids.  Each point reads its inputs through the order
+        that their valuations fix: with v_s the valuation of the scalar part,
+        a scalar factor of valuation v_i is expanded through target - (v_s -
+        v_i) and each vector factor through top = target - v_s.  The vector
+        factors start at u^0, so for top < 0 the point contributes nothing
+        and is left out.
         """
         # scalar part of H: sigma'/Omega times the z-factors that are
         # functions, 1/(z - sigma(z))^2 for the diagonal; vector factors: the
@@ -596,21 +603,21 @@ class TopRecEngine:
             else:
                 sides.append("s")
         result = {}
-        for p in self.curve.support:
+        vals = list(zip(*map(self._vals, tags)))
+        for i, p in enumerate(self.curve.support):
             target, sign = (1, -1) if p is INF else (-1, 1)
-            vals = [self._val(tag, p) for tag in tags]
-            top = target - sum(vals)
+            top = target - sum(vals[i])
             if top < 0:
                 continue
             # the first top + 1 terms of each factor: a cached series may
             # run longer than this transform reads
             nums, den = [1], 1
-            for tag, v in zip(tags, vals):
-                _, d, s = self._expansion(p, v + top, tag)
+            for tag, v in zip(tags, vals[i]):
+                _, d, s = self._expansion(i, v + top, tag)
                 nums, den = _int_convolve(nums, s, top + 1), den * d
-            factors = [self._kernel_vectors(p, top)]
-            factors += [self._coupled_vectors(p, top, side) for side in sides]
-            result[p] = _residue(factors, (target - top, den, nums), target, sign, p)
+            factors = [self._kernel_vectors(i, top)]
+            factors += [self._coupled_vectors(i, top, side) for side in sides]
+            result[i] = _residue(factors, (target - top, den, nums), target, sign, p)
         return result
 
     # -- bracket assembly -------------------------------------------------------
@@ -678,23 +685,30 @@ class TopRecEngine:
         work = [(self._transform(fspec, gspec), rest, hc)
                 for (fspec, gspec, rest), hc in jobs.items() if hc]
         tden = lcm(*[den for transform, _, _ in work for den, _ in transform.values()])
-        # accumulate per support point to verify vanishing away from ramification
-        perp = {p: defaultdict(int) for p in self.curve.support}
+        # accumulate per support point to verify vanishing away from
+        # ramification; coupled keys merge into the rest once per (rest,
+        # extras) pair
+        support = self.curve.support
+        perp = [defaultdict(int) for _ in support]
+        merged = {}
         try:
             for transform, rest, hc in work:
-                for p, (den, entries) in transform.items():
-                    acc = perp[p]
+                for i, (den, entries) in transform.items():
+                    acc = perp[i]
                     scale = hc * (tden // den)
                     for entry, v in entries.items():
                         if len(entry) == 1:
                             acc[(entry[0], rest)] += scale * v
                         else:
                             extras = entry[1:]
-                            rx = tuple(sorted(rest + extras))
-                            acc[(entry[0], rx)] += scale * v * _placements(rest, extras)
+                            hit = merged.get((rest, extras))
+                            if hit is None:
+                                hit = merged[(rest, extras)] = (tuple(sorted(rest + extras)),
+                                                                _placements(rest, extras))
+                            acc[(entry[0], hit[0])] += scale * v * hit[1]
             # non-ramification support must contribute nothing
             total = defaultdict(int)
-            for p, acc in perp.items():
+            for p, acc in zip(support, perp):
                 nonzero = {k: v for k, v in acc.items() if v}
                 if p not in self.curve.ram_points and nonzero:
                     raise AssertionError(f"nonzero residue contribution at non-ramification point {p}")
@@ -735,8 +749,9 @@ class TopRecEngine:
     def _keys_of(self, M):
         """The basis keys of the key ids M, sorted by key_sort: by the rank
         of the place (the id mod P), then by order (the id)."""
-        P = len(self._places())
-        return tuple(map(self._key_of, sorted(M, key=lambda i: (i % P, i))))
+        places = self._places()
+        P = len(places)
+        return tuple((places[i % P], i // P) for i in sorted(M, key=lambda i: (i % P, i)))
 
     def _public_table(self, n, den, ids):
         """The boundary where a table leaves the recursion: the public table is

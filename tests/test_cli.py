@@ -8,6 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quantcurve
 from quantcurve.algebra import RatFunc
@@ -96,6 +97,65 @@ def test_report_roundtrip():
     text = serialize_report(rep)
     assert json.loads(text) == rep
     assert serialize_report(json.loads(text)) == text
+
+
+# the report writer against json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+# quotes, backslashes, control characters and non-ASCII ones, often
+_SPECIAL_CHARS = st.sampled_from(list('"\\/\b\f\n\r\t\x00\x01\x1f\x7f\x80\u2028\xe9\u20ac\U0001f600'))
+_JSON_STRS = st.text(st.characters() | _SPECIAL_CHARS, max_size=6)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | _JSON_STRS
+    | st.integers(-3, 3) | st.integers(-(2 ** 70), 2 ** 70)
+    | st.floats() | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, float("nan"), float("inf"), float("-inf")])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_STRS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+def _json_text(x):
+    return json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+# equal items of other types in lists at one depth: a bool is not an int, an
+# int not a float, and -0.0 not 0.0
+@example({"a": [1, "x"], "b": [True, "x"], "c": [1.0, "x"], "d": [0.0], "e": [-0.0], "f": [[], {}]})
+@example([[1, 2], (1, 2), [True, False], [0, 1], ["1", 2], [1, "2"]])
+# one list of strs and ints at three depths
+@example({"a": ["x", 1], "b": [["x", 1], [["x", 1]]]})
+def test_serialize_report_writes_what_json_writes(x):
+    assert serialize_report(x) == _json_text(x)
+
+
+@pytest.mark.parametrize("x", [
+    {1: "a", 2: "b", -3: "c"},
+    {1.5: 0, -0.0: 1, float("inf"): 2},
+    {True: 1, False: 0},
+    {None: [None]},
+])
+def test_serialize_report_writes_non_str_keys_as_json(x):
+    assert serialize_report(x) == _json_text(x)
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(1, 2),
+    {"report": [Fraction(1, 2)]},
+    {"report": {"a": {Fraction(1)}}},
+    {(1, 2): "a"},
+    {1: "a", "b": 2},
+])
+def test_serialize_report_raises_where_json_raises(x):
+    with pytest.raises(TypeError) as want:
+        _json_text(x)
+    with pytest.raises(TypeError) as got:
+        serialize_report(x)
+    assert str(got.value) == str(want.value)
 
 
 def test_reports_are_deterministic():

@@ -122,7 +122,7 @@ def test_engine_state_is_the_curve_and_one_memo():
     _, eng = engine_for(load_curve("airy"))
     eng.compute_level(2)
     assert set(vars(eng)) == {"curve", "_memo"}
-    assert {key[0] for key in eng._memo} >= {"_compute_w", "_transform", "_val", "_factor_fn"}
+    assert {key[0] for key in eng._memo} >= {"_compute_w", "_transform", "_vals", "_diag"}
 
 
 @pytest.mark.parametrize("name", ["airy", "catalan"])
@@ -201,33 +201,48 @@ def test_each_transform_is_computed_once(name, count, monkeypatch):
     assert len(computed) == len(set(computed)) == count
 
 
-# ceilings on the laurent_ints calls of a cold engine through level 5, made
-# directly and through expand_ratfunc: a rebuild at each longer order a
-# transform asks for makes 61 (airy) and 190 (catalan)
+# ceilings on the local-series kernel calls of a cold engine through level
+# 5: laurent_ints (directly and through expand_ratfunc), and
+# linear_forms_ints, the closed form of the basis functions and their
+# pullbacks.  A rebuild at each longer order a transform asks for makes 61
+# (airy) and 190 (catalan) in all; ``ceiling`` bounds the sum, and
+# LAURENT_CEILINGS the laurent_ints calls alone
+LAURENT_CEILINGS = {"airy": 12, "catalan": 30}
+
+
 @pytest.mark.parametrize("name,ceiling", [("airy", 40), ("catalan", 136)])
 def test_local_series_are_rebuilt_a_few_times(name, ceiling, monkeypatch):
-    calls = []
-    kernel = series_module.laurent_ints
+    calls = defaultdict(list)
 
-    def counted(f, place, order):
-        calls.append((place, order))
-        return kernel(f, place, order)
+    def counted(kernel):
+        def call(f, place, order):
+            calls[kernel.__name__].append((place, order))
+            return kernel(f, place, order)
+        return call
 
-    monkeypatch.setattr(series_module, "laurent_ints", counted)
-    monkeypatch.setattr(toprec, "laurent_ints", counted)
+    laurent = counted(series_module.laurent_ints)
+    monkeypatch.setattr(series_module, "laurent_ints", laurent)
+    monkeypatch.setattr(toprec, "laurent_ints", laurent)
+    monkeypatch.setattr(toprec, "linear_forms_ints", counted(toprec.linear_forms_ints))
     _, eng = engine_for(load_curve(name))
     for level in range(1, 6):
         eng.compute_level(level)
-    assert len(calls) <= ceiling
+    assert len(calls["laurent_ints"]) <= LAURENT_CEILINGS[name]
+    assert sum(map(len, calls.values())) <= ceiling
+
+
+def _engine_named(name):
+    if name == "xy":
+        return TopRecEngine(xy_family(random.Random(5)))
+    return engine_for(load_curve(name))[1]
 
 
 # xy: sigma(z) = c / z, a Mobius map with a pole, unlike t -> -t
 @pytest.mark.parametrize("name", ["airy", "catalan", "hermite", "xy"])
 def test_sigma_pullbacks_match_compose(name):
-    if name == "xy":
-        eng = TopRecEngine(xy_family(random.Random(5)))
-    else:
-        _, eng = engine_for(load_curve(name))
+    # the valuations of the basis functions and of their pullbacks; the
+    # series themselves are checked in test_closed_form_series_match_laurent_ints
+    eng = _engine_named(name)
     curve = eng.curve
     for q in curve.support:
         for d in range(1, 9):
@@ -235,10 +250,51 @@ def test_sigma_pullbacks_match_compose(name):
             phi = basis_function(key)
             want = phi.compose(curve.sigma)
             tag = ("phis", eng._key_id(key))
-            assert eng._factor_fn(tag) == want, key
-            for p in curve.support:
-                assert eng._val(tag, p) == want.order_at(p), (key, p)
-                assert eng._val(("phi", tag[1]), p) == phi.order_at(p), (key, p)
+            assert eng._vals(tag) == tuple(want.order_at(p) for p in curve.support), key
+            assert eng._vals(("phi", tag[1])) == tuple(phi.order_at(p) for p in curve.support), key
+
+
+def _reduced_prefix(ser, order):
+    # an int series (val, den, nums) read through u^order only, reduced
+    val, den, nums = ser
+    nums = nums[:max(0, order - val + 1)]
+    if not nums:
+        return val, 1, []
+    g = gcd(den, *nums)
+    return val, den // g, [c // g for c in nums]
+
+
+@pytest.mark.parametrize("name", ["airy", "catalan", "hermite", "xy"])
+def test_closed_form_series_match_laurent_ints(name):
+    eng = _engine_named(name)
+    curve = eng.curve
+    support = curve.support
+    images = [toprec.eval_extended(curve.sigma, p) for p in support]
+    points = set()
+    for q in support:
+        for d in range(1, 9):
+            key = (q, d)
+            i_d = eng._key_id(key)
+            fns = {"phi": basis_function(key), "phis": basis_function(key).compose(curve.sigma)}
+            sq = images[support.index(q)]
+            for i, p in enumerate(support):
+                points.add((q is INF, p is INF, p == q, p == sq, q is not INF and sq is INF))
+                val = min(fns["phi"].order_at(p), fns["phis"].order_at(p))
+                for order in (val - 3, val - 1, val, val + 1, val + 6):
+                    for kind, fn in fns.items():
+                        want = series_module.laurent_ints(fn, p, order)
+                        # a fresh engine builds the series through order
+                        fresh = TopRecEngine(curve)
+                        assert fresh._expansion(i, order, (kind, i_d)) == want, (kind, key, p, order)
+                        # a used one may hold a longer one, which reads the same
+                        got = eng._expansion(i, order, (kind, i_d))
+                        assert _reduced_prefix(got, order) == want, (kind, key, p, order)
+    # keys at INF and at finite places, at INF and at finite points, with p
+    # equal to q and to sigma(q); on xy, a finite q with sigma(q) = INF
+    # (a - q c = 0 in sigma(t) = (a t + b) / (c t + e))
+    assert {(True, True), (False, True), (True, False), (False, False)} == {pt[:2] for pt in points}
+    assert any(pt[2] for pt in points) and any(pt[3] for pt in points)
+    assert any(pt[4] for pt in points) == (name == "xy")
 
 
 def _residue_inputs():
@@ -620,7 +676,7 @@ def _fraction_sigma_powers(eng, p, order):
     # the engine's powers of sigma's local coordinate, as Fractions: over
     # their least common denominator, and equal to the TruncSeries powers of
     # its expansion
-    pp, den, powers = eng._sigma_powers(p, order)
+    pp, den, powers = eng._sigma_powers(eng.curve.support.index(p), order)
     assert gcd(den, *[c for pw in powers.values() for c in pw.values()]) == 1
     out = {m: {j: Fraction(c, den) for j, c in pw.items()} for m, pw in powers.items()}
     sigma = eng.curve.sigma
@@ -707,16 +763,13 @@ def _nonzero(vec):
 # xy: sigma(z) = c / z, whose local powers have denominators
 @pytest.mark.parametrize("name", ["airy", "catalan", "xy"])
 def test_pole_vectors_match_reference_loops(name):
-    if name == "xy":
-        eng = TopRecEngine(xy_family(random.Random(5)))
-    else:
-        _, eng = engine_for(load_curve(name))
-    for p in eng.curve.support:
+    eng = _engine_named(name)
+    for i, p in enumerate(eng.curve.support):
         for order in (1, 2, 5, 12, 34):
-            assert (_decoded(eng, eng._kernel_vectors(p, order))
+            assert (_decoded(eng, eng._kernel_vectors(i, order))
                     == _nonzero(_reference_kernel_vectors(eng, p, order))), (p, order)
             for side in ("z", "s"):
-                assert (_decoded(eng, eng._coupled_vectors(p, order, side))
+                assert (_decoded(eng, eng._coupled_vectors(i, order, side))
                         == _nonzero(_reference_coupled_vectors(eng, p, order, side))), (p, order, side)
 
 
