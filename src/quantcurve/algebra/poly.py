@@ -635,11 +635,12 @@ class RatFunc:
         # self = (N / dn) / (D / dd)
         return RatFunc(*_qq_reduced(num, den, dd, dn), reduce=False)
 
-    def is_square(self):
+    def sqrt(self):
+        """Exact square root, or None.  The roots of a reduced num and a monic
+        den are coprime and the den's is monic, so the root is reduced."""
         rn = self.num.sqrt()
-        if rn is None:
-            return False
-        return self.den.sqrt() is not None
+        rd = None if rn is None else self.den.sqrt()
+        return None if rd is None else RatFunc(rn, rd, reduce=False)
 
     def order_at(self, place):
         """Order of vanishing at a place of P^1 (negative for a pole).
@@ -829,14 +830,8 @@ class FractionField:
         return not self.of(v)
 
     def sqrt(self, v):
-        rf = self.of(v).rf
-        rn = rf.num.sqrt()
-        if rn is None:
-            return None
-        rd = rf.den.sqrt()
-        if rd is None:
-            return None
-        return FracFuncElement(RatFunc(rn, rd))
+        root = self.of(v).rf.sqrt()
+        return None if root is None else FracFuncElement(root)
 
     def to_str(self, v):
         rf = self.of(v).rf

@@ -33,7 +33,7 @@ from .curvespec import (
     serialize_report,
 )
 from .lattice import count_check, lattice_from_spectral
-from .spectral import genus_report, quantum_operator
+from .spectral import genus_report
 from .verify import engine_for, run_suites, wkb_state_for
 from .wkb import verify_operator
 
@@ -70,7 +70,7 @@ def analyze_report(spec, genus=0, stages=None):
     spectral data and of the lattice cross-check."""
     lap = _stage_clock(stages)
     rep = genus_report(spec.sd, genus)
-    a1, a2 = quantum_operator(spec.sd)
+    a1, a2 = spec.sd.a1.f, spec.sd.a2.f
     lap("spectral")
     if genus == 0:
         lat, smin, _ = lattice_from_spectral(spec.sd, rep, genus)
@@ -177,7 +177,7 @@ def toprec_report(spec, level=3, stages=None):
 
 def emit_plotdata(spec, xmin=-4.0, xmax=4.0, samples=200):
     """Real points of y^2 + a1 y + a2 = 0 over a range; display only."""
-    a1, a2 = quantum_operator(spec.sd)
+    a1, a2 = spec.sd.a1.f, spec.sd.a2.f
     rows = []
     for i in range(samples + 1):
         x = xmin + (xmax - xmin) * i / samples
@@ -200,8 +200,7 @@ def emit_plotdata(spec, xmin=-4.0, xmax=4.0, samples=200):
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, payload):
-    text = serialize_report(payload)
+def _emit(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -278,12 +277,7 @@ def main(argv=None):
                                 ("the span --xmax - --xmin", args.xmax - args.xmin)):
                 if not math.isfinite(value):
                     raise CurveSpecError(f"{what} must be finite, got {value}")
-            text = emit_plotdata(spec, args.xmin, args.xmax, args.samples)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _emit(args, emit_plotdata(spec, args.xmin, args.xmax, args.samples))
             return 0
         elif args.command == "verify":
             check_size("--depth", args.depth, 1, MAX_VERIFY_DEPTH)
@@ -305,7 +299,7 @@ def main(argv=None):
         payload["meta"] = {"seconds": round(time.perf_counter() - t0, 3)}
         if stages:
             payload["meta"]["stages"] = stages
-    _emit(args, payload)
+    _emit(args, serialize_report(payload))
     return status
 
 

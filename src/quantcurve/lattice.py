@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .spectral import genus_report, singularity_chains
+
 
 @dataclass(frozen=True)
 class Chain:
@@ -220,8 +222,6 @@ def count_check(lattice, sigma_min):
 
 def lattice_from_spectral(sd, report=None, g=0):
     """Bridge: blow-up chains of a spectral curve realized as a lattice."""
-    from .spectral import genus_report, singularity_chains
-
     report = report or genus_report(sd, g)
     on_c0, off = singularity_chains(sd, report)
     lat = build_lattice(g, on_c0, off)

@@ -108,7 +108,7 @@ class SpectralData:
         d = self._disc_func()
         if d.is_zero():
             raise ValueError("zero discriminant: the spectral curve is reducible")
-        if d.is_square():
+        if d.sqrt() is not None:
             raise ValueError("square discriminant: the spectral curve is reducible")
 
     @staticmethod
@@ -301,11 +301,6 @@ def genus_report(sd, g=0):
         uw_poly=uw,
         uw_singular_at_origin=singular0,
     )
-
-
-def quantum_operator(sd):
-    """Coefficients (a1, a2) of (h d/dx)^2 + a1 (h d/dx) + a2."""
-    return sd.a1.f, sd.a2.f
 
 
 def singularity_chains(sd, report=None):

@@ -21,10 +21,11 @@ computed once per engine, from local series taken through the exact order
 that the valuations of its inputs fix; an input shorter than that raises.
 A local series is rebuilt only when a transform reads beyond it, and then
 through at least twice its old order.  Since sigma is a Mobius map, the
-pullback of a basis function by sigma is written down in closed form, and
-its valuation at p is that of the basis function at sigma(p): a basis
-function and its pullback are products of powers of linear forms in t,
-whose local series are binomial series (``series.linear_forms_ints``).
+pullback of a basis function by sigma is written down in closed form from
+``curve.mobius``, and its valuation at p is that of the basis function at
+sigma(p) (``curve.images``): a basis function and its pullback are products
+of powers of linear forms in t, whose local series are binomial series
+(``series.linear_forms_ints``).
 
 Inside the recursion a basis key is a small int, d * P + rank(q) with P
 the number of support places ranked in ``key_sort`` order
@@ -61,33 +62,11 @@ from .algebra import (
     expand_ratfunc, factor_over, laurent_ints, linear_forms_ints, poly_pow, ratfunc_sum,
 )
 from .algebra.fields import _int_convolve, _numerators
+from .spectral import KSection, divisor_of
 
 
 # ---------------------------------------------------------------------------
-# points of the line and rational-function expansion helpers
-
-
-def rational_points_of(poly, what):
-    """All roots of a QQ-polynomial, which must all be rational."""
-    roots = []
-    for fac, mult in factor_over(poly):
-        if fac.degree != 1:
-            raise ValueError(
-                f"{what} has an irrational point (factor {fac.to_str()}); "
-                "the residue engine needs rational support"
-            )
-        roots.append((-fac.coeffs[0], mult))
-    return roots
-
-
-def eval_extended(f, p):
-    """Value of a rational function at a point of the projective line."""
-    o = f.order_at(p)
-    if o < 0:
-        return INF
-    if p is not INF:
-        return f(p)
-    return Fraction(0) if o > 0 else f.num.leading() / f.den.leading()
+# rational-function expansion helpers
 
 
 def ratfunc_at_series(f, s):
@@ -161,7 +140,28 @@ def basis_antiderivative(key, normpt):
 # parametrized curve
 
 
+def _points(places, what):
+    """The points of P^1 behind a list of places (INF or monic irreducible
+    polynomials), which must all be rational."""
+    points = []
+    for q in places:
+        if q is not INF and q.degree != 1:
+            raise ValueError(
+                f"{what} has an irrational point (factor {q.to_str()}); "
+                "the residue engine needs rational support"
+            )
+        points.append(q if q is INF else -q.coeffs[0])
+    return points
+
+
 class ParamCurve:
+    """A parametrization x(t), y(t) with the involution sigma exchanging the
+    sheets of x, and the points of P^1 that the recursion reads, each derived
+    once here: ``mobius`` = (a, b, c, e) with sigma(t) = (a t + b) / (c t +
+    e), the ramification points (zeros of dx that sigma fixes), the
+    ``support`` (the zeros and poles of Omega) and its ``images`` under
+    sigma, by index."""
+
     def __init__(self, x, y, sigma, normalization_point, spectral=None):
         self.x = x
         self.y = y
@@ -169,6 +169,10 @@ class ParamCurve:
         self.normpt = normalization_point
         if sigma.compose(sigma) != RatFunc.x():
             raise ValueError("sigma is not an involution")
+        # a rational involution of P^1 has degree 1 (sigma of degree k
+        # composes with itself to degree k^2)
+        (b, a), (e, c) = ((f.coeffs + [Fraction(0)] * 2)[:2] for f in (sigma.num, sigma.den))
+        self.mobius = (a, b, c, e)
         if x.compose(sigma) != x:
             raise ValueError("x is not sigma-invariant")
         ysig = y.compose(sigma)
@@ -184,32 +188,25 @@ class ParamCurve:
         self.xprime = x.derivative()
         # Omega = (y(sigma(t)) - y(t)) x'(t) dt
         self.omega = (ysig - y) * self.xprime
-        self.ram_points = self._ramification_points()
-        self.support = self._omega_support()
+        # dx = x'(t) dt has order ord(x') - 2 at infinity
+        dx_zeros = [q for q, _ in factor_over(self.xprime.num)]
+        if self.xprime.order_at(INF) > 2:
+            dx_zeros.append(INF)
+        self.ram_points = [p for p in _points(dx_zeros, "dx") if self.sigma_at(p) == p]
+        self.support = _points(divisor_of(KSection(self.omega, 1)).items, "Omega")
+        self.images = tuple(map(self.sigma_at, self.support))
         for r in self.ram_points:
             if r not in self.support:
                 raise AssertionError("ramification point missing from the recursion support")
 
-    def _ramification_points(self):
-        pts = []
-        for root, _ in rational_points_of(self.xprime.num, "dx"):
-            if eval_extended(self.sigma, root) == root:
-                pts.append(root)
-        # dx = x'(t) dt has order ord(x') - 2 at infinity
-        if self.xprime.order_at(INF) > 2 and eval_extended(self.sigma, INF) is INF:
-            pts.append(INF)
-        return pts
-
-    def _omega_support(self):
-        supp = []
-        for root, _ in rational_points_of(self.omega.num, "Omega"):
-            supp.append(root)
-        for root, _ in rational_points_of(self.omega.den, "Omega"):
-            if root not in supp:
-                supp.append(root)
-        if self.omega.order_at(INF) != 2 and INF not in supp:
-            supp.append(INF)
-        return supp
+    def sigma_at(self, p):
+        """sigma(p) on P^1: INF at the pole -e/c, and a/c (INF for c = 0) at
+        INF."""
+        a, b, c, e = self.mobius
+        if p is INF:
+            return a / c if c else INF
+        den = c * p + e
+        return (a * p + b) / den if den else INF
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +438,6 @@ class TopRecEngine:
         return RatFunc.const(1) / (diff * diff)
 
     @_memo
-    def _mobius(self):
-        """((b, a), (e, c)) with sigma(t) = (a t + b) / (c t + e).  A rational
-        involution of P^1 has degree 1 (sigma of degree k composes with itself
-        to degree k^2), and ParamCurve checks the involution."""
-        sigma = self.curve.sigma
-        return tuple((f.coeffs + [Fraction(0)] * 2)[:2] for f in (sigma.num, sigma.den))
-
-    @_memo
-    def _images(self):
-        """sigma(p) on P^1 for the support points p, by index."""
-        return tuple(eval_extended(self.curve.sigma, p) for p in self.curve.support)
-
-    @_memo
     def _vals(self, tag):
         """Exact valuations of a scalar factor at the support points, by
         index.  The factor "sigw" is sigma'/Omega, "diag" 1/(t - sigma(t))^2,
@@ -467,7 +451,7 @@ class TopRecEngine:
         # a Mobius map keeps orders: phi(sigma(t)) has at p the order that
         # phi has at sigma(p)
         key = self._key_of(tag[1])
-        return tuple(basis_order(key, p) for p in (support if tag[0] == "phi" else self._images()))
+        return tuple(basis_order(key, p) for p in (support if tag[0] == "phi" else curve.images))
 
     @_per_point
     def _expansion(self, i, order, tag):
@@ -495,7 +479,7 @@ class TopRecEngine:
         if tag[0] == "phi":
             forms = [(1, 0, k)] if q is INF else [(1, -q, -d)]
         else:
-            (b, a), (e, c) = self._mobius()
+            a, b, c, e = curve.mobius
             if q is INF:
                 forms = [(a, b, k), (c, e, -k)]
             else:
@@ -508,7 +492,7 @@ class TopRecEngine:
         the local coordinate at p' of sigma(z), expanded at the support point
         i, all over the one denominator den."""
         sigma = self.curve.sigma
-        pp = self._images()[i]
+        pp = self.curve.images[i]
         loc = RatFunc.const(1) / sigma if pp is INF else sigma - RatFunc.const(pp)
         v, den, S = laurent_ints(loc, self.curve.support[i], order)
         # s^m starts at u^(m v) (v = 1: sigma is a Mobius map); its
@@ -868,7 +852,7 @@ class TopRecEngine:
         for z in points:
             if z in curve.support:
                 raise ValueError(f"sample point {z} is a zero or pole of Omega (recursion support)")
-            sz = eval_extended(curve.sigma, z)
+            sz = curve.sigma_at(z)
             if sz is INF or sz == z:
                 raise ValueError(f"sample point {z} hit the branch or polar locus")
             images.append(sz)

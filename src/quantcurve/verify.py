@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from .algebra import INF, QuadExtField, RatFunc, expand_ratfunc
-from .curvespec import load_curve
+from .curvespec import load_curve, place_repr
 from .lattice import count_check, lattice_from_spectral
 from .oracles import (
     airy_closed_free_energy,
@@ -33,7 +33,7 @@ from .toprec import (
     ratfunc_at_series,
     branch_maps,
 )
-from .wkb import WkbConfig, assemble_wavefunction, solve_wkb, verify_operator, wkb_chart
+from .wkb import WkbConfig, assemble_wavefunction, solve_wkb, verify_operator
 
 
 def _check(records, name, passed, detail=""):
@@ -49,10 +49,9 @@ def wkb_state_for(spec, place=None, branch=None, order=None, depth=None, tau_ord
     branch = branch or exp.branch
     order = exp.order if order is None else order
     depth = exp.depth if depth is None else depth
-    a1, a2 = spec.sd.a1.f, spec.sd.a2.f
-    if tau_order is None:
-        tau_order = order * wkb_chart(a1, a2, place)[0]
-    return solve_wkb(WkbConfig(a1, a2, place, branch=branch, order=tau_order, depth=depth))
+    cfg = WkbConfig(spec.sd.a1.f, spec.sd.a2.f, place, branch=branch, depth=depth)
+    cfg.order = order * cfg.e if tau_order is None else tau_order
+    return solve_wkb(cfg)
 
 
 def engine_for(spec):
@@ -103,16 +102,6 @@ UW_MODELS = {
 }
 
 
-def _profile_by_place(report):
-    out = {}
-    for pr in report.profiles:
-        if pr.place is INF:
-            out["inf"] = pr
-        elif pr.place.degree == 1:
-            out[str(-pr.place.coeffs[0])] = pr
-    return out
-
-
 OPERATORS = {
     # (a1, a2) as [num, den] coefficient lists
     "airy": (([0], [1]), ([0, -1], [1])),
@@ -142,7 +131,8 @@ def suite_table1(records=None):
         uw_got = tuple([int(c) for c in p.coeffs] for p in rep.uw_poly)
         _check(records, f"table1/{name}/local-model", uw_got == tuple(uw_want),
                f"{uw_got}")
-        profs = _profile_by_place(rep)
+        profs = {place_repr(pr.place): pr for pr in rep.profiles
+                 if pr.place is INF or pr.place.degree == 1}
         for pl, (cls, blfull) in want["points"].items():
             pr = profs.get(pl)
             okp = pr is not None and pr.classification() == cls and pr.blowups_full == blfull

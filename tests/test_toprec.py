@@ -5,11 +5,13 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from quantcurve.algebra import INF, QQ, Poly, RatFunc, TruncSeries, expand_ratfunc
+from quantcurve.algebra import INF, QQ, Poly, RatFunc, TruncSeries, expand_ratfunc, factor_over
 from quantcurve.algebra import series as series_module
 from quantcurve.algebra.fields import _numerators
 from quantcurve.oracles import airy_closed_free_energy, enumerate_cellular
@@ -73,6 +75,100 @@ def test_conjugate_root_validation_catches_wrong_parametrization():
     y = rf([-1, -1], [-1, 1])
     with pytest.raises(ValueError, match="conjugate root"):
         ParamCurve(bad_x, y, rf([0, -1]), Fraction(-1), spectral=sd)
+
+
+# the points of the curve as ParamCurve derived them before it read the
+# divisor of Omega and sigma's Mobius coefficients: the reference below
+
+
+def _rational_points_of(poly, what):
+    roots = []
+    for fac, mult in factor_over(poly):
+        if fac.degree != 1:
+            raise ValueError(f"{what} has an irrational point (factor {fac.to_str()}); "
+                             "the residue engine needs rational support")
+        roots.append((-fac.coeffs[0], mult))
+    return roots
+
+
+def _eval_extended(f, p):
+    o = f.order_at(p)
+    if o < 0:
+        return INF
+    if p is not INF:
+        return f(p)
+    return Fraction(0) if o > 0 else f.num.leading() / f.den.leading()
+
+
+def _reference_points(curve):
+    """(ram_points, support, images) by the old derivation."""
+    ram = [r for r, _ in _rational_points_of(curve.xprime.num, "dx")
+           if _eval_extended(curve.sigma, r) == r]
+    if curve.xprime.order_at(INF) > 2 and _eval_extended(curve.sigma, INF) is INF:
+        ram.append(INF)
+    support = [r for r, _ in _rational_points_of(curve.omega.num, "Omega")]
+    support += [r for r, _ in _rational_points_of(curve.omega.den, "Omega") if r not in support]
+    if curve.omega.order_at(INF) != 2 and INF not in support:
+        support.append(INF)
+    return ram, support, tuple(_eval_extended(curve.sigma, p) for p in support)
+
+
+def _spec_file_curve(name):
+    return engine_for(load_curve(str(Path(__file__).parent / "specs" / f"{name}.json")))[0]
+
+
+@pytest.mark.parametrize("name", ["airy", "catalan", "hermite", "node", "cusp", "families"])
+def test_curve_points_match_the_old_derivation(name):
+    if name in ("node", "cusp"):
+        curves = [_spec_file_curve(name)]
+    elif name == "families":
+        rng = random.Random(17)
+        curves = [builder(rng) for builder in (scaled_airy, xy_family) for _ in range(4)]
+    else:
+        curves = [engine_for(load_curve(name))[0]]
+    for curve in curves:
+        assert (curve.ram_points, curve.support, curve.images) == _reference_points(curve)
+
+
+_small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(p=st.one_of(st.just(INF), _small_fractions), q=_small_fractions,
+       m=st.one_of(st.none(), st.integers(0, 3)), zs=st.lists(_small_fractions, max_size=4))
+def test_sigma_at_matches_evaluation_on_curves(p, q, m, zs):
+    # the involution with the fixed points p != q, on the invariant x =
+    # ((t - p) / (t - q))^2, or x = (t - q)^2 with p = INF, where c = 0;
+    # (x - m^2)^2 adds zeros of dx that sigma swaps, which are no
+    # ramification points
+    assume(p != q)
+    t = RatFunc.x()
+    if p is INF:
+        sigma, x = 2 * q - t, (t - q) * (t - q)
+    else:
+        sigma = ((p + q) * t - 2 * p * q) / (2 * t - (p + q))
+        x = (t - p) * (t - p) / ((t - q) * (t - q))
+    if m is not None:
+        x = (x - m * m) * (x - m * m)
+    curve = ParamCurve(x, t, sigma, None)
+    a, b, c, e = curve.mobius
+    assert RatFunc(Poly([b, a]), Poly([e, c])) == sigma
+    for z in [INF, p, q, *([-e / c] if c else []), *zs]:
+        assert curve.sigma_at(z) == _eval_extended(sigma, z), z
+    assert (curve.ram_points, curve.support, curve.images) == _reference_points(curve)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=_small_fractions, b=_small_fractions, c=_small_fractions, zs=st.lists(_small_fractions, max_size=4))
+def test_sigma_at_matches_evaluation_on_involutions(a, b, c, zs):
+    # sigma(t) = (a t + b) / (c t - a), fixed points rational or not;
+    # sigma_at reads only the Mobius coefficients
+    assume(a * a + b * c != 0)
+    sigma = RatFunc(Poly([b, a]), Poly([-a, c]))
+    assert sigma.compose(sigma) == RatFunc.x()
+    curve = SimpleNamespace(mobius=(a, b, c, -a))
+    for z in [INF, *([a / c] if c else []), *zs]:
+        assert ParamCurve.sigma_at(curve, z) == _eval_extended(sigma, z), z
 
 
 def test_airy_w11_w03(airy_engine):
@@ -269,7 +365,7 @@ def test_closed_form_series_match_laurent_ints(name):
     eng = _engine_named(name)
     curve = eng.curve
     support = curve.support
-    images = [toprec.eval_extended(curve.sigma, p) for p in support]
+    images = curve.images
     points = set()
     for q in support:
         for d in range(1, 9):
@@ -406,7 +502,7 @@ def test_diff_recursion_check_evaluates_each_value_once(catalan_engine, monkeypa
 
     monkeypatch.setattr(RatFunc, "__call__", counted)
     assert eng.diff_recursion_check(1, 3, points)
-    assert len(calls) == len(set(calls)) == 32
+    assert len(calls) == len(set(calls)) == 30
 
 
 def test_diff_recursion_range_guard(airy_engine):
