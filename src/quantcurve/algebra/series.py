@@ -1,14 +1,15 @@
 r"""Truncated Laurent and Puiseux series with explicit order tracking.
 
 A ``TruncSeries`` holds coefficients of ``tau^k`` for ``k`` from its
-valuation up to a guaranteed order (inclusive).  The local parameter ``tau``
-satisfies ``tau**e = w`` for the uniformizer ``w`` of the expansion place, so
-e = 2 supports half-integer exponents in the uniformizer at branch points.
-Every operation returns the minimum order it can actually guarantee; nothing
-is silently padded with zeros.
+valuation up to a guaranteed order (inclusive).  The chart tau**e = w, w the
+uniformizer of the expansion place, belongs to the caller: e = 2 gives
+half-integer exponents in w at branch points.  Every operation returns the
+minimum order it can actually guarantee; nothing is silently padded with
+zeros.
 
 ``LogSeries`` carries one extra logarithmic term ``lam * log(w)`` on top of a
-series body; antiderivatives produce it, derivatives fold it back.
+series body, and the chart's e; antiderivatives produce it, derivatives fold
+it back.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ def product_order(a, b):
 
 
 class TruncSeries:
-    __slots__ = ("field", "val", "coeffs", "order", "e")
+    __slots__ = ("field", "val", "coeffs", "order")
 
-    def __init__(self, field, val, coeffs, order, e=1):
+    def __init__(self, field, val, coeffs, order):
         coeffs = [field.of(c) for c in coeffs]
         # strip leading zeros, clip to order
         while coeffs and field.is_zero(coeffs[0]):
@@ -45,20 +46,19 @@ class TruncSeries:
         self.val = val
         self.coeffs = coeffs
         self.order = order
-        self.e = e
 
     @staticmethod
-    def zero(field, order, e=1):
-        return TruncSeries(field, order + 1, [], order, e=e)
+    def zero(field, order):
+        return TruncSeries(field, order + 1, [], order)
 
     @staticmethod
-    def const(field, c, order, e=1):
-        return TruncSeries(field, 0, [c], order, e=e)
+    def const(field, c, order):
+        return TruncSeries(field, 0, [c], order)
 
     @staticmethod
-    def uniformizer(field, order, e=1):
+    def uniformizer(field, order):
         """The series tau itself."""
-        return TruncSeries(field, 1, [field.one()], order, e=e)
+        return TruncSeries(field, 1, [field.one()], order)
 
     def is_zero(self):
         return not self.coeffs
@@ -69,7 +69,6 @@ class TruncSeries:
         out.val = kw.get("val", self.val)
         out.coeffs = kw.get("coeffs", list(self.coeffs))
         out.order = kw.get("order", self.order)
-        out.e = kw.get("e", self.e)
         return out
 
     def coefficient(self, k):
@@ -87,30 +86,30 @@ class TruncSeries:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TruncSeries(self.field, self.val, self.coeffs[: max(0, order - self.val + 1)], order, e=self.e)
+        return TruncSeries(self.field, self.val, self.coeffs[: max(0, order - self.val + 1)], order)
 
     def map_coeffs(self, fn, field=None):
         field = field or self.field
-        return TruncSeries(field, self.val, [fn(c) for c in self.coeffs], self.order, e=self.e)
+        return TruncSeries(field, self.val, [fn(c) for c in self.coeffs], self.order)
 
     def scale_exponents(self, k):
         """Substitute tau -> tau^k (exponent dilation)."""
         if self.is_zero():
-            return TruncSeries.zero(self.field, self.order * k, e=self.e)
+            return TruncSeries.zero(self.field, self.order * k)
         coeffs = []
         for i, c in enumerate(self.coeffs):
             coeffs.append(c)
             if i < len(self.coeffs) - 1:
                 coeffs.extend([self.field.zero()] * (k - 1))
-        return TruncSeries(self.field, self.val * k, coeffs, self.order * k, e=self.e)
+        return TruncSeries(self.field, self.val * k, coeffs, self.order * k)
 
     def shift(self, k):
         """Multiply by tau^k."""
-        return TruncSeries(self.field, self.val + k, self.coeffs, self.order + k, e=self.e)
+        return TruncSeries(self.field, self.val + k, self.coeffs, self.order + k)
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
-            other = TruncSeries.const(self.field, self.field.of(other), self.order, e=self.e)
+            other = TruncSeries.const(self.field, self.field.of(other), self.order)
         order = min(self.order, other.order)
         if self.is_zero():
             return other.truncate(order)
@@ -123,7 +122,7 @@ class TruncSeries:
         out[lo: lo + len(cs)] = cs
         for i, c in enumerate(other.coeffs[: max(0, order - other.val + 1)], other.val - val):
             out[i] = out[i] + c
-        return TruncSeries(f, val, out, order, e=self.e)
+        return TruncSeries(f, val, out, order)
 
     __radd__ = __add__
 
@@ -132,7 +131,7 @@ class TruncSeries:
 
     def __sub__(self, other):
         if not isinstance(other, TruncSeries):
-            other = TruncSeries.const(self.field, self.field.of(other), self.order, e=self.e)
+            other = TruncSeries.const(self.field, self.field.of(other), self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -145,14 +144,14 @@ class TruncSeries:
             # ints and Fractions act on the coefficients as they are
             c = other if isinstance(other, (int, Fraction)) else f.of(other)
             if f.is_zero(c):
-                return TruncSeries.zero(f, self.order, e=self.e)
+                return TruncSeries.zero(f, self.order)
             return self.copy(coeffs=[x * c for x in self.coeffs])
         order = product_order(self, other)
         if self.is_zero() or other.is_zero():
-            return TruncSeries.zero(f, order, e=self.e)
+            return TruncSeries.zero(f, order)
         val = self.val + other.val
         out = f.convolve(self.coeffs, other.coeffs, order - val + 1)
-        return TruncSeries(f, val, out, order, e=self.e)
+        return TruncSeries(f, val, out, order)
 
     __rmul__ = __mul__
 
@@ -176,7 +175,7 @@ class TruncSeries:
             err = f.convolve(unit.coeffs, g, m2)[m:]
             g = g + [-c for c in f.convolve(g, err, m2 - m)]
             m = m2
-        res = TruncSeries(f, 0, g, unit.order, e=self.e)
+        res = TruncSeries(f, 0, g, unit.order)
         return res.shift(-v)
 
     def __truediv__(self, other):
@@ -218,7 +217,7 @@ class TruncSeries:
             err = f.convolve(u, f.convolve(h, h, m2), m2)[m:]
             h = h + [c / -2 for c in f.convolve(h, err, m2 - m)]
             m = m2
-        res = TruncSeries(f, 0, f.convolve(u, h, n), unit.order, e=self.e)
+        res = TruncSeries(f, 0, f.convolve(u, h, n), unit.order)
         return res.shift(v // 2)
 
     def log1(self):
@@ -226,8 +225,8 @@ class TruncSeries:
         f = self.field
         if self.val != 0 or not f.is_zero(self.coeffs[0] - f.one()):
             raise ValueError("log requires leading term 1 at valuation 0")
-        u = self - TruncSeries.const(f, f.one(), self.order, e=self.e)
-        out = TruncSeries.zero(f, self.order, e=self.e)
+        u = self - TruncSeries.const(f, f.one(), self.order)
+        out = TruncSeries.zero(f, self.order)
         if u.is_zero():
             return out
         k = 1
@@ -243,7 +242,7 @@ class TruncSeries:
     def derivative(self):
         """d/dtau."""
         out = [c * k for k, c in enumerate(self.coeffs, self.val)]
-        return TruncSeries(self.field, self.val - 1, out, self.order - 1, e=self.e)
+        return TruncSeries(self.field, self.val - 1, out, self.order - 1)
 
     def integrate(self):
         """Antiderivative in tau.  Returns (log_coefficient, series).
@@ -259,7 +258,7 @@ class TruncSeries:
                 out.append(f.zero())
             else:
                 out.append(c / (k + 1))
-        return logc, TruncSeries(f, self.val + 1, out, self.order + 1, e=self.e)
+        return logc, TruncSeries(f, self.val + 1, out, self.order + 1)
 
     def compose(self, inner):
         """self(inner) for a power series self and inner of valuation >= 1.
@@ -277,7 +276,7 @@ class TruncSeries:
         v = inner.val
         R = min(inner.order, (self.order + 1) * v - 1)
         top = min(self.order, R // v)
-        out = TruncSeries.zero(self.field, R - (top + 1) * v, e=inner.e)
+        out = TruncSeries.zero(self.field, R - (top + 1) * v)
         for k in range(top, -1, -1):
             out = out * inner + self.coefficient(k)
         return out
@@ -303,7 +302,7 @@ class TruncSeries:
         while m < self.order:
             m = min(2 * m, self.order)
             gs = self.copy(coeffs=g, order=m)
-            err = self.truncate(m).compose(gs) - TruncSeries.uniformizer(f, m, e=self.e)
+            err = self.truncate(m).compose(gs) - TruncSeries.uniformizer(f, m)
             g = (gs - err * gs.derivative()).coeffs
         return self.copy(coeffs=g)
 
@@ -457,19 +456,18 @@ def expand_ratfunc(f, place, order, e=1):
     """
     val, den, nums = laurent_ints(f, place, order)
     out = TruncSeries(QQ, val, [Fraction(c, den) for c in nums], order)
-    if e != 1:
-        out = out.scale_exponents(e).copy(e=e)
-    return out
+    return out.scale_exponents(e) if e != 1 else out
 
 
 class LogSeries:
     """lam * log(w) + body, with w = tau**e the uniformizer."""
 
-    __slots__ = ("lam", "body")
+    __slots__ = ("lam", "body", "e")
 
-    def __init__(self, lam, body):
+    def __init__(self, lam, body, e=1):
         self.lam = body.field.of(lam)
         self.body = body
+        self.e = e
 
     @property
     def field(self):
@@ -479,6 +477,5 @@ class LogSeries:
         return not self.field.is_zero(self.lam)
 
     def __repr__(self):
-        e = self.body.e
-        w = f"t^{e}" if e != 1 else "t"
+        w = f"t^{self.e}" if self.e != 1 else "t"
         return f"({self.field.to_str(self.lam)})*log({w}) + {self.body.to_str()}"

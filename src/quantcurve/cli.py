@@ -156,14 +156,16 @@ def toprec_report(spec, level=3, stages=None):
     curve, eng = engine_for(spec)
     lap = _stage_clock(stages)
     entries = []
+    # each basis key's repr and report cell, once per report; the terms sort
+    # by the tuple of reprs, which is the order of str(M): no key's repr is a
+    # prefix of another's, and the multisets of one table have one length
+    cells = {}
     for lv in range(1, level + 1):
         for (g, n), tab in eng.compute_level(lv):
-            terms = []
-            for M, c in sorted(tab.items(), key=lambda mc: str(mc[0])):
-                terms.append({
-                    "key": [[place_repr(q), d] for (q, d) in M],
-                    "coeff": frac_str(c),
-                })
+            for k in {k for M in tab.table for k in M}.difference(cells):
+                cells[k] = (repr(k), [place_repr(k[0]), k[1]])
+            rows = sorted(tab.items(), key=lambda mc: tuple(cells[k][0] for k in mc[0]))
+            terms = [{"key": [cells[k][1] for k in M], "coeff": frac_str(c)} for M, c in rows]
             entries.append({"g": g, "n": n, "level": lv, "terms": terms})
         lap(f"level{lv}")
     return {

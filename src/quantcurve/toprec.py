@@ -25,7 +25,9 @@ pullback of a basis function by sigma is written down in closed form from
 ``curve.mobius``, and its valuation at p is that of the basis function at
 sigma(p) (``curve.images``): a basis function and its pullback are products
 of powers of linear forms in t, whose local series are binomial series
-(``series.linear_forms_ints``).
+(``series.linear_forms_ints``).  So are the powers of sigma's local
+coordinate in the kernel and coupled factors: at p it is alpha u / (1 +
+gamma u) (``curve.germs``).
 
 Inside the recursion a basis key is a small int, d * P + rank(q) with P
 the number of support places ranked in ``key_sort`` order
@@ -58,7 +60,7 @@ from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
 from .algebra import (
-    INF, LogSeries, Poly, QQ, RatFunc, TruncSeries,
+    INF, LogSeries, Poly, RatFunc, TruncSeries,
     expand_ratfunc, factor_over, laurent_ints, linear_forms_ints, poly_pow, ratfunc_sum,
 )
 from .algebra.fields import _int_convolve, _numerators
@@ -159,8 +161,8 @@ class ParamCurve:
     sheets of x, and the points of P^1 that the recursion reads, each derived
     once here: ``mobius`` = (a, b, c, e) with sigma(t) = (a t + b) / (c t +
     e), the ramification points (zeros of dx that sigma fixes), the
-    ``support`` (the zeros and poles of Omega) and its ``images`` under
-    sigma, by index."""
+    ``support`` (the zeros and poles of Omega), its ``images`` under sigma
+    and sigma's ``germs`` there, by index."""
 
     def __init__(self, x, y, sigma, normalization_point, spectral=None):
         self.x = x
@@ -195,6 +197,7 @@ class ParamCurve:
         self.ram_points = [p for p in _points(dx_zeros, "dx") if self.sigma_at(p) == p]
         self.support = _points(divisor_of(KSection(self.omega, 1)).items, "Omega")
         self.images = tuple(map(self.sigma_at, self.support))
+        self.germs = tuple(map(self._germ, self.support, self.images))
         for r in self.ram_points:
             if r not in self.support:
                 raise AssertionError("ramification point missing from the recursion support")
@@ -207,6 +210,18 @@ class ParamCurve:
             return a / c if c else INF
         den = c * p + e
         return (a * p + b) / den if den else INF
+
+    def _germ(self, p, q):
+        """(alpha, gamma) with l(sigma(t(u))) = alpha u / (1 + gamma u), u the
+        local coordinate at p (t - p, or 1/t at INF) and l the one at q =
+        sigma(p): the Mobius matrix of l, times sigma's, times that of t(u)
+        is [[A, 0], [C, D]], as l(q) = 0, and alpha = A/D, gamma = C/D."""
+        a, b, c, e = self.mobius
+        # t(u) is [[1, p], [0, 1]] or [[0, 1], [1, 0]], and l(w) is [[1, -q],
+        # [0, 1]] or [[0, 1], [1, 0]]
+        (a, b), (c, e) = ((b, a), (e, c)) if p is INF else ((a, a * p + b), (c, c * p + e))
+        A, (C, D) = (c, (a, b)) if q is INF else (a - q * c, (c, e))
+        return A / D, C / D
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +501,6 @@ class TopRecEngine:
                 forms = [(c, e, d), (a - q * c, b - q * e, -d)]
         return linear_forms_ints(forms, p, order)
 
-    @_per_point
-    def _sigma_powers(self, i, order):
-        """(image point p', den, {m: {exponent: numerator}}) for the powers of
-        the local coordinate at p' of sigma(z), expanded at the support point
-        i, all over the one denominator den."""
-        sigma = self.curve.sigma
-        pp = self.curve.images[i]
-        loc = RatFunc.const(1) / sigma if pp is INF else sigma - RatFunc.const(pp)
-        v, den, S = laurent_ints(loc, self.curve.support[i], order)
-        # s^m starts at u^(m v) (v = 1: sigma is a Mobius map); its
-        # coefficients through u^order are the int convolution powers of S
-        # over den^m, put over D = den^top for the top power
-        top = order // v
-        D = den ** top
-        out, cur = {0: {0: D}}, [1]
-        for m in range(1, top + 1):
-            cur, scale = _int_convolve(cur, S, order - m * v + 1), den ** (top - m)
-            out[m] = {m * v + k: c * scale for k, c in enumerate(cur) if c}
-        # one gcd takes D down to the least common denominator
-        g = gcd(D, *[c for pw in out.values() for c in pw.values()])
-        return pp, D // g, {m: {j: c // g for j, c in pw.items()} for m, pw in out.items()}
-
     # -- kernel and coupled factors as vector-valued series -------------------
 
     def _pole_vectors(self, i, order, side, r):
@@ -515,27 +508,37 @@ class TopRecEngine:
         ("z") or sigma(z) ("s"): (vec, den) with vec[j] mapping a basis key
         id in t1 to the numerator of the coefficient of u^j over den.
 
-        With l = w - pp the local coordinate of w at its image pp, the key
-        (pp, m + r) carries C(m+r-1, r-1) l^m; at pp = INF, with v = 1/w,
-        the key (INF, k + 2) carries (-1)^r C(k+r-1, r-1) v^(k+r)."""
+        With l the local coordinate of w at its image pp (w - pp, or 1/w at
+        INF), the key (pp, m + r) carries C(m+r-1, r-1) l^m; at pp = INF the
+        key (INF, m - r + 2) carries (-1)^r C(m-1, r-1) l^m, m >= r.  The
+        germ l = alpha u / (1 + gamma u) is (1, 0) for w = z and
+        ``curve.germs`` for sigma(z): l^0 = 1, and for 1 <= m <= n the
+        coefficient of u^n in l^m is alpha^m (-gamma)^(n-m) C(n-1, m-1), or
+        an^m ad^(order-m) gn^(n-m) gd^(order-n+m) C(n-1, m-1) over D = (ad
+        gd)^order with an/ad = alpha and gn/gd = -gamma."""
         if side == "z":
-            pp, den, powers = self.curve.support[i], 1, {m: {m: 1} for m in range(order + 1)}
+            pp, (alpha, gamma) = self.curve.support[i], (1, 0)
         else:
-            pp, den, powers = self._sigma_powers(i, order)
+            pp, (alpha, gamma) = self.curve.images[i], self.curve.germs[i]
+        an, ad, gn, gd = alpha.numerator, alpha.denominator, -gamma.numerator, gamma.denominator
+        D = (ad * gd) ** order
         # the id of (pp, d) is d * P + the id of (pp, 0)
         P, rank = len(self._places()), self._key_id((pp, 0))
         vec = [{} for _ in range(order + 1)]
-        for m, pw in powers.items():
+        if pp is not INF:
+            vec[0][r * P + rank] = D  # l^0 = 1
+        for m in range(r if pp is INF else 1, order + 1):
             if pp is INF:
-                if m < r:
-                    continue
                 key, scale = (m - r + 2) * P + rank, (-1) ** r * comb(m - 1, r - 1)
             else:
                 key, scale = (m + r) * P + rank, comb(m + r - 1, r - 1)
-            for j, c in pw.items():
-                if j <= order:
-                    vec[j][key] = scale * c
-        return vec, den
+            # gamma = 0 (every z side, and sigma(t) = -t) leaves l^m = alpha^m u^m
+            for n in range(m, order + 1 if gn else m + 1):
+                vec[n][key] = (scale * comb(n - 1, m - 1) * an ** m * ad ** (order - m)
+                               * gn ** (n - m) * gd ** (order - n + m))
+        # one gcd takes D down to the least common denominator
+        g = gcd(D, *[c for part in vec for c in part.values()])
+        return [{b: c // g for b, c in part.items()} for part in vec], D // g
 
     @_per_point
     def _kernel_vectors(self, i, order):
@@ -939,20 +942,13 @@ def branch_maps(curve, place, e, order):
         )
     # the local parameter is t - t0, or 1/t at INF
     wser = expand_ratfunc(w, t0, order + 4)
-    outs = []
     if e == 1:
         roots = [wser]
     else:
         base = wser.sqrt()
         roots = [base, -base]
-    for r in roots:
-        s_of_tau = r.reversion()
-        if t0 is INF:
-            t_series = s_of_tau.inverse()
-        else:
-            t_series = s_of_tau + TruncSeries.const(QQ, Fraction(t0), s_of_tau.order)
-        outs.append(t_series.copy(e=e))
-    return outs
+    sections = [r.reversion() for r in roots]
+    return [s.inverse() for s in sections] if t0 is INF else [s + t0 for s in sections]
 
 
 def matching_branch_map(curve, place, e, s0_prime, order):

@@ -166,7 +166,7 @@ def semiclassical_root(cfg):
     else:
         s0p = (-sq - a1s) * Fraction(1, 2)
     lam, body = _antiderivative_x(s0p, cfg.place, cfg.e)
-    return WkbState(cfg, field, [LogSeries(lam, body)], [s0p], a1s, a2s)
+    return WkbState(cfg, field, [LogSeries(lam, body, cfg.e)], [s0p], a1s, a2s)
 
 
 def wkb_extend(state):
@@ -182,7 +182,7 @@ def wkb_extend(state):
                 f"{sp.order} below requested {cfg.order}"
             )
         lam, body = _antiderivative_x(sp, cfg.place, cfg.e)
-        state.S.append(LogSeries(lam, body))
+        state.S.append(LogSeries(lam, body, cfg.e))
         state.S_prime.append(sp)
     return state
 
@@ -243,7 +243,6 @@ def assemble_wavefunction(state, order_x=None):
     E_n = (1/n) sum k B_k E_{n-k}; results are packed into the h-field
     only at the end.
     """
-    cfg = state.config
     if state.field is not QQ:
         raise ValueError(f"wave assembly is supported over QQ only, not {state.field}")
     body_order = min(s.body.order for s in state.S)
@@ -282,7 +281,7 @@ def assemble_wavefunction(state, order_x=None):
                     acc[key] = acc.get(key, Fraction(0)) + scaled * c2
         E[n] = {p: c / n for p, c in acc.items() if c}
     coeffs = [_pack_hpoly(E[n]) for n in range(body_order + 1)]
-    body = TruncSeries(HBAR_FIELD, 0, coeffs, body_order, e=cfg.e)
+    body = TruncSeries(HBAR_FIELD, 0, coeffs, body_order)
     return WaveExpansion(_pack_hpoly(pref), body)
 
 

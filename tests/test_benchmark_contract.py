@@ -5,15 +5,21 @@ suite, not only a benchmark run.  Nothing under perfbench/ is written."""
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from quantcurve import cli, toprec, wkb
 from quantcurve.algebra import RatFunc
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer(monkeypatch):
+def _perfbench(monkeypatch):
     monkeypatch.setattr("sys.dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
+
+
+def _tracer(monkeypatch):
+    _perfbench(monkeypatch)
     from tracer import Tracer
 
     return Tracer()
@@ -60,3 +66,18 @@ def test_traced_toprec_job_reaches_the_series_layers(monkeypatch):
     assert job.check(result) == []
     for name in ("series.mul", "series.inverse", "series.expand_ratfunc"):
         assert tracer.calls[name] > 0, name
+
+
+@pytest.mark.parametrize("name", ["toprec-cold", "wkb-random", "verify-cross"])
+def test_benchmark_workload_runs_one_round(name, monkeypatch):
+    # the workloads read engine names no other test reaches (TopRecEngine.F,
+    # SymTable.table, toprec._basis_cache, f_primitive, _odd_primitive,
+    # FracFuncElement.rf): a removed one fails a job here, not only in a
+    # benchmark run, where it would raise the fail ratio
+    _perfbench(monkeypatch)
+    import workloads
+
+    load = workloads.Workload(name, 1)
+    load.warm_up()
+    for job in load.next_round():
+        assert job.check(job.run()) == [], job.describe()

@@ -348,7 +348,7 @@ def test_verify_operator_forms_one_product_per_level(a1, a2, surd, monkeypatch):
 
 def _bump(series):
     """The series plus tau^val: its lowest known coefficient moved by one."""
-    one = TruncSeries(series.field, series.val, [series.field.one()], series.order, e=series.e)
+    one = TruncSeries(series.field, series.val, [series.field.one()], series.order)
     return series + one
 
 
