@@ -10,7 +10,18 @@ from .poly import (
     ratfunc_sum,
     root_multiplicity,
 )
-from .series import LogSeries, TruncSeries, expand_ratfunc, laurent_ints, linear_forms_ints
+from .series import (
+    LogSeries,
+    TruncSeries,
+    expand_ratfunc,
+    laurent_ints,
+    linear_forms_ints,
+    monomial_sum,
+    qq_ints,
+    qq_series,
+    ratfunc_at_series,
+    ratfunc_ints,
+)
 
 #: shared field of rational functions in the quantization parameter
 HBAR_FIELD = FractionField()
@@ -35,4 +46,9 @@ __all__ = [
     "expand_ratfunc",
     "laurent_ints",
     "linear_forms_ints",
+    "monomial_sum",
+    "qq_ints",
+    "qq_series",
+    "ratfunc_at_series",
+    "ratfunc_ints",
 ]

@@ -15,7 +15,7 @@ it back.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .fields import QQ, _int_convolve, _numerators
 from .poly import INF
@@ -63,12 +63,14 @@ class TruncSeries:
     def is_zero(self):
         return not self.coeffs
 
-    def copy(self, **kw):
+    def copy(self, coeffs, order=None):
+        """The series with ``coeffs`` from the same valuation (their first
+        entry nonzero), through ``order`` or the same order."""
         out = TruncSeries.__new__(TruncSeries)
-        out.field = kw.get("field", self.field)
-        out.val = kw.get("val", self.val)
-        out.coeffs = kw.get("coeffs", list(self.coeffs))
-        out.order = kw.get("order", self.order)
+        out.field = self.field
+        out.val = self.val
+        out.coeffs = coeffs
+        out.order = self.order if order is None else order
         return out
 
     def coefficient(self, k):
@@ -267,7 +269,8 @@ class TruncSeries:
         v = inner.val the result is known through R = min(inner.order,
         (self.order + 1) v - 1), and the partial sum after coefficient k is
         still multiplied by inner k more times, so it is carried only
-        through order R - k v.
+        through order R - k v.  Over QQ the same loop runs on ints
+        (``_horner_ints``).
         """
         if self.val < 0:
             raise ValueError("composition requires a power series (valuation >= 0)")
@@ -276,9 +279,14 @@ class TruncSeries:
         v = inner.val
         R = min(inner.order, (self.order + 1) * v - 1)
         top = min(self.order, R // v)
+        coeffs = [self.coefficient(k) for k in range(top + 1)]
+        if self.field is QQ is inner.field:
+            C, den = _numerators(coeffs)
+            val, hden, nums = _horner_ints(C, qq_ints(inner), R - (top + 1) * v)
+            return qq_series((val, den * hden, nums))
         out = TruncSeries.zero(self.field, R - (top + 1) * v)
-        for k in range(top, -1, -1):
-            out = out * inner + self.coefficient(k)
+        for c in reversed(coeffs):
+            out = out * inner + c
         return out
 
     def reversion(self):
@@ -372,9 +380,20 @@ def laurent_ints(f, place, order):
     size = order - val + 1
     if size <= 0:
         return val, 1, []
+    nums, den = _int_quotient(n, d, size, dd)
+    den *= dn
+    g = gcd(den, *nums)
+    return val, den // g, [c // g for c in nums]
+
+
+def _int_quotient(n, d, size, scale=1):
+    """The first ``size`` coefficients of scale * n / d for int lists n and
+    d, d[0] != 0, as (nums, d[0]^size): the quotient q_k = (n_k - sum_i d_i
+    q_{k-i}) / d_0 runs on Q_k = q_k d_0^(k+1) = n_k d_0^k - sum_i d_i
+    d_0^(i-1) Q_{k-i}, O(size * len(d)) int products and no gcd."""
     d0 = d[0]
     # e[i - 1] = d_i d0^(i-1)
-    e = [c * d0 ** j for j, c in enumerate(d[1:])]
+    e = [c * d0 ** j for j, c in enumerate(d[1:size])]
     Q, p = [], 1
     for k in range(size):
         acc = n[k] * p if k < len(n) else 0
@@ -382,14 +401,12 @@ def laurent_ints(f, place, order):
             acc -= c * Q[k - i]
         Q.append(acc)
         p *= d0
-    # q_k = Q_k / d0^(k+1) = Q_k d0^(size-1-k) / d0^size, times dd / dn
-    nums, s = [0] * size, dd
+    # q_k = Q_k / d0^(k+1) = Q_k d0^(size-1-k) / d0^size
+    nums, s = [0] * size, scale
     for k in range(size - 1, -1, -1):
         nums[k] = Q[k] * s
         s *= d0
-    den = p * dn
-    g = gcd(den, *nums)
-    return val, den // g, [c // g for c in nums]
+    return nums, p
 
 
 def linear_forms_ints(forms, place, order):
@@ -443,6 +460,143 @@ def linear_forms_ints(forms, place, order):
         nums, den = _int_convolve(nums, series, size), den * rdp[-1]
     g = gcd(den, *nums)
     return val, den // g, [c // g for c in nums]
+
+
+# A QQ series on ints is (val, den, nums): the coefficient of tau^(val + k)
+# is nums[k] / den for den != 0, known through val + len(nums) - 1, with
+# nums[0] != 0 or, for the zero series, nums empty and val its order + 1;
+# trailing zeros are kept.  These are the val and order of the TruncSeries
+# it stands for, so its arithmetic keeps TruncSeries' bookkeeping on ints.
+
+
+def qq_ints(s):
+    """A TruncSeries over QQ as an int series."""
+    if s.field is not QQ:
+        raise ValueError(f"an int series is over QQ, not {s.field!r}")
+    nums, den = _numerators(s.coeffs)
+    return s.val, den, nums + [0] * (s.order - s.val + 1 - len(nums))
+
+
+def qq_series(s):
+    """The TruncSeries of an int series: one Fraction per coefficient."""
+    val, den, nums = s
+    return TruncSeries(QQ, val, [Fraction(c, den) for c in nums], val + len(nums) - 1)
+
+
+def _horner_ints(C, s, order):
+    """sum_k C[k] s^k for an int list C at an int series s, by Horner from
+    the zero series through ``order`` with TruncSeries' bookkeeping: each
+    step is known through ``product_order``, sheds leading zeros and clips
+    to its order.  The result is the int series of the TruncSeries loop
+    out = out * s + C[k]; its den is s's den to the number of steps that
+    multiplied a nonzero partial sum."""
+    sv, sd, S = s
+    so = sv + len(S) - 1
+    val, den, nums = order + 1, 1, []
+    for c in reversed(C):
+        order = min(order + sv, so + val)
+        if nums and S:
+            val += sv
+            nums, den = _int_convolve(nums, S, order - val + 1), den * sd
+        else:
+            val, den, nums = order + 1, 1, []
+        if c and order >= 0:
+            if val > 0:
+                nums, val = [0] * val + nums, 0
+            nums[-val] += c * den
+            while nums and not nums[0]:
+                del nums[0]
+                val += 1
+    return val, den, nums
+
+
+def ratfunc_ints(f, s):
+    """A QQ rational function at an int series s, as an int series with
+    den > 0 and gcd(den, *nums) = 1: its numerator and denominator by
+    ``_horner_ints`` from the orders the TruncSeries loop starts them at,
+    then the quotient on ints, through the order of num * den.inverse()."""
+    sv, _, S = s
+    so, lift = sv + len(S) - 1, max(0, -sv)
+    (N, dn), (D, dd) = _numerators(f.num.coeffs), _numerators(f.den.coeffs)
+    nv, nden, nn = _horner_ints(N, s, so - lift * f.num.degree)
+    dv, dden, dnums = _horner_ints(D, s, so - lift * f.den.degree)
+    if not dnums:
+        raise ZeroDivisionError("inverse of zero series")
+    # num (val nv) times the inverse of den: val -dv, order den's order - 2 dv
+    order = min(nv + len(nn) - 1 - dv, dv + len(dnums) - 1 - 2 * dv + nv)
+    if not nn:
+        return order + 1, 1, []
+    val = nv - dv
+    # num(s) / den(s) = (nn / (nden dn)) / (dnums / (dden dd))
+    nums, den = _int_quotient(nn, dnums, order - val + 1, dden * dd)
+    den *= nden * dn
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return val, den // g, [c // g for c in nums]
+
+
+def ratfunc_at_series(f, s):
+    """A QQ rational function at a Laurent series over QQ: the series
+    f.num(s) / f.den(s), each by Horner from the order its leading power
+    allows, with the val, order and coefficients of that TruncSeries
+    computation (``ratfunc_ints``)."""
+    return qq_series(ratfunc_ints(f, qq_ints(s)))
+
+
+def monomial_sum(terms, factors, order):
+    """sum (p / q) prod_{i in M} factors[i] over the terms (M, p, q), p != 0,
+    for int series factors keyed by the entries of the sortable tuples M:
+    the int series of the TruncSeries sum zero(order) + ... of the products
+    const(p / q, order) * factors[M[0]] * factors[M[1]] * ...
+
+    A product is known through the sum of its factors' vals plus the least
+    of their precisions (len(nums) - 1, and order for the scalar), and the
+    sum through the least of these and ``order``.  The monomials are walked
+    in sorted order with a stack of prefix products, so a prefix that
+    monomials share is multiplied once, and only through that order; the
+    products add up on ints over one lcm.
+    """
+    terms = sorted(terms)
+    vals = [sum(factors[i][0] for i in M) for M, _, _ in terms]
+    order = min([order] + [v + min([order] + [len(factors[i][2]) - 1 for i in M])
+                           for v, (M, _, _) in zip(vals, terms)])
+    # need[j][i] + 1 terms of the prefix M_j[:i + 1] serve every monomial
+    # that shares it; shared[j] is the prefix length M_j shares with M_j-1
+    need, shared = [None] * len(terms), [0] * len(terms)
+    for j in range(len(terms) - 1, -1, -1):
+        M = terms[j][0]
+        need[j] = [order - vals[j]] * len(M)
+        if j + 1 < len(terms):
+            for i, key in enumerate(terms[j + 1][0][: len(M)]):
+                if key != M[i]:
+                    break
+                need[j][i] = max(need[j][i], need[j + 1][i])
+                shared[j + 1] = i + 1
+    stack, products = [], []
+    for j, (M, p, q) in enumerate(terms):
+        del stack[shared[j]:]
+        for i in range(len(stack), len(M)):
+            v, den, nums = factors[M[i]]
+            size = max(0, need[j][i] + 1)
+            if stack:
+                pv, pden, pnums = stack[-1]
+                v, den, nums = pv + v, pden * den, _int_convolve(pnums, nums, size)
+            stack.append((v, den, nums[:size]))
+        v, den, nums = stack[-1]
+        if v <= order:
+            products.append((v, p, q * den, nums[: order - v + 1]))
+    low = min([order + 1] + [v for v, _, _, _ in products])
+    L = lcm(*[q for _, _, q, _ in products])
+    acc = [0] * (order - low + 1)
+    for v, p, q, nums in products:
+        w = p * (L // q)
+        for k, x in enumerate(nums, v - low):
+            acc[k] += w * x
+    while acc and not acc[0]:
+        del acc[0]
+        low += 1
+    return low, L, acc
 
 
 def expand_ratfunc(f, place, order, e=1):

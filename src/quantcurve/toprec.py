@@ -60,27 +60,11 @@ from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
 from .algebra import (
-    INF, LogSeries, Poly, RatFunc, TruncSeries,
-    expand_ratfunc, factor_over, laurent_ints, linear_forms_ints, poly_pow, ratfunc_sum,
+    INF, QQ, LogSeries, Poly, RatFunc, expand_ratfunc, factor_over, laurent_ints, linear_forms_ints,
+    monomial_sum, poly_pow, qq_ints, qq_series, ratfunc_at_series, ratfunc_ints, ratfunc_sum,
 )
 from .algebra.fields import _int_convolve, _numerators
 from .spectral import KSection, divisor_of
-
-
-# ---------------------------------------------------------------------------
-# rational-function expansion helpers
-
-
-def ratfunc_at_series(f, s):
-    """Evaluate a rational function at a Laurent series argument."""
-    field = s.field
-    num = TruncSeries.zero(field, s.order - max(0, -s.val) * f.num.degree)
-    for c in reversed(f.num.coeffs):
-        num = num * s + field.of(c)
-    den = TruncSeries.zero(field, s.order - max(0, -s.val) * f.den.degree)
-    for c in reversed(f.den.coeffs):
-        den = den * s + field.of(c)
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -766,27 +750,24 @@ class TopRecEngine:
     def principal_specialize(self, m, branch_series):
         """S_m from the table: sum over 2g-2+n = m-1 of F_{g,n}(t,...,t)/n!.
 
-        ``branch_series`` is the local expansion of the section t(x) in the
-        comparison variable; the result is a LogSeries in that variable.
+        ``branch_series`` is the local expansion over QQ of the section t(x)
+        in the comparison variable; the result is a LogSeries in that
+        variable.  Each primitive is evaluated once, as an int series, and
+        the monomials of the level (key ids, int numerators over the table's
+        denominator) are summed by ``monomial_sum``.
         """
         if m < 2:
             raise ValueError("the table covers S_m for m >= 2 only")
-        field = branch_series.field
-        out = TruncSeries.zero(field, branch_series.order)
-        prim_cache = {}
+        s = qq_ints(branch_series)
+        prims, terms = {}, []
         for (g, n), fgn in self.compute_level(m - 1):
-            if not fgn.table:
-                continue
-            nfact = factorial(n)
-            for M, c in fgn.items():
-                perm = _permutation_count(M)
-                term = TruncSeries.const(field, field.of(c * Fraction(perm, nfact)), branch_series.order)
-                for key in M:
-                    if key not in prim_cache:
-                        prim_cache[key] = ratfunc_at_series(self.f_primitive(key), branch_series)
-                    term = term * prim_cache[key]
-                out = out + term
-        return LogSeries(field.zero(), out)
+            den, ids = fgn._ids
+            for M, v in ids.items():
+                terms.append((M, v * _permutation_count(M), den * factorial(n)))
+                for i in M:
+                    if i not in prims:
+                        prims[i] = ratfunc_ints(self.f_primitive(self._key_of(i)), s)
+        return LogSeries(QQ.zero(), qq_series(monomial_sum(terms, prims, branch_series.order)))
 
     def f_evaluate(self, g, n, values):
         """F_{g,n} at n rational points; one None among them leaves that

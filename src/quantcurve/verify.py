@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .algebra import INF, QuadExtField, RatFunc, expand_ratfunc
+from .algebra import INF, QuadExtField, RatFunc, expand_ratfunc, qq_ints, ratfunc_ints
 from .curvespec import load_curve, place_repr
 from .lattice import count_check, lattice_from_spectral
 from .oracles import (
@@ -30,7 +30,6 @@ from .toprec import (
     TopRecEngine,
     arrangement_sum,
     matching_branch_map,
-    ratfunc_at_series,
     branch_maps,
 )
 from .wkb import WkbConfig, assemble_wavefunction, solve_wkb, verify_operator
@@ -275,14 +274,16 @@ def airy_table_as_exponents(eng, g, n):
 def catalan_mu_coefficient(eng, curve, g, n, mu, order=None):
     """Coefficient of prod x_i^(-mu_i) in the Catalan free energy."""
     order = order or (max(mu) + 4)
-    bm = branch_maps(curve, INF, 1, order)[0]
+    bm = qq_ints(branch_maps(curve, INF, 1, order)[0])
     series = {}
 
     def coefficient(key, i):
         s = series.get(key)
         if s is None:
-            s = series[key] = ratfunc_at_series(eng.f_primitive(key), bm)
-        return s.coefficient(mu[i]) if s.val <= mu[i] <= s.order else Fraction(0)
+            s = series[key] = ratfunc_ints(eng.f_primitive(key), bm)
+        val, den, nums = s
+        k = mu[i] - val
+        return Fraction(nums[k], den) if 0 <= k < len(nums) else Fraction(0)
 
     total = Fraction(0)
     for M, c in eng.F(g, n).items():

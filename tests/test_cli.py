@@ -240,6 +240,21 @@ def test_wkb_report_bytes_unchanged(curve):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WKB_REPORT_SHA256[curve]
 
 
+# sha256 of the stdout of two verify runs: the "through order N" details of
+# the specializations print the order bookkeeping of the series reads
+VERIFY_REPORT_SHA256 = {
+    ("--suite", "all"): "9a4beffc4881917bc35f7cbdae1726bb98855a1861c09d2775441508a91a1978",
+    ("--suite", "cross", "--depth", "7"): "bb1a96491fe83880519e7f4795624daf5a67d0f679a3394d75c5d1ad37c3f3ea",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_REPORT_SHA256))
+def test_verify_report_bytes_unchanged(args, capsys):
+    assert main(["verify", *args]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_REPORT_SHA256[args]
+
+
 def test_cli_wkb_timing_stages(capsys):
     argv = ["wkb", "--curve", "catalan", "--depth", "4"]
     assert main(argv) == 0

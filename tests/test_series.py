@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantcurve.algebra import (
     HBAR_FIELD,
@@ -16,6 +16,11 @@ from quantcurve.algebra import (
     TruncSeries,
     expand_ratfunc,
     laurent_ints,
+    monomial_sum,
+    qq_ints,
+    qq_series,
+    ratfunc_at_series,
+    ratfunc_ints,
 )
 
 
@@ -507,3 +512,98 @@ def test_newton_reversion_matches_compose_loop(fab, val, extra, lead):
     back = inner.compose(g)
     assert back.order == g.order
     assert _fields(back) == _fields(TruncSeries.uniformizer(field, g.order))
+
+
+# the int Horner kernel against the TruncSeries loops it replaced over QQ
+
+
+def _horner_loop(coeffs, s, order):
+    out = TruncSeries.zero(s.field, order)
+    for c in reversed(coeffs):
+        out = out * s + s.field.of(c)
+    return out
+
+
+def _truncseries_at(f, s):
+    lift = max(0, -s.val)
+    num = _horner_loop(f.num.coeffs, s, s.order - lift * f.num.degree)
+    den = _horner_loop(f.den.coeffs, s, s.order - lift * f.den.degree)
+    return num / den
+
+
+def _compose_loop(s, inner):
+    v = inner.val
+    R = min(inner.order, (s.order + 1) * v - 1)
+    top = min(s.order, R // v)
+    return _horner_loop([s.coefficient(k) for k in range(top + 1)], inner, R - (top + 1) * v)
+
+
+NONZERO_QQ = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def qq_truncseries(draw, vals):
+    # drawn zeros lead, trail or fill the list; the valuation moves past the
+    # leading ones, and an all-zero list is the zero series
+    val = draw(vals)
+    coeffs = draw(st.lists(MIXED_QQ | NONZERO_QQ, min_size=1, max_size=10))
+    return TruncSeries(QQ, val, coeffs, val + len(coeffs) - 1 + draw(st.integers(0, 3)))
+
+
+QQ_RATFUNCS = st.builds(
+    lambda num, den: RatFunc(Poly(num), Poly(den) if any(den) else Poly.const(1)),
+    st.lists(SMALL_QQ, max_size=4), st.lists(SMALL_QQ, min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(QQ_RATFUNCS, qq_truncseries(st.integers(-2, 3)))
+def test_ratfunc_at_series_matches_the_truncseries_loop(f, s):
+    try:
+        want = _truncseries_at(f, s)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            ratfunc_at_series(f, s)
+        return
+    assert _fields(ratfunc_at_series(f, s)) == _fields(want)
+    val, den, nums = ratfunc_ints(f, qq_ints(s))
+    assert den > 0 and math.gcd(den, *nums) == 1
+    assert (val, val + len(nums) - 1) == (want.val, want.order)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(qq_truncseries(st.integers(0, 3)), qq_truncseries(st.integers(1, 3)))
+def test_qq_compose_matches_the_truncseries_loop(s, inner):
+    assert _fields(s.compose(inner)) == _fields(_compose_loop(s, inner))
+
+
+def test_ratfunc_at_series_takes_qq_only():
+    with pytest.raises(ValueError, match="over QQ"):
+        ratfunc_at_series(rf([1], [1, 1]), TruncSeries.uniformizer(SQRT2, 4))
+
+
+@st.composite
+def monomial_terms(draw):
+    # factors of mixed valuations, some zero; the monomials share prefixes
+    # of every length, in any order of their keys
+    factors = [qq_ints(draw(qq_truncseries(st.integers(-2, 3)))) for _ in range(draw(st.integers(1, 4)))]
+    monomial = st.lists(st.integers(0, len(factors) - 1), min_size=1, max_size=4).map(tuple)
+    terms = draw(st.lists(st.tuples(monomial, NONZERO_QQ), max_size=8, unique_by=lambda t: t[0]))
+    return dict(enumerate(factors)), terms, draw(st.integers(-1, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_terms())
+# leading terms that cancel, partly and wholly
+@example(({0: (0, 1, [1, 2, 0]), 1: (0, 1, [1, 3, 5])}, [((0,), Fraction(1)), ((1,), Fraction(-1))], 2))
+@example(({0: (1, 2, [1, 2]), 1: (1, 2, [1, 2])}, [((0, 1), Fraction(1)), ((1, 1), Fraction(-1))], 6))
+def test_monomial_sum_matches_the_truncseries_sum(draw):
+    factors, terms, order = draw
+    want = TruncSeries.zero(QQ, order)
+    for M, c in terms:
+        term = TruncSeries.const(QQ, c, order)
+        for i in M:
+            term = term * qq_series(factors[i])
+        want = want + term
+    got = monomial_sum([(M, c.numerator, c.denominator) for M, c in terms], factors, order)
+    assert _fields(qq_series(got)) == _fields(want)
+    assert not got[2] or got[2][0]

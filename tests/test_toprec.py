@@ -4,7 +4,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -897,8 +897,12 @@ def test_reads_leave_no_reference_cycles(catalan_engine):
     curve, eng = catalan_engine
     points = DIFF_SAMPLE_POINTS
 
+    bm = branch_maps(curve, INF, 1, 12)[0]
+
     def reads():
         catalan_mu_coefficient(eng, curve, 0, 3, (1, 1, 2))
+        eng.principal_specialize(4, bm)
+        branch_maps(curve, INF, 1, 20)
         eng.diff_recursion_check(0, 4, points[:3])
         eng.diff_recursion_check(1, 3, points[:2])
         eng.f_evaluate(0, 3, [None, Fraction(2), Fraction(3)])
@@ -916,8 +920,8 @@ def test_reads_leave_no_reference_cycles(catalan_engine):
 
 def test_principal_specialize_evaluates_each_primitive_once(monkeypatch, catalan_engine, airy_engine):
     calls = []
-    evaluate = toprec.ratfunc_at_series
-    monkeypatch.setattr(toprec, "ratfunc_at_series", lambda f, s: calls.append(f) or evaluate(f, s))
+    evaluate = toprec.ratfunc_ints
+    monkeypatch.setattr(toprec, "ratfunc_ints", lambda f, s: calls.append(f) or evaluate(f, s))
     for (curve, eng), e, m in ((catalan_engine, 1, 4), (catalan_engine, 1, 5), (airy_engine, 2, 5)):
         bm = branch_maps(curve, INF, e, 12)[0]
         keys = {key for g in range((m - 1) // 2 + 2) if m + 1 - 2 * g >= 1
@@ -925,6 +929,83 @@ def test_principal_specialize_evaluates_each_primitive_once(monkeypatch, catalan
         calls.clear()
         eng.principal_specialize(m, bm)
         assert len(calls) == len(keys)
+
+
+def _truncseries_at(f, s):
+    # the TruncSeries Horner loops that ratfunc_at_series runs on ints
+    out = []
+    for p in (f.num, f.den):
+        acc = TruncSeries.zero(QQ, s.order - max(0, -s.val) * p.degree)
+        for c in reversed(p.coeffs):
+            acc = acc * s + c
+        out.append(acc)
+    return out[0] / out[1]
+
+
+def _fields(s):
+    return s.val, s.coeffs, s.order
+
+
+def _specialize_per_monomial(eng, m, bm):
+    out, prims = TruncSeries.zero(QQ, bm.order), {}
+    for (g, n), fgn in eng.compute_level(m - 1):
+        for M, c in fgn.items():
+            term = TruncSeries.const(QQ, c * Fraction(toprec._permutation_count(M), factorial(n)), bm.order)
+            for key in M:
+                if key not in prims:
+                    prims[key] = _truncseries_at(eng.f_primitive(key), bm)
+                term = term * prims[key]
+            out = out + term
+    return out
+
+
+# (curve, e) over x = inf; the walk's products at catalan levels 4 and 5
+# (S_5, S_6), against 470 and 1,388 in the per-monomial loop: one per
+# distinct prefix of two or more keys
+SPECIALIZE_CASES = [("airy", 2), ("catalan", 1), ("hermite", 1)]
+PREFIX_PRODUCTS = {("catalan", 5): 147, ("catalan", 6): 364}
+
+
+@pytest.mark.parametrize("name,e", SPECIALIZE_CASES)
+def test_principal_specialize_matches_the_per_monomial_sum(name, e, monkeypatch):
+    curve, eng = engine_for(load_curve(name))
+    # the int convolutions of monomial_sum, not those that evaluate primitives
+    products, summing = [], []
+    convolve, monomial_sum = series_module._int_convolve, toprec.monomial_sum
+
+    def counted(a, b, n):
+        if summing:
+            products.append(n)
+        return convolve(a, b, n)
+
+    def summed(*args):
+        summing.append(True)
+        try:
+            return monomial_sum(*args)
+        finally:
+            summing.clear()
+
+    monkeypatch.setattr(series_module, "_int_convolve", counted)
+    monkeypatch.setattr(toprec, "monomial_sum", summed)
+    for m in range(2, 7):
+        for bm in branch_maps(curve, INF, e, 3 * m + 6):
+            want = _fields(_specialize_per_monomial(eng, m, bm))  # fills the tables
+            products.clear()
+            got = eng.principal_specialize(m, bm)
+            assert (got.lam, _fields(got.body)) == (0, want)
+            assert len(products) <= PREFIX_PRODUCTS.get((name, m), len(products))
+
+
+# scaled_airy's sections over x = inf need a square a: a = 4 at seed 0, 1 at 2
+@pytest.mark.parametrize("builder,seed,e", [(scaled_airy, 0, 2), (scaled_airy, 2, 2),
+                                            (xy_family, 5, 1), (xy_family, 9, 1)])
+def test_principal_specialize_matches_the_per_monomial_sum_on_families(builder, seed, e):
+    curve = builder(random.Random(seed))
+    curve.normpt = Fraction(0)  # xy_family leaves it open; z = 0 lies over x = inf
+    eng = TopRecEngine(curve)
+    for m in (2, 3, 4):
+        for bm in branch_maps(curve, INF, e, 3 * m + 4):
+            assert _fields(eng.principal_specialize(m, bm).body) == _fields(_specialize_per_monomial(eng, m, bm))
 
 
 # sha256 of the branch sections of the builtin parametrizations, recorded
