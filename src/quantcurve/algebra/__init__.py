@@ -14,13 +14,9 @@ from .series import (
     LogSeries,
     TruncSeries,
     expand_ratfunc,
-    laurent_ints,
     linear_forms_ints,
     monomial_sum,
-    qq_ints,
-    qq_series,
     ratfunc_at_series,
-    ratfunc_ints,
 )
 
 #: shared field of rational functions in the quantization parameter
@@ -44,11 +40,7 @@ __all__ = [
     "LogSeries",
     "TruncSeries",
     "expand_ratfunc",
-    "laurent_ints",
     "linear_forms_ints",
     "monomial_sum",
-    "qq_ints",
-    "qq_series",
     "ratfunc_at_series",
-    "ratfunc_ints",
 ]

@@ -12,6 +12,13 @@ Elements of ``QuadExtField`` and ``FractionField`` overload the usual
 arithmetic operators, so series code is generic over the field; polynomials
 and rational functions are over QQ only.  Everything is exact; there is no
 floating point anywhere.
+
+A series holds its coefficients as numerators over one denominator, and
+each field supplies the protocol for it: ``split`` values into (den, nums),
+``reduce`` a pair, read one ``value``, and ``convolve`` numerator lists.
+Over QQ the numerators are ints over a positive den with gcd(den, *nums) =
+1; ``QuadExtField`` and ``FractionField`` elements hold their own
+denominators, so there den is 1 and the numerators are the elements.
 """
 
 from __future__ import annotations
@@ -63,18 +70,22 @@ class RationalField:
     def to_str(self, v):
         return str(v)
 
-    def convolve(self, a, b, n):
-        """The first ``n`` coefficients of the product of coefficient lists.
+    def split(self, values):
+        """(den, int numerators) of a list of ints and Fractions, reduced."""
+        nums, den = _numerators(values)
+        return den, nums
 
-        Each operand is scaled once to integer numerators over the lcm of its
-        denominators, the numerators are convolved as plain ints, and each
-        output coefficient is one ``Fraction`` over the product of the two
-        lcms: exact, O(len(a) len(b)) int products and n gcds in place of
-        one gcd per coefficient product.
-        """
-        (A, da), (B, db) = _numerators(a[:n]), _numerators(b[:n])
-        den = da * db
-        return [Fraction(c, den) for c in _int_convolve(A, B, n)]
+    def reduce(self, den, nums):
+        """(den, nums) over a positive den with gcd(den, *nums) = 1."""
+        g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
+        return (den, nums) if g == 1 else (den // g, [c // g for c in nums])
+
+    def value(self, den, c):
+        return Fraction(c, den)
+
+    def convolve(self, a, b, n):
+        """The first ``n`` coefficients of the product of int numerator lists."""
+        return _int_convolve(a, b, n)
 
     def __repr__(self):
         return "QQ"
@@ -194,7 +205,23 @@ class QuadExtElement:
         return f"({self.a} + {self.b}*sqrt({self.field.d}))"
 
 
-class QuadExtField:
+class ElementField:
+    """The numerator protocol of a field whose elements hold their own
+    denominators: a series keeps the elements themselves over den = 1, and
+    ``split`` keeps ints and Fractions as they are, so that a scalar acts
+    on each element with one operation."""
+
+    def split(self, values):
+        return 1, list(values)
+
+    def reduce(self, den, nums):
+        return den, nums
+
+    def value(self, den, c):
+        return c
+
+
+class QuadExtField(ElementField):
     """The quadratic extension QQ(sqrt(d)); d must not be a square in QQ."""
 
     def __init__(self, d):

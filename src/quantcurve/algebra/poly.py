@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .fields import QQ, _int_convolve, _numerators
+from .fields import QQ, ElementField, _int_convolve, _numerators
 
 
 class _Infinity:
@@ -107,7 +107,10 @@ class Poly:
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return Poly([], normalize=False)
-            return Poly(QQ.convolve(a, b, len(a) + len(b) - 1), normalize=False)._trim()
+            (A, da), (B, db) = _numerators(a), _numerators(b)
+            den = da * db
+            return Poly([Fraction(c, den) for c in _int_convolve(A, B, len(a) + len(b) - 1)],
+                        normalize=False)._trim()
         c = QQ.of(other)
         return Poly([ci * c for ci in self.coeffs], normalize=False)._trim()
 
@@ -801,7 +804,7 @@ class FracFuncElement:
         return self.rf.to_str(FractionField.var)
 
 
-class FractionField:
+class FractionField(ElementField):
     """The field QQ(h) of rational functions in the quantization parameter,
     used as a coefficient field (its one instance is ``HBAR_FIELD``)."""
 

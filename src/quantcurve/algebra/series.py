@@ -7,6 +7,14 @@ half-integer exponents in w at branch points.  Every operation returns the
 minimum order it can actually guarantee; nothing is silently padded with
 zeros.
 
+The coefficients are numerators over one denominator, in the field's
+protocol (``fields``): the coefficient of tau^(val + k) is nums[k] / den,
+with nums[0] and nums[-1] nonzero, and the zero series has no nums and val
+= order + 1.  Over QQ the nums are ints over den > 0 with gcd(den, *nums) =
+1, so a product is one int convolution and one gcd; over QQ(sqrt d) and
+QQ(h) den is 1 and the nums are the field's elements.  ``coeffs``,
+``coefficient`` and ``items`` read values.
+
 ``LogSeries`` carries one extra logarithmic term ``lam * log(w)`` on top of a
 series body, and the chart's e; antiderivatives produce it, derivatives fold
 it back.
@@ -15,7 +23,7 @@ it back.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .fields import QQ, _int_convolve, _numerators
 from .poly import INF
@@ -27,29 +35,48 @@ def product_order(a, b):
     return min(a.order + b.val, b.order + a.val)
 
 
+def _series(field, val, den, nums, order):
+    """The TruncSeries nums / den from tau^val through ``order``."""
+    return TruncSeries.__new__(TruncSeries)._take(field, val, den, nums, order)
+
+
+def _scaled(nums, k):
+    """nums times the int k; over a field of elements k is 1, which costs
+    no element operation."""
+    return nums if k == 1 else [c * k for c in nums]
+
+
+def _zero(field):
+    """The field's zero as a numerator: 0 over QQ, the element elsewhere."""
+    return 0 if field is QQ else field.zero()
+
+
 class TruncSeries:
-    __slots__ = ("field", "val", "coeffs", "order")
+    __slots__ = ("field", "val", "den", "nums", "order")
 
     def __init__(self, field, val, coeffs, order):
-        coeffs = [field.of(c) for c in coeffs]
-        # strip leading zeros, clip to order
-        while coeffs and field.is_zero(coeffs[0]):
-            coeffs.pop(0)
-            val += 1
-        if val + len(coeffs) - 1 > order:
-            coeffs = coeffs[: max(0, order - val + 1)]
-        while coeffs and field.is_zero(coeffs[-1]):
-            coeffs.pop()
-        if not coeffs:
-            val = order + 1
-        self.field = field
-        self.val = val
-        self.coeffs = coeffs
-        self.order = order
+        self._take(field, val, *field.split([field.of(c) for c in coeffs]), order)
+
+    def _take(self, field, val, den, nums, order):
+        """Hold nums / den from tau^val: clipped to ``order``, zeros stripped
+        at both ends, reduced by the field."""
+        end = max(0, min(len(nums), order - val + 1))
+        lo = 0
+        while lo < end and not nums[lo]:
+            lo += 1
+        while end > lo and not nums[end - 1]:
+            end -= 1
+        self.field, self.order = field, order
+        if lo == end:
+            self.val, self.den, self.nums = order + 1, 1, []
+        else:
+            self.val = val + lo
+            self.den, self.nums = field.reduce(den, nums[lo:end])
+        return self
 
     @staticmethod
     def zero(field, order):
-        return TruncSeries(field, order + 1, [], order)
+        return _series(field, order + 1, 1, [], order)
 
     @staticmethod
     def const(field, c, order):
@@ -60,35 +87,30 @@ class TruncSeries:
         """The series tau itself."""
         return TruncSeries(field, 1, [field.one()], order)
 
-    def is_zero(self):
-        return not self.coeffs
+    @property
+    def coeffs(self):
+        """The coefficients from tau^val on, as values of the field."""
+        return [self.field.value(self.den, c) for c in self.nums]
 
-    def copy(self, coeffs, order=None):
-        """The series with ``coeffs`` from the same valuation (their first
-        entry nonzero), through ``order`` or the same order."""
-        out = TruncSeries.__new__(TruncSeries)
-        out.field = self.field
-        out.val = self.val
-        out.coeffs = coeffs
-        out.order = self.order if order is None else order
-        return out
+    def is_zero(self):
+        return not self.nums
 
     def coefficient(self, k):
         if k > self.order:
             raise ValueError(f"coefficient {k} beyond guaranteed order {self.order}")
-        if k < self.val or k >= self.val + len(self.coeffs):
+        if k < self.val or k >= self.val + len(self.nums):
             return self.field.zero()
-        return self.coeffs[k - self.val]
+        return self.field.value(self.den, self.nums[k - self.val])
 
     def items(self):
-        for i, c in enumerate(self.coeffs):
-            if not self.field.is_zero(c):
-                yield self.val + i, c
+        for k, c in enumerate(self.nums, self.val):
+            if c:
+                yield k, self.field.value(self.den, c)
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TruncSeries(self.field, self.val, self.coeffs[: max(0, order - self.val + 1)], order)
+        return _series(self.field, self.val, self.den, self.nums, order)
 
     def map_coeffs(self, fn, field=None):
         field = field or self.field
@@ -96,44 +118,42 @@ class TruncSeries:
 
     def scale_exponents(self, k):
         """Substitute tau -> tau^k (exponent dilation)."""
-        if self.is_zero():
-            return TruncSeries.zero(self.field, self.order * k)
-        coeffs = []
-        for i, c in enumerate(self.coeffs):
-            coeffs.append(c)
-            if i < len(self.coeffs) - 1:
-                coeffs.extend([self.field.zero()] * (k - 1))
-        return TruncSeries(self.field, self.val * k, coeffs, self.order * k)
+        nums = []
+        gap = [_zero(self.field)] * (k - 1)
+        for c in self.nums:
+            nums += [c] + gap
+        return _series(self.field, self.val * k, self.den, nums, self.order * k)
 
     def shift(self, k):
         """Multiply by tau^k."""
-        return TruncSeries(self.field, self.val + k, self.coeffs, self.order + k)
+        return _series(self.field, self.val + k, self.den, self.nums, self.order + k)
 
     def __add__(self, other):
+        f = self.field
         if not isinstance(other, TruncSeries):
-            other = TruncSeries.const(self.field, self.field.of(other), self.order)
+            other = TruncSeries.const(f, f.of(other), self.order)
         order = min(self.order, other.order)
         if self.is_zero():
             return other.truncate(order)
         if other.is_zero():
             return self.truncate(order)
-        f = self.field
+        # both over the lcm of the dens, which is 1 over a field of elements
+        den = lcm(self.den, other.den)
         val = min(self.val, other.val)
-        out = [f.zero()] * (order - val + 1)
-        lo, cs = self.val - val, self.coeffs[: max(0, order - self.val + 1)]
+        out = [_zero(f)] * (order - val + 1)
+        lo, cs = self.val - val, _scaled(self.nums[: max(0, order - self.val + 1)], den // self.den)
         out[lo: lo + len(cs)] = cs
-        for i, c in enumerate(other.coeffs[: max(0, order - other.val + 1)], other.val - val):
+        for i, c in enumerate(_scaled(other.nums[: max(0, order - other.val + 1)], den // other.den),
+                              other.val - val):
             out[i] = out[i] + c
-        return TruncSeries(f, val, out, order)
+        return _series(f, val, den, out, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.copy(coeffs=[-c for c in self.coeffs])
+        return _series(self.field, self.val, self.den, [-c for c in self.nums], self.order)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            other = TruncSeries.const(self.field, self.field.of(other), self.order)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -142,43 +162,46 @@ class TruncSeries:
     def __mul__(self, other):
         f = self.field
         if not isinstance(other, TruncSeries):
-            # a nonzero scalar keeps every nonzero coefficient nonzero;
-            # ints and Fractions act on the coefficients as they are
+            # a scalar splits like a coefficient: an int or a Fraction acts
+            # on QQ numerators and denominator, and on each element as it is
             c = other if isinstance(other, (int, Fraction)) else f.of(other)
-            if f.is_zero(c):
+            cd, (cn,) = f.split([c])
+            if not cn:
                 return TruncSeries.zero(f, self.order)
-            return self.copy(coeffs=[x * c for x in self.coeffs])
+            return _series(f, self.val, self.den * cd, [x * cn for x in self.nums], self.order)
         order = product_order(self, other)
         if self.is_zero() or other.is_zero():
             return TruncSeries.zero(f, order)
         val = self.val + other.val
-        out = f.convolve(self.coeffs, other.coeffs, order - val + 1)
-        return TruncSeries(f, val, out, order)
+        nums = f.convolve(self.nums, other.nums, order - val + 1)
+        return _series(f, val, self.den * other.den, nums, order)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Multiplicative inverse, exact through the order this series allows.
 
-        Newton iteration g <- g - g (u g - 1) on the unit part u: each step
-        doubles the number of correct coefficients with two ``convolve``
-        calls, so the cost is a constant times one full-length product.
+        Newton iteration g <- g - g (u g - 1) on the unit part u = U / du:
+        each step doubles the number of correct coefficients with two
+        ``convolve`` calls, so the cost is a constant times one full-length
+        product.  With g = G / gd, the step appends -G E / (gd^2 du) to G,
+        E the numerators of coefficients m .. m2 - 1 of U G.
         """
         f = self.field
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero series")
-        v = self.val
-        unit = self.shift(-v)  # valuation 0, known through order - v
-        n = unit.order + 1
-        g, m = [f.one() / unit.coeffs[0]], 1
+        v, U, du = self.val, self.nums, self.den
+        n = self.order - v + 1  # the unit part is known through order - v
+        gd, G = f.split([f.one() / self.coefficient(v)])
+        m = 1
         while m < n:
             m2 = min(2 * m, n)
             # u g = 1 + O(tau^m): only coefficients m .. m2 - 1 of u g - 1 remain
-            err = f.convolve(unit.coeffs, g, m2)[m:]
-            g = g + [-c for c in f.convolve(g, err, m2 - m)]
+            err = f.convolve(U, G, m2)[m:]
+            k = gd * du
+            gd, G = f.reduce(gd * k, _scaled(G, k) + [-c for c in f.convolve(G, err, m2 - m)])
             m = m2
-        res = TruncSeries(f, 0, g, unit.order)
-        return res.shift(-v)
+        return _series(f, -v, gd, G, self.order - 2 * v)
 
     def __truediv__(self, other):
         if not isinstance(other, TruncSeries):
@@ -199,7 +222,7 @@ class TruncSeries:
             raise ValueError("square root of zero truncated series")
         if self.val % 2 != 0:
             raise ValueError(f"odd valuation {self.val} has no series square root")
-        lead = self.coeffs[0]
+        lead = self.coefficient(self.val)
         if root_of_leading is None:
             root_of_leading = f.sqrt(lead)
             if root_of_leading is None:
@@ -207,25 +230,27 @@ class TruncSeries:
         root_of_leading = f.of(root_of_leading)
         if not f.is_zero(root_of_leading * root_of_leading - lead):
             raise ValueError("root_of_leading squared does not match the leading coefficient")
-        v = self.val
-        unit = self.shift(-v)  # valuation 0, known through order - v
-        n, u = unit.order + 1, unit.coeffs
-        # Newton on the inverse square root, h <- h - h (u h^2 - 1) / 2:
-        # each step doubles the correct coefficients with three convolves
-        h, m = [f.one() / root_of_leading], 1
+        v, U, du = self.val, self.nums, self.den
+        n = self.order - v + 1  # the unit part is known through order - v
+        # Newton on the inverse square root, h <- h - h (u h^2 - 1) / 2 with
+        # h = H / hd: each step doubles the correct coefficients with three
+        # convolves, and appends -H E / (2 hd^3 du) to H
+        hd, H = f.split([f.one() / root_of_leading])
+        half_d, (half_n,) = f.split([Fraction(-1, 2)])
+        m = 1
         while m < n:
             m2 = min(2 * m, n)
             # u h^2 = 1 + O(tau^m): only coefficients m .. m2 - 1 remain
-            err = f.convolve(u, f.convolve(h, h, m2), m2)[m:]
-            h = h + [c / -2 for c in f.convolve(h, err, m2 - m)]
+            err = f.convolve(U, f.convolve(H, H, m2), m2)[m:]
+            k = hd * hd * du * half_d
+            hd, H = f.reduce(hd * k, _scaled(H, k) + [c * half_n for c in f.convolve(H, err, m2 - m)])
             m = m2
-        res = TruncSeries(f, 0, f.convolve(u, h, n), unit.order)
-        return res.shift(v // 2)
+        return _series(f, v // 2, du * hd, f.convolve(U, H, n), self.order - v + v // 2)
 
     def log1(self):
         """log of a series with leading term 1 at valuation 0."""
         f = self.field
-        if self.val != 0 or not f.is_zero(self.coeffs[0] - f.one()):
+        if self.val != 0 or not f.is_zero(self.coefficient(0) - f.one()):
             raise ValueError("log requires leading term 1 at valuation 0")
         u = self - TruncSeries.const(f, f.one(), self.order)
         out = TruncSeries.zero(f, self.order)
@@ -243,8 +268,8 @@ class TruncSeries:
 
     def derivative(self):
         """d/dtau."""
-        out = [c * k for k, c in enumerate(self.coeffs, self.val)]
-        return TruncSeries(self.field, self.val - 1, out, self.order - 1)
+        out = [c * k for k, c in enumerate(self.nums, self.val)]
+        return _series(self.field, self.val - 1, self.den, out, self.order - 1)
 
     def integrate(self):
         """Antiderivative in tau.  Returns (log_coefficient, series).
@@ -253,24 +278,18 @@ class TruncSeries:
         returned separately as the coefficient of log(tau).
         """
         f = self.field
-        logc, out = f.zero(), []
-        for k, c in enumerate(self.coeffs, self.val):
-            if k == -1:
-                logc = c
-                out.append(f.zero())
-            else:
-                out.append(c / (k + 1))
-        return logc, TruncSeries(f, self.val + 1, out, self.order + 1)
+        logc = self.coefficient(-1) if self.val <= -1 <= self.order else f.zero()
+        out = [f.zero() if k == -1 else c / (k + 1) for k, c in enumerate(self.coeffs, self.val)]
+        return logc, _series(f, self.val + 1, *f.split(out), self.order + 1)
 
     def compose(self, inner):
         """self(inner) for a power series self and inner of valuation >= 1.
 
-        Horner from the top, trimmed to the precision that survives: with
-        v = inner.val the result is known through R = min(inner.order,
-        (self.order + 1) v - 1), and the partial sum after coefficient k is
-        still multiplied by inner k more times, so it is carried only
-        through order R - k v.  Over QQ the same loop runs on ints
-        (``_horner_ints``).
+        Horner from the top (``_horner``), trimmed to the precision that
+        survives: with v = inner.val the result is known through R =
+        min(inner.order, (self.order + 1) v - 1), and the partial sum after
+        coefficient k is still multiplied by inner k more times, so it is
+        carried only through order R - k v.
         """
         if self.val < 0:
             raise ValueError("composition requires a power series (valuation >= 0)")
@@ -279,15 +298,10 @@ class TruncSeries:
         v = inner.val
         R = min(inner.order, (self.order + 1) * v - 1)
         top = min(self.order, R // v)
-        coeffs = [self.coefficient(k) for k in range(top + 1)]
-        if self.field is QQ is inner.field:
-            C, den = _numerators(coeffs)
-            val, hden, nums = _horner_ints(C, qq_ints(inner), R - (top + 1) * v)
-            return qq_series((val, den * hden, nums))
-        out = TruncSeries.zero(self.field, R - (top + 1) * v)
-        for c in reversed(coeffs):
-            out = out * inner + c
-        return out
+        # the numerators of coefficients 0 .. top; a zero one is never read
+        C = ([0] * self.val + self.nums + [0] * (top + 1))[: top + 1]
+        out = _horner(self.field, C, inner, R - (top + 1) * v)
+        return _series(self.field, out.val, out.den * self.den, out.nums, out.order)
 
     def reversion(self):
         """Compositional inverse.
@@ -306,13 +320,14 @@ class TruncSeries:
             raise ValueError("reversion requires valuation +1 or -1")
         if self.val == -1:
             return self.inverse().reversion()
-        g, m = [f.one() / self.coeffs[0]], 1
+        g, m = TruncSeries(f, 1, [f.one() / self.coefficient(1)], 1), 1
         while m < self.order:
             m = min(2 * m, self.order)
-            gs = self.copy(coeffs=g, order=m)
+            # g's terms, claimed through m
+            gs = _series(f, 1, g.den, g.nums, m)
             err = self.truncate(m).compose(gs) - TruncSeries.uniformizer(f, m)
-            g = (gs - err * gs.derivative()).coeffs
-        return self.copy(coeffs=g)
+            g = gs - err * gs.derivative()
+        return _series(f, 1, g.den, g.nums, self.order)
 
     def eq_through(self, other, order=None):
         o = min(self.order, other.order)
@@ -331,6 +346,31 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self.to_str()})"
+
+
+def _horner(field, C, s, order):
+    """sum_k C[k] s^k for numerators C of the field at a series s, by Horner
+    from the zero series through ``order`` with TruncSeries' bookkeeping:
+    each step is known through ``product_order``, sheds leading zeros and
+    clips to its order.  The partial sums stay unreduced, over s.den to the
+    number of steps that multiplied a nonzero one; the result is reduced."""
+    sv, so, sd, S = s.val, s.order, s.den, s.nums
+    val, den, nums = order + 1, 1, []
+    for c in reversed(C):
+        order = min(order + sv, so + val)
+        if nums and S:
+            val += sv
+            nums, den = field.convolve(nums, S, order - val + 1), den * sd
+        else:
+            val, den, nums = order + 1, 1, []
+        if c and order >= 0:
+            if val > 0:
+                nums, val = [_zero(field)] * val + nums, 0
+            nums[-val] += c if den == 1 else c * den
+            while nums and not nums[0]:
+                del nums[0]
+                val += 1
+    return _series(field, val, den, nums, order)
 
 
 def _local_ints(N, D, place):
@@ -360,30 +400,25 @@ def _local_ints(N, D, place):
     return n, d, v
 
 
-def laurent_ints(f, place, order):
-    """The Laurent expansion of a QQ rational function at a place, exact
-    through u^order in the uniformizer u (x - place, or 1/x at INF), as
-    (val, den, nums): the coefficient of u^(val + k) is nums[k] / den.
+def expand_ratfunc(f, place, order, e=1):
+    """Laurent expansion of a QQ rational function at a place, as a
+    ``TruncSeries`` exact through ``order``.
 
-    nums has order - val + 1 entries (none when order < val), trailing zeros
-    kept, so the series is known through val + len(nums) - 1; den > 0, and
-    gcd(den, *nums) = 1.  With n / d the local numerator and denominator on
-    ints, the quotient q_k = (n_k - sum_i d_i q_{k-i}) / d_0 runs on
-    Q_k = q_k d_0^(k+1) = n_k d_0^k - sum_i d_i d_0^(i-1) Q_{k-i}: n terms
-    cost O(n * deg den) int products and one gcd at the end.  The zero
-    function gives (order + 1, 1, []).
+    With n / d the local numerator and denominator on ints, the quotient
+    q_k = (n_k - sum_i d_i q_{k-i}) / d_0 runs on ints (``_int_quotient``):
+    n terms cost O(n * deg den) int products and one gcd at the end.  The
+    result is a series in the local parameter tau with tau**e equal to the
+    uniformizer (x - place, or 1/x at INF); rational functions only produce
+    exponents divisible by e.
     """
     if f.is_zero():
-        return order + 1, 1, []
-    (N, dn), (D, dd) = _numerators(f.num.coeffs), _numerators(f.den.coeffs)
-    n, d, val = _local_ints(N, D, place)
-    size = order - val + 1
-    if size <= 0:
-        return val, 1, []
-    nums, den = _int_quotient(n, d, size, dd)
-    den *= dn
-    g = gcd(den, *nums)
-    return val, den // g, [c // g for c in nums]
+        out = TruncSeries.zero(QQ, order)
+    else:
+        (N, dn), (D, dd) = _numerators(f.num.coeffs), _numerators(f.den.coeffs)
+        n, d, val = _local_ints(N, D, place)
+        nums, den = _int_quotient(n, d, order - val + 1, dd)
+        out = _series(QQ, val, den * dn, nums, order)
+    return out.scale_exponents(e) if e != 1 else out
 
 
 def _int_quotient(n, d, size, scale=1):
@@ -412,8 +447,8 @@ def _int_quotient(n, d, size, scale=1):
 def linear_forms_ints(forms, place, order):
     """The product of the powers (alpha t + beta)^k over ``forms``, a list of
     (alpha, beta, k) with rational alpha and beta not both zero, at a place
-    of P^1: exact through u^order in the uniformizer u (t - place, or 1/t
-    at INF), as (val, den, nums) in the reduced form of ``laurent_ints``.
+    of P^1: a series over QQ exact through u^order in the uniformizer u (t -
+    place, or 1/t at INF).
 
     At the place a form is u^s (A + B u) with A != 0 and s in {-1, 0, 1},
     and (A + B u)^k = A^k sum_j C(k, j) (B/A)^j u^j is a binomial series,
@@ -440,8 +475,6 @@ def linear_forms_ints(forms, place, order):
                 rn, rd = -rn, -rd
             parts.append((ln, ld, rn, rd, k))
     size = order - val + 1
-    if size <= 0:
-        return val, 1, []
     nums, den = [1] + [0] * (size - 1), 1
     for ln, ld, rn, rd, k in parts:
         den *= ld
@@ -458,108 +491,48 @@ def linear_forms_ints(forms, place, order):
             c = c * (k - j) // (j + 1)
             rnj *= rn
         nums, den = _int_convolve(nums, series, size), den * rdp[-1]
-    g = gcd(den, *nums)
-    return val, den // g, [c // g for c in nums]
-
-
-# A QQ series on ints is (val, den, nums): the coefficient of tau^(val + k)
-# is nums[k] / den for den != 0, known through val + len(nums) - 1, with
-# nums[0] != 0 or, for the zero series, nums empty and val its order + 1;
-# trailing zeros are kept.  These are the val and order of the TruncSeries
-# it stands for, so its arithmetic keeps TruncSeries' bookkeeping on ints.
-
-
-def qq_ints(s):
-    """A TruncSeries over QQ as an int series."""
-    if s.field is not QQ:
-        raise ValueError(f"an int series is over QQ, not {s.field!r}")
-    nums, den = _numerators(s.coeffs)
-    return s.val, den, nums + [0] * (s.order - s.val + 1 - len(nums))
-
-
-def qq_series(s):
-    """The TruncSeries of an int series: one Fraction per coefficient."""
-    val, den, nums = s
-    return TruncSeries(QQ, val, [Fraction(c, den) for c in nums], val + len(nums) - 1)
-
-
-def _horner_ints(C, s, order):
-    """sum_k C[k] s^k for an int list C at an int series s, by Horner from
-    the zero series through ``order`` with TruncSeries' bookkeeping: each
-    step is known through ``product_order``, sheds leading zeros and clips
-    to its order.  The result is the int series of the TruncSeries loop
-    out = out * s + C[k]; its den is s's den to the number of steps that
-    multiplied a nonzero partial sum."""
-    sv, sd, S = s
-    so = sv + len(S) - 1
-    val, den, nums = order + 1, 1, []
-    for c in reversed(C):
-        order = min(order + sv, so + val)
-        if nums and S:
-            val += sv
-            nums, den = _int_convolve(nums, S, order - val + 1), den * sd
-        else:
-            val, den, nums = order + 1, 1, []
-        if c and order >= 0:
-            if val > 0:
-                nums, val = [0] * val + nums, 0
-            nums[-val] += c * den
-            while nums and not nums[0]:
-                del nums[0]
-                val += 1
-    return val, den, nums
-
-
-def ratfunc_ints(f, s):
-    """A QQ rational function at an int series s, as an int series with
-    den > 0 and gcd(den, *nums) = 1: its numerator and denominator by
-    ``_horner_ints`` from the orders the TruncSeries loop starts them at,
-    then the quotient on ints, through the order of num * den.inverse()."""
-    sv, _, S = s
-    so, lift = sv + len(S) - 1, max(0, -sv)
-    (N, dn), (D, dd) = _numerators(f.num.coeffs), _numerators(f.den.coeffs)
-    nv, nden, nn = _horner_ints(N, s, so - lift * f.num.degree)
-    dv, dden, dnums = _horner_ints(D, s, so - lift * f.den.degree)
-    if not dnums:
-        raise ZeroDivisionError("inverse of zero series")
-    # num (val nv) times the inverse of den: val -dv, order den's order - 2 dv
-    order = min(nv + len(nn) - 1 - dv, dv + len(dnums) - 1 - 2 * dv + nv)
-    if not nn:
-        return order + 1, 1, []
-    val = nv - dv
-    # num(s) / den(s) = (nn / (nden dn)) / (dnums / (dden dd))
-    nums, den = _int_quotient(nn, dnums, order - val + 1, dden * dd)
-    den *= nden * dn
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
-    return val, den // g, [c // g for c in nums]
+    return _series(QQ, val, den, nums, order)
 
 
 def ratfunc_at_series(f, s):
     """A QQ rational function at a Laurent series over QQ: the series
-    f.num(s) / f.den(s), each by Horner from the order its leading power
-    allows, with the val, order and coefficients of that TruncSeries
-    computation (``ratfunc_ints``)."""
-    return qq_series(ratfunc_ints(f, qq_ints(s)))
+    f.num(s) / f.den(s), each by ``_horner`` from the order its leading
+    power allows, then the quotient on ints, with the val, order and
+    coefficients of num(s) * den(s).inverse()."""
+    if s.field is not QQ:
+        raise ValueError(f"a rational function is evaluated at a series over QQ, not {s.field!r}")
+    lift = max(0, -s.val)
+    (N, dn), (D, dd) = _numerators(f.num.coeffs), _numerators(f.den.coeffs)
+    num = _horner(QQ, N, s, s.order - lift * f.num.degree)
+    den = _horner(QQ, D, s, s.order - lift * f.den.degree)
+    if den.is_zero():
+        raise ZeroDivisionError("inverse of zero series")
+    # num times the inverse of den (val -den.val, order den.order - 2 den.val)
+    order = min(num.order - den.val, den.order - 2 * den.val + num.val)
+    if num.is_zero():
+        return TruncSeries.zero(QQ, order)
+    val = num.val - den.val
+    # num(s) / den(s) = (num.nums / (num.den dn)) / (den.nums / (den.den dd))
+    nums, d0 = _int_quotient(num.nums, den.nums, order - val + 1, den.den * dd)
+    return _series(QQ, val, d0 * num.den * dn, nums, order)
 
 
 def monomial_sum(terms, factors, order):
     """sum (p / q) prod_{i in M} factors[i] over the terms (M, p, q), p != 0,
-    for int series factors keyed by the entries of the sortable tuples M:
-    the int series of the TruncSeries sum zero(order) + ... of the products
-    const(p / q, order) * factors[M[0]] * factors[M[1]] * ...
+    for series over QQ keyed by the entries of the sortable tuples M: the
+    TruncSeries sum zero(order) + ... of the products const(p / q, order) *
+    factors[M[0]] * factors[M[1]] * ...
 
     A product is known through the sum of its factors' vals plus the least
-    of their precisions (len(nums) - 1, and order for the scalar), and the
-    sum through the least of these and ``order``.  The monomials are walked
-    in sorted order with a stack of prefix products, so a prefix that
-    monomials share is multiplied once, and only through that order; the
-    products add up on ints over one lcm.
+    of their precisions (order - val, and order for the scalar), and the sum
+    through the least of these and ``order``.  The monomials are walked in
+    sorted order with a stack of prefix products, so a prefix that monomials
+    share is multiplied once, and only through that order; the products add
+    up on ints over one lcm.
     """
     terms = sorted(terms)
-    vals = [sum(factors[i][0] for i in M) for M, _, _ in terms]
-    order = min([order] + [v + min([order] + [len(factors[i][2]) - 1 for i in M])
+    vals = [sum(factors[i].val for i in M) for M, _, _ in terms]
+    order = min([order] + [v + min([order] + [factors[i].order - factors[i].val for i in M])
                            for v, (M, _, _) in zip(vals, terms)])
     # need[j][i] + 1 terms of the prefix M_j[:i + 1] serve every monomial
     # that shares it; shared[j] is the prefix length M_j shares with M_j-1
@@ -577,7 +550,8 @@ def monomial_sum(terms, factors, order):
     for j, (M, p, q) in enumerate(terms):
         del stack[shared[j]:]
         for i in range(len(stack), len(M)):
-            v, den, nums = factors[M[i]]
+            factor = factors[M[i]]
+            v, den, nums = factor.val, factor.den, factor.nums
             size = max(0, need[j][i] + 1)
             if stack:
                 pv, pden, pnums = stack[-1]
@@ -593,24 +567,7 @@ def monomial_sum(terms, factors, order):
         w = p * (L // q)
         for k, x in enumerate(nums, v - low):
             acc[k] += w * x
-    while acc and not acc[0]:
-        del acc[0]
-        low += 1
-    return low, L, acc
-
-
-def expand_ratfunc(f, place, order, e=1):
-    """Laurent expansion of a QQ rational function at a place, as a
-    ``TruncSeries`` exact through ``order``: the ``Fraction`` view of
-    ``laurent_ints``, which runs the quotient's recurrence on ints.
-
-    The result is a series in the local parameter tau with tau**e equal to
-    the uniformizer (x - place, or 1/x at INF); rational functions only
-    produce exponents divisible by e.
-    """
-    val, den, nums = laurent_ints(f, place, order)
-    out = TruncSeries(QQ, val, [Fraction(c, den) for c in nums], order)
-    return out.scale_exponents(e) if e != 1 else out
+    return _series(QQ, low, L, acc, order)
 
 
 class LogSeries:

@@ -37,10 +37,11 @@ accumulation all hash and sort ints only.  So do the local memo keys: a
 support point is its index in ``curve.support``, a transform maps indices
 to its coefficients, and a factor's valuations are one tuple over the
 indices.  The arithmetic is on int numerators over one denominator per
-piece.  A local series is (val, den, nums) as ``laurent_ints`` gives it;
-every transform's scalar carries sigma'/Omega, which is one factor per
-point, and the scalar of a transform is one int convolution chain of its
-factors.  The kernel and coupled vectors are (key id, int) pairs over one
+piece.  A local series is a ``TruncSeries`` over QQ, which holds int
+numerators over one denominator (``den``, ``nums``); every transform's
+scalar carries sigma'/Omega, which is one factor per point, and the scalar
+of a transform is one int convolution chain of its factors' numerators.
+The kernel and coupled vectors are (key id, int) pairs over one
 denominator per point, and a transform returns ints over one denominator
 per point.  A table keeps (den, {key ids: int}) beside its public table,
 the bracket's job coefficients are ints over one denominator per bracket,
@@ -60,10 +61,10 @@ from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
 from .algebra import (
-    INF, QQ, LogSeries, Poly, RatFunc, expand_ratfunc, factor_over, laurent_ints, linear_forms_ints,
-    monomial_sum, poly_pow, qq_ints, qq_series, ratfunc_at_series, ratfunc_ints, ratfunc_sum,
+    INF, QQ, LogSeries, Poly, RatFunc, expand_ratfunc, factor_over, linear_forms_ints, monomial_sum,
+    poly_pow, ratfunc_at_series, ratfunc_sum,
 )
-from .algebra.fields import _int_convolve, _numerators
+from .algebra.fields import _int_convolve
 from .spectral import KSection, divisor_of
 
 
@@ -186,6 +187,15 @@ class ParamCurve:
             if r not in self.support:
                 raise AssertionError("ramification point missing from the recursion support")
 
+    def local_degree(self):
+        """The local degree e of x at the normalization point t0, the chart
+        index of a section through t0: the order of the pole of x there, or
+        else of the zero of x - x(t0), where dx = x'(t) dt has order e - 1
+        (x'(t) dt has order ord(x') - 2 at t0 = INF)."""
+        t0 = self.normpt
+        v = self.x.order_at(t0)
+        return -v if v < 0 else self.xprime.order_at(t0) - (2 if t0 is INF else 0) + 1
+
     def sigma_at(self, p):
         """sigma(p) on P^1: INF at the pole -e/c, and a/c (INF for c = 0) at
         INF."""
@@ -289,13 +299,14 @@ def _residue(factors, scalar, target, sign, p):
     """sign * (coefficient of u^target in scalar * prod(factors)), as
     (den, {keys: numerator}): ints over one denominator, zeros left out.
 
-    The scalar is (val, den, nums) as ``laurent_ints`` gives it, known
-    through u^(val + len(nums) - 1).  Each factor is a vector series (vec,
-    den): vec[j] lists the (basis key, numerator) pairs of the coefficient
-    of u^j, over den.  The fold starts from the scalar coefficient of
-    u^(target - r), which leaves r to the vector factors; each factor takes
-    m <= r of it, the last one all, and the keys it reads extend a tuple of
-    basis keys, one per factor.  The scalar must be known through u^target
+    The scalar is (val, den, nums), the coefficient of u^(val + k) being
+    nums[k] / den: the numerators of a ``TruncSeries`` over QQ with its
+    trailing zeros kept, known through u^(val + len(nums) - 1).  Each
+    factor is a vector series (vec, den): vec[j] lists the (basis key,
+    numerator) pairs of the coefficient of u^j, over den.  The fold starts
+    from the scalar coefficient of u^(target - r), which leaves r to the
+    vector factors; each factor takes m <= r of it, the last one all, and
+    the keys it reads extend a tuple of basis keys, one per factor.  The scalar must be known through u^target
     and each factor through u^(target - val); a shorter input is an error,
     not a truncation, and names the support point p.
     """
@@ -455,20 +466,18 @@ class TopRecEngine:
     @_per_point
     def _expansion(self, i, order, tag):
         """Local series of a scalar factor at the support point i, exact
-        through ``order``, as int numerators (val, den, nums) (see
-        ``laurent_ints``)."""
+        through ``order``: a ``TruncSeries`` over QQ, int numerators over one
+        denominator."""
         curve = self.curve
         p = curve.support[i]
         if tag == "diag":
-            return laurent_ints(self._diag(), p, order)
+            return expand_ratfunc(self._diag(), p, order)
         if tag == "sigw":
             # Omega (order w at p) through order - s + 2 w inverts to order - s,
             # and times sigma' (order s) through order + w is exact through order
             s, w = curve.sigma_prime.order_at(p), curve.omega.order_at(p)
-            ser = (expand_ratfunc(curve.omega, p, order - s + 2 * w).inverse()
-                   * expand_ratfunc(curve.sigma_prime, p, order + w))
-            nums, den = _numerators(ser.coeffs)
-            return ser.val, den, nums + [0] * (order - ser.val + 1 - len(nums))
+            return (expand_ratfunc(curve.omega, p, order - s + 2 * w).inverse()
+                    * expand_ratfunc(curve.sigma_prime, p, order + w))
         # a basis function, or its pullback by sigma(t) = (a t + b) / (c t + e),
         # as a product of powers of linear forms: for the key (q, d),
         # 1/(t - q)^d pulls back to (c t + e)^d ((a - q c) t + (b - q e))^-d,
@@ -584,8 +593,8 @@ class TopRecEngine:
             # run longer than this transform reads
             nums, den = [1], 1
             for tag, v in zip(tags, vals[i]):
-                _, d, s = self._expansion(i, v + top, tag)
-                nums, den = _int_convolve(nums, s, top + 1), den * d
+                ser = self._expansion(i, v + top, tag)
+                nums, den = _int_convolve(nums, ser.nums, top + 1), den * ser.den
             factors = [self._kernel_vectors(i, top)]
             factors += [self._coupled_vectors(i, top, side) for side in sides]
             result[i] = _residue(factors, (target - top, den, nums), target, sign, p)
@@ -751,14 +760,14 @@ class TopRecEngine:
         """S_m from the table: sum over 2g-2+n = m-1 of F_{g,n}(t,...,t)/n!.
 
         ``branch_series`` is the local expansion over QQ of the section t(x)
-        in the comparison variable; the result is a LogSeries in that
-        variable.  Each primitive is evaluated once, as an int series, and
-        the monomials of the level (key ids, int numerators over the table's
+        in the comparison variable tau; the result is a LogSeries in tau,
+        whose chart tau^e = w has e the local degree of x at the
+        normalization point.  Each primitive is evaluated once, and the
+        monomials of the level (key ids, int numerators over the table's
         denominator) are summed by ``monomial_sum``.
         """
         if m < 2:
             raise ValueError("the table covers S_m for m >= 2 only")
-        s = qq_ints(branch_series)
         prims, terms = {}, []
         for (g, n), fgn in self.compute_level(m - 1):
             den, ids = fgn._ids
@@ -766,8 +775,9 @@ class TopRecEngine:
                 terms.append((M, v * _permutation_count(M), den * factorial(n)))
                 for i in M:
                     if i not in prims:
-                        prims[i] = ratfunc_ints(self.f_primitive(self._key_of(i)), s)
-        return LogSeries(QQ.zero(), qq_series(monomial_sum(terms, prims, branch_series.order)))
+                        prims[i] = ratfunc_at_series(self.f_primitive(self._key_of(i)), branch_series)
+        body = monomial_sum(terms, prims, branch_series.order)
+        return LogSeries(QQ.zero(), body, self.curve.local_degree())
 
     def f_evaluate(self, g, n, values):
         """F_{g,n} at n rational points; one None among them leaves that
@@ -916,13 +926,14 @@ def branch_maps(curve, place, e, order):
         w = RatFunc.const(1) / curve.x
     else:
         w = curve.x - RatFunc.const(place)
-    local_degree = w.order_at(t0)
-    if local_degree != e:
-        raise ValueError(
-            f"the normalization point sits over the place with local degree {local_degree}, not {e}"
-        )
-    # the local parameter is t - t0, or 1/t at INF
+    # the local parameter is t - t0, or 1/t at INF; the valuation of w there
+    # is the local degree of x (``ParamCurve.local_degree``) where t0 lies
+    # over the place, and 0 or less where it does not
     wser = expand_ratfunc(w, t0, order + 4)
+    if wser.val != e:
+        raise ValueError(
+            f"the normalization point sits over the place with local degree {wser.val}, not {e}"
+        )
     if e == 1:
         roots = [wser]
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .algebra import INF, QuadExtField, RatFunc, expand_ratfunc, qq_ints, ratfunc_ints
+from .algebra import INF, QuadExtField, RatFunc, expand_ratfunc, ratfunc_at_series
 from .curvespec import load_curve, place_repr
 from .lattice import count_check, lattice_from_spectral
 from .oracles import (
@@ -271,19 +271,20 @@ def airy_table_as_exponents(eng, g, n):
     return out
 
 
-def catalan_mu_coefficient(eng, curve, g, n, mu, order=None):
-    """Coefficient of prod x_i^(-mu_i) in the Catalan free energy."""
-    order = order or (max(mu) + 4)
-    bm = qq_ints(branch_maps(curve, INF, 1, order)[0])
+def catalan_mu_coefficient(eng, curve, g, n, mu, section=None):
+    """Coefficient of prod x_i^(-mu_i) in the Catalan free energy, read from
+    the primitives at ``section``, the branch section over x = INF (built
+    through max(mu) + 4 when not given).  A section too short for mu
+    raises ValueError."""
+    if section is None:
+        section = branch_maps(curve, INF, 1, max(mu) + 4)[0]
     series = {}
 
     def coefficient(key, i):
         s = series.get(key)
         if s is None:
-            s = series[key] = ratfunc_ints(eng.f_primitive(key), bm)
-        val, den, nums = s
-        k = mu[i] - val
-        return Fraction(nums[k], den) if 0 <= k < len(nums) else Fraction(0)
+            s = series[key] = ratfunc_at_series(eng.f_primitive(key), section)
+        return s.coefficient(mu[i])
 
     total = Fraction(0)
     for M, c in eng.F(g, n).items():
@@ -313,11 +314,12 @@ def suite_oracles(records=None, airy_level=3, catalan_mu_max=6, catalan_wave_ord
 
     cases = 0
     okall = True
+    section = branch_maps(curve, INF, 1, catalan_mu_max + 4)[0]
     for (g, n) in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]:
         for mu in itertools.product(range(1, catalan_mu_max + 1), repeat=n):
             if sum(mu) % 2 or sum(mu) > catalan_mu_max:
                 continue
-            got = catalan_mu_coefficient(eng, curve, g, n, mu)
+            got = catalan_mu_coefficient(eng, curve, g, n, mu, section)
             cell = enumerate_cellular(g, n, mu)
             want = Fraction(cell)
             for m in mu:

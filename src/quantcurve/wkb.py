@@ -154,7 +154,7 @@ def semiclassical_root(cfg):
     disc = a1s * a1s - 4 * a2s
     if disc.is_zero():
         raise ValueError("degenerate operator: zero discriminant")
-    lead = disc.coeffs[0]
+    lead = disc.coefficient(disc.val)
     root = field.sqrt(lead)
     if root is None:
         field = QuadExtField(lead)

@@ -224,20 +224,33 @@ def test_analyze_report_bytes_unchanged(curve):
 # place, branch, order and depth: any change to a series, the chart or the
 # layout of these reports shows
 WKB_REPORT_SHA256 = {
-    "airy": "78697a2e85587dd6599c5fd57aab49e18592ef00369f18c06db713851fffbfa0",
-    "catalan": "45a9b0aa0bc66247eb48fb550cbd7943914a86a664e75957c6adcb872e5bd9a5",
-    "gauss": "d9450cf9fb82107f56823ce030929fe08d241d67ff7ad12ff78a9721a83e4594",
-    "hermite": "fa4e57109c866bc48c7b3819e0b617366d768c0ac3c9ebdbd4310c14beded6c3",
-    "mixed": "3b716fcd276bcc62860cf9d2bd95f2005a10ed2f4a2aa77dc1631c26ba4ebff1",
-    "smooth": "e98852421dbe6fd881ad1982acb6d26c224fbe805bc045dd298cceaf51727bdd",
+    ("airy", None, None, None): "78697a2e85587dd6599c5fd57aab49e18592ef00369f18c06db713851fffbfa0",
+    ("catalan", None, None, None): "45a9b0aa0bc66247eb48fb550cbd7943914a86a664e75957c6adcb872e5bd9a5",
+    ("gauss", None, None, None): "d9450cf9fb82107f56823ce030929fe08d241d67ff7ad12ff78a9721a83e4594",
+    ("hermite", None, None, None): "fa4e57109c866bc48c7b3819e0b617366d768c0ac3c9ebdbd4310c14beded6c3",
+    ("mixed", None, None, None): "3b716fcd276bcc62860cf9d2bd95f2005a10ed2f4a2aa77dc1631c26ba4ebff1",
+    ("smooth", None, None, None): "e98852421dbe6fd881ad1982acb6d26c224fbe805bc045dd298cceaf51727bdd",
+    # deeper reports, (curve, place, order, depth): over QQ on e = 1 and e =
+    # 2 charts, and over QQ(sqrt(-4)); they print the order bookkeeping of
+    # every series operation the solver and the operator check run
+    ("gauss", Fraction(0), 20, 6): "f7f891944c00800af9a42d7b9893cf33cc13529b37bf2d7238809c7085f20239",
+    ("smooth", None, 24, 6): "2624133310c7194198a42578de057da9423a82f287f909d8c32c358585179eb9",
+    ("airy", None, 24, 6): "443696744d653ca2c545a6e6f402363ad87aea4f7f68d52a8bc6aa1330fea000",
+    ("mixed", None, 24, 6): "3b29b25fa5cf688a0afbe2ec335fb25189d6b01e2f3be38c59e3a377422ae00d",
 }
 
 
-@pytest.mark.parametrize("curve", sorted(WKB_REPORT_SHA256))
-def test_wkb_report_bytes_unchanged(curve):
-    rep, _ = wkb_report(load_curve(curve))
+def _wkb_case_id(case):
+    curve, *rest = case
+    return curve if rest == [None] * 3 else "-".join(map(str, case))
+
+
+@pytest.mark.parametrize("case", list(WKB_REPORT_SHA256), ids=_wkb_case_id)
+def test_wkb_report_bytes_unchanged(case):
+    curve, place, order, depth = case
+    rep, _ = wkb_report(load_curve(curve), place=place, order=order, depth=depth)
     text = serialize_report({"report": rep})
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WKB_REPORT_SHA256[curve]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WKB_REPORT_SHA256[case]
 
 
 # sha256 of the stdout of two verify runs: the "through order N" details of

@@ -15,12 +15,9 @@ from quantcurve.algebra import (
     RatFunc,
     TruncSeries,
     expand_ratfunc,
-    laurent_ints,
+    linear_forms_ints,
     monomial_sum,
-    qq_ints,
-    qq_series,
     ratfunc_at_series,
-    ratfunc_ints,
 )
 
 
@@ -210,7 +207,22 @@ def _division_reference(f, place, order, e, shift):
     return out.scale_exponents(e) if e != 1 else out
 
 
+def _check_representation(s):
+    """The invariant every TruncSeries keeps: over QQ int numerators over a
+    positive den with gcd 1, over QQ(sqrt d) and QQ(h) the elements over 1;
+    no zero at either end, and the zero series at val = order + 1."""
+    if s.field is QQ:
+        assert type(s.den) is int and s.den > 0 and all(type(c) is int for c in s.nums)
+        assert math.gcd(s.den, *s.nums) == 1
+    else:
+        assert s.den == 1 and all(s.field.of(c) is c for c in s.nums)
+    assert not s.nums or (s.nums[0] and s.nums[-1])
+    assert s.nums or s.val == s.order + 1
+    assert s.val + len(s.nums) - 1 <= s.order
+
+
 def _fields(s):
+    _check_representation(s)
     return s.val, s.coeffs, s.order
 
 
@@ -247,7 +259,7 @@ def test_expand_ratfunc_matches_padded_division(fp, order, e):
     assert _fields(got.truncate(old.order)) == _fields(old)
 
 
-# laurent_ints against the Fraction recurrence it replaced
+# expand_ratfunc's int quotient against the Fraction recurrence it replaced
 
 
 def _fraction_recurrence(f, place, order):
@@ -287,13 +299,11 @@ def ratfunc_at_any_place(draw):
 
 
 def _check_laurent_ints(f, place, order):
-    val, den, nums = laurent_ints(f, place, order)
+    got = expand_ratfunc(f, place, order)
     want_val, want = _fraction_recurrence(f, place, order)
-    assert val == want_val
-    assert len(nums) == max(0, order - val + 1)
-    assert type(den) is int and den > 0 and all(type(c) is int for c in nums)
-    assert math.gcd(den, *nums) == 1
-    assert [Fraction(c, den) for c in nums] == want
+    _check_representation(got)
+    assert got.order == order and got.val == (want_val if want else order + 1)
+    assert [got.coefficient(k) for k in range(want_val, order + 1)] == want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -316,7 +326,8 @@ def test_laurent_ints_edge_cases(f, place, order):
 
 
 def test_laurent_ints_of_zero():
-    assert laurent_ints(RatFunc.const(0), Fraction(1), 4) == (5, 1, [])
+    s = expand_ratfunc(RatFunc.const(0), Fraction(1), 4)
+    assert (s.val, s.den, s.nums, s.order) == (5, 1, [], 4)
 
 
 # field.convolve, Poly.__mul__ and the Newton inverse against the schoolbook
@@ -392,7 +403,9 @@ def coefficient_lists(draw, min_size=0):
 def test_convolve_matches_schoolbook(fab, data):
     field, a, b = fab
     n = data.draw(st.integers(0, len(a) + len(b)))
-    got = field.convolve(a, b, n)
+    # the kernel takes each operand as the numerators of its split
+    (da, A), (db, B) = field.split(a), field.split(b)
+    got = [field.value(da * db, c) for c in field.convolve(A, B, n)]
     assert len(got) == n and got == _schoolbook(field, a, b, n)
     if field is QQ:  # polynomials are over QQ only
         prod = Poly(a) * Poly(b)
@@ -514,7 +527,7 @@ def test_newton_reversion_matches_compose_loop(fab, val, extra, lead):
     assert _fields(back) == _fields(TruncSeries.uniformizer(field, g.order))
 
 
-# the int Horner kernel against the TruncSeries loops it replaced over QQ
+# the Horner kernel against the TruncSeries loops it replaced
 
 
 def _horner_loop(coeffs, s, order):
@@ -542,12 +555,15 @@ NONZERO_QQ = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1,
 
 
 @st.composite
-def qq_truncseries(draw, vals):
+def qq_truncseries(draw, vals, fields=("QQ",)):
     # drawn zeros lead, trail or fill the list; the valuation moves past the
-    # leading ones, and an all-zero list is the zero series
+    # leading ones, and an all-zero list is the zero series.  With more than
+    # one name of KERNEL_FIELDS in ``fields`` the field is drawn first
+    name = draw(st.sampled_from(fields)) if len(fields) > 1 else fields[0]
     val = draw(vals)
-    coeffs = draw(st.lists(MIXED_QQ | NONZERO_QQ, min_size=1, max_size=10))
-    return TruncSeries(QQ, val, coeffs, val + len(coeffs) - 1 + draw(st.integers(0, 3)))
+    elements = MIXED_QQ | NONZERO_QQ if name == "QQ" else KERNEL_ELEMENTS[name]
+    coeffs = draw(st.lists(elements, min_size=1, max_size=10))
+    return TruncSeries(KERNEL_FIELDS[name], val, coeffs, val + len(coeffs) - 1 + draw(st.integers(0, 3)))
 
 
 QQ_RATFUNCS = st.builds(
@@ -565,9 +581,6 @@ def test_ratfunc_at_series_matches_the_truncseries_loop(f, s):
             ratfunc_at_series(f, s)
         return
     assert _fields(ratfunc_at_series(f, s)) == _fields(want)
-    val, den, nums = ratfunc_ints(f, qq_ints(s))
-    assert den > 0 and math.gcd(den, *nums) == 1
-    assert (val, val + len(nums) - 1) == (want.val, want.order)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -585,7 +598,7 @@ def test_ratfunc_at_series_takes_qq_only():
 def monomial_terms(draw):
     # factors of mixed valuations, some zero; the monomials share prefixes
     # of every length, in any order of their keys
-    factors = [qq_ints(draw(qq_truncseries(st.integers(-2, 3)))) for _ in range(draw(st.integers(1, 4)))]
+    factors = [draw(qq_truncseries(st.integers(-2, 3))) for _ in range(draw(st.integers(1, 4)))]
     monomial = st.lists(st.integers(0, len(factors) - 1), min_size=1, max_size=4).map(tuple)
     terms = draw(st.lists(st.tuples(monomial, NONZERO_QQ), max_size=8, unique_by=lambda t: t[0]))
     return dict(enumerate(factors)), terms, draw(st.integers(-1, 12))
@@ -594,16 +607,43 @@ def monomial_terms(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(monomial_terms())
 # leading terms that cancel, partly and wholly
-@example(({0: (0, 1, [1, 2, 0]), 1: (0, 1, [1, 3, 5])}, [((0,), Fraction(1)), ((1,), Fraction(-1))], 2))
-@example(({0: (1, 2, [1, 2]), 1: (1, 2, [1, 2])}, [((0, 1), Fraction(1)), ((1, 1), Fraction(-1))], 6))
+@example(({0: TruncSeries(QQ, 0, [1, 2, 0], 2), 1: TruncSeries(QQ, 0, [1, 3, 5], 2)},
+          [((0,), Fraction(1)), ((1,), Fraction(-1))], 2))
+@example(({0: TruncSeries(QQ, 1, [Fraction(1, 2), 1], 2), 1: TruncSeries(QQ, 1, [Fraction(1, 2), 1], 2)},
+          [((0, 1), Fraction(1)), ((1, 1), Fraction(-1))], 6))
 def test_monomial_sum_matches_the_truncseries_sum(draw):
     factors, terms, order = draw
     want = TruncSeries.zero(QQ, order)
     for M, c in terms:
         term = TruncSeries.const(QQ, c, order)
         for i in M:
-            term = term * qq_series(factors[i])
+            term = term * factors[i]
         want = want + term
     got = monomial_sum([(M, c.numerator, c.denominator) for M, c in terms], factors, order)
-    assert _fields(qq_series(got)) == _fields(want)
-    assert not got[2] or got[2][0]
+    assert _fields(got) == _fields(want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(qq_truncseries(st.integers(-2, 3), tuple(sorted(KERNEL_FIELDS))), st.data())
+def test_every_operation_keeps_the_representation(s, data):
+    # expand_ratfunc, ratfunc_at_series and monomial_sum, and the results of
+    # the tests above, go through _fields, which checks the same invariant
+    f = s.field
+    name = next(n for n, field in KERNEL_FIELDS.items() if field is f)
+    if f is HBAR_FIELD:  # short, as in the inverse test above
+        s = s.truncate(s.val + 3)
+    t = data.draw(qq_truncseries(st.integers(1, 3), (name,)))
+    k, q = data.draw(st.integers(-3, 3)), data.draw(NONZERO_QQ)
+    u = s.shift(max(0, -s.val))  # a power series
+    out = [s + t, s - t, -s, s * k, k * s, s * q, s * t, s.derivative(), s.integrate()[1],
+           s.shift(k), s.truncate(data.draw(st.integers(-3, 12))), u.compose(t),
+           (TruncSeries.uniformizer(f, t.order) + t.shift(1)).reversion()]
+    if not s.is_zero():
+        out += [s.inverse(), (s * s).sqrt(s.coefficient(s.val))]
+    if f is QQ:
+        place = data.draw(st.sampled_from([INF, Fraction(0), q]))
+        forms = [(q, 1, 2), (1, -q, -1), (0, q, 3)]
+        out += [linear_forms_ints(forms, place, data.draw(st.integers(-3, 8))),
+                monomial_sum([((0, 1), 1, 3), ((1,), -2, 1)], {0: s, 1: t}, 8)]
+    for r in out:
+        _check_representation(r)

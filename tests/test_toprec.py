@@ -324,11 +324,11 @@ def test_each_transform_is_computed_once(name, count, monkeypatch):
 
 
 # ceilings on the local-series kernel calls of a cold engine through level
-# 5: laurent_ints (directly and through expand_ratfunc), and
-# linear_forms_ints, the closed form of the basis functions and their
+# 5: expand_ratfunc (the diagonal, and Omega and sigma' for sigma'/Omega),
+# and linear_forms_ints, the closed form of the basis functions and their
 # pullbacks.  A rebuild at each longer order a transform asks for makes 61
 # (airy) and 190 (catalan) in all; ``ceiling`` bounds the sum, and
-# LAURENT_CEILINGS the laurent_ints calls alone.  The pole vectors read
+# LAURENT_CEILINGS the expand_ratfunc calls alone.  The pole vectors read
 # sigma's germ and expand nothing, so an expansion of sigma's local
 # coordinate that comes back exceeds both
 LAURENT_CEILINGS = {"airy": 9, "catalan": 22}
@@ -344,14 +344,12 @@ def test_local_series_are_rebuilt_a_few_times(name, ceiling, monkeypatch):
             return kernel(f, place, order)
         return call
 
-    laurent = counted(series_module.laurent_ints)
-    monkeypatch.setattr(series_module, "laurent_ints", laurent)
-    monkeypatch.setattr(toprec, "laurent_ints", laurent)
+    monkeypatch.setattr(toprec, "expand_ratfunc", counted(toprec.expand_ratfunc))
     monkeypatch.setattr(toprec, "linear_forms_ints", counted(toprec.linear_forms_ints))
     _, eng = engine_for(load_curve(name))
     for level in range(1, 6):
         eng.compute_level(level)
-    assert len(calls["laurent_ints"]) <= LAURENT_CEILINGS[name]
+    assert len(calls["expand_ratfunc"]) <= LAURENT_CEILINGS[name]
     assert sum(map(len, calls.values())) <= ceiling
 
 
@@ -378,14 +376,8 @@ def test_sigma_pullbacks_match_compose(name):
             assert eng._vals(("phi", tag[1])) == tuple(phi.order_at(p) for p in curve.support), key
 
 
-def _reduced_prefix(ser, order):
-    # an int series (val, den, nums) read through u^order only, reduced
-    val, den, nums = ser
-    nums = nums[:max(0, order - val + 1)]
-    if not nums:
-        return val, 1, []
-    g = gcd(den, *nums)
-    return val, den // g, [c // g for c in nums]
+def _series_fields(s):
+    return s.val, s.den, s.nums, s.order
 
 
 @pytest.mark.parametrize("name", ["airy", "catalan", "hermite", "xy"])
@@ -406,13 +398,14 @@ def test_closed_form_series_match_laurent_ints(name):
                 val = min(fns["phi"].order_at(p), fns["phis"].order_at(p))
                 for order in (val - 3, val - 1, val, val + 1, val + 6):
                     for kind, fn in fns.items():
-                        want = series_module.laurent_ints(fn, p, order)
+                        want = _series_fields(expand_ratfunc(fn, p, order))
                         # a fresh engine builds the series through order
                         fresh = TopRecEngine(curve)
-                        assert fresh._expansion(i, order, (kind, i_d)) == want, (kind, key, p, order)
+                        got = fresh._expansion(i, order, (kind, i_d))
+                        assert _series_fields(got) == want, (kind, key, p, order)
                         # a used one may hold a longer one, which reads the same
                         got = eng._expansion(i, order, (kind, i_d))
-                        assert _reduced_prefix(got, order) == want, (kind, key, p, order)
+                        assert _series_fields(got.truncate(order)) == want, (kind, key, p, order)
     # keys at INF and at finite places, at INF and at finite points, with p
     # equal to q and to sigma(q); on xy, a finite q with sigma(q) = INF
     # (a - q c = 0 in sigma(t) = (a t + b) / (c t + e))
@@ -461,8 +454,7 @@ def _residue_draws(draw):
 
 def _int_scalar(s):
     # (val, den, nums) of a TruncSeries, one numerator per power through its order
-    nums, den = _numerators(s.coeffs)
-    return s.val, den, nums + [0] * (s.order - s.val + 1 - len(nums))
+    return s.val, s.den, s.nums + [0] * (s.order - s.val + 1 - len(s.nums))
 
 
 def _int_factor(vec):
@@ -619,6 +611,31 @@ def test_principal_specialization_m2(airy_engine, airy_spec):
     # F_{1,1} + F_{0,3}/3! = -5 t^3/384 = -(5/48) x^(-3/2)
     assert dict(s2.body.items()) == {3: Fraction(-5, 48)}
     assert s2.body.eq_through(st.S[2].body, 8)
+
+
+@pytest.mark.parametrize("name,e,log", [("airy", 2, "log(t^2)"), ("catalan", 1, "log(t)")])
+def test_principal_specialization_names_the_chart(name, e, log):
+    # the chart tau^e = 1/x of the section, the local degree of x at the
+    # normalization point, and the one the WKB S_2 it is compared with has
+    spec = load_curve(name)
+    curve, eng = engine_for(spec)
+    assert curve.local_degree() == e
+    s2 = eng.principal_specialize(2, branch_maps(curve, INF, e, 8)[0])
+    assert s2.e == e and repr(s2).startswith(f"(0)*{log} + ")
+    wkb_s2 = wkb_state_for(spec, depth=2, order=4).S[2]
+    assert repr(wkb_s2).startswith(f"(0)*{log} + ")
+
+
+def test_catalan_mu_coefficient_raises_on_a_short_section(catalan_engine):
+    curve, eng = catalan_engine
+    mu = (1, 1, 2)
+    want = catalan_mu_coefficient(eng, curve, 0, 3, mu)
+    section = branch_maps(curve, INF, 1, 12)[0]
+    assert catalan_mu_coefficient(eng, curve, 0, 3, mu, section) == want
+    # the primitives at a section known through x^-1 are known through
+    # x^-1: the coefficient of x^-2 was never computed
+    with pytest.raises(ValueError, match="beyond guaranteed order 1"):
+        catalan_mu_coefficient(eng, curve, 0, 3, mu, section.truncate(1))
 
 
 def test_principal_specialization_range_guard(airy_engine):
@@ -920,8 +937,8 @@ def test_reads_leave_no_reference_cycles(catalan_engine):
 
 def test_principal_specialize_evaluates_each_primitive_once(monkeypatch, catalan_engine, airy_engine):
     calls = []
-    evaluate = toprec.ratfunc_ints
-    monkeypatch.setattr(toprec, "ratfunc_ints", lambda f, s: calls.append(f) or evaluate(f, s))
+    evaluate = toprec.ratfunc_at_series
+    monkeypatch.setattr(toprec, "ratfunc_at_series", lambda f, s: calls.append(f) or evaluate(f, s))
     for (curve, eng), e, m in ((catalan_engine, 1, 4), (catalan_engine, 1, 5), (airy_engine, 2, 5)):
         bm = branch_maps(curve, INF, e, 12)[0]
         keys = {key for g in range((m - 1) // 2 + 2) if m + 1 - 2 * g >= 1
