@@ -17,8 +17,9 @@ A series holds its coefficients as numerators over one denominator, and
 each field supplies the protocol for it: ``split`` values into (den, nums),
 ``reduce`` a pair, read one ``value``, and ``convolve`` numerator lists.
 Over QQ the numerators are ints over a positive den with gcd(den, *nums) =
-1; ``QuadExtField`` and ``FractionField`` elements hold their own
-denominators, so there den is 1 and the numerators are the elements.
+1, the layout a ``Poly`` keeps too; ``QuadExtField`` and ``FractionField``
+elements hold their own denominators, so there den is 1 and the numerators
+are the elements.
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ class RationalField:
             return v
         if isinstance(v, int):
             return Fraction(v)
-        if isinstance(v, str):
-            return Fraction(v)
         raise TypeError(f"cannot coerce {v!r} into QQ")
 
     def is_zero(self, v):
@@ -71,9 +70,13 @@ class RationalField:
         return str(v)
 
     def split(self, values):
-        """(den, int numerators) of a list of ints and Fractions, reduced."""
-        nums, den = _numerators(values)
-        return den, nums
+        """(den, int numerators) of a list of ints and Fractions over the lcm
+        of their denominators, which leaves gcd(den, *nums) = 1."""
+        # a list, not a generator: star-args from a generator build the tuple by
+        # resizing, and each freed one is parked in the tuple free list, which
+        # then holds up to 2000 tuples of every length up to 20 (~4 MB)
+        den = math.lcm(*[x.denominator for x in values])
+        return den, [x.numerator * (den // x.denominator) for x in values]
 
     def reduce(self, den, nums):
         """(den, nums) over a positive den with gcd(den, *nums) = 1."""
@@ -89,15 +92,6 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
-
-
-def _numerators(xs):
-    """(integer numerators, common denominator) of a list of rationals."""
-    # a list, not a generator: star-args from a generator build the tuple by
-    # resizing, and each freed one is parked in the tuple free list, which
-    # then holds up to 2000 tuples of every length up to 20 (~4 MB)
-    den = math.lcm(*[x.denominator for x in xs])
-    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _int_convolve(A, B, n):
@@ -276,8 +270,8 @@ class QuadExtField(ElementField):
         output ``Fraction``s hold the only gcds.
         """
         a, b = a[:n], b[:n]
-        (X, dx), (Y, dy) = (_numerators([x.a for x in a] + [x.b for x in a]),
-                            _numerators([y.a for y in b] + [y.b for y in b]))
+        (dx, X), (dy, Y) = (QQ.split([x.a for x in a] + [x.b for x in a]),
+                            QQ.split([y.a for y in b] + [y.b for y in b]))
         i, j = len(a), len(b)
         aa, bb = _int_convolve(X[:i], Y[:j], n), _int_convolve(X[i:], Y[j:], n)
         mixed = _int_convolve([p + q for p, q in zip(X[:i], X[i:])],

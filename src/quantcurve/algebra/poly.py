@@ -1,18 +1,20 @@
 r"""Dense univariate polynomials and rational functions over QQ.
 
-``Poly`` stores ``Fraction`` coefficients by degree (zero polynomial = empty
-list).  ``RatFunc`` is a reduced fraction of polynomials with monic
-denominator.  Other fields enter only as series coefficients, and series
-code is generic over the fields of :mod:`quantcurve.algebra.fields`.  On top
-of ``RatFunc``, ``FractionField`` turns rational functions of the
-quantization parameter into a coefficient field of its own.
-``RatFunc.order_at`` is the one valuation at a place of the projective line:
-INF, a point, or a monic irreducible polynomial.
+``Poly`` stores int numerators by degree over one positive denominator, in
+the layout of ``QQ.split`` that a ``TruncSeries`` over QQ also keeps (zero
+polynomial = [] over 1); ``coeffs`` reads them as ``Fraction``s.  ``RatFunc``
+is a reduced fraction of polynomials with monic denominator.  Other fields
+enter only as series coefficients, and series code is generic over the
+fields of :mod:`quantcurve.algebra.fields`.  On top of ``RatFunc``,
+``FractionField`` turns rational functions of the quantization parameter
+into a coefficient field of its own.  ``RatFunc.order_at`` is the one
+valuation at a place of the projective line: INF, a point, or a monic
+irreducible polynomial.
 
-``divrem``, ``gcd``, the reduction of ``RatFunc`` and ``ratfunc_sum`` run on
-integer numerator lists: pseudo-division by the primitive divisor, primitive
-pseudo-remainder gcds and exact integer quotients, with one ``Fraction`` per
-output coefficient.
+Products, ``divrem``, ``gcd``, the reduction of ``RatFunc``, ``compose`` and
+``ratfunc_sum`` run on those numerators: int convolutions, pseudo-division
+by the primitive divisor, primitive pseudo-remainder gcds and exact integer
+quotients, and each result is one ``_poly(den, nums)``.
 
 ``factor_over`` factors over the rationals in the package: Zassenhaus on
 integer coefficient lists (squarefree parts, a factorization modulo a small
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
-from .fields import QQ, ElementField, _int_convolve, _numerators
+from .fields import QQ, ElementField, _int_convolve
 
 
 class _Infinity:
@@ -41,19 +43,23 @@ INF = _Infinity()
 
 
 class Poly:
-    """Polynomial over QQ: ``Fraction`` coefficients by degree, no trailing
-    zeros.  ``normalize`` coerces each coefficient with ``QQ.of``, which
-    raises ``TypeError`` for one outside QQ, and strips trailing zeros."""
+    """Polynomial over QQ in the layout of ``QQ.split``: int numerators
+    ``nums`` by degree over one denominator ``den > 0``, with gcd(den,
+    *nums) = 1 and no trailing zero; the zero polynomial is [] over 1.
+    ``Poly(values)`` coerces each value with ``QQ.of``, which raises
+    ``TypeError`` for one outside QQ, and ``coeffs`` reads the values."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "nums")
     field = QQ
 
-    def __init__(self, coeffs, normalize=True):
-        if normalize:
-            coeffs = [QQ.of(c) for c in coeffs]
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-        self.coeffs = coeffs
+    def __init__(self, coeffs):
+        self._take(*QQ.split([QQ.of(c) for c in coeffs]))
+
+    def _take(self, den, nums):
+        """Hold nums / den: trailing zeros popped off ``nums`` in place,
+        reduced by ``QQ.reduce``."""
+        self.den, self.nums = QQ.reduce(den, _trim(nums))
+        return self
 
     @staticmethod
     def const(c):
@@ -61,78 +67,67 @@ class Poly:
 
     @staticmethod
     def x():
-        return Poly([Fraction(0), Fraction(1)], normalize=False)
+        return _poly(1, [0, 1])
+
+    @property
+    def coeffs(self):
+        """The coefficients by degree, as ``Fraction``s."""
+        return [Fraction(c, self.den) for c in self.nums]
 
     @property
     def degree(self):
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[-1], self.den) if self.nums else Fraction(0)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(tuple(self.coeffs))
+        return hash((self.den, tuple(self.nums)))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, y in enumerate(b):
-            out[i] += y
-        return Poly(out, normalize=False)._trim()
-
-    def _trim(self):
-        while self.coeffs and not self.coeffs[-1]:
-            self.coeffs.pop()
-        return self
+        den = lcm(self.den, other.den)
+        return _poly(den, _lincomb([c * (den // self.den) for c in self.nums],
+                                   other.nums, den // other.den))
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], normalize=False)
+        return _poly(self.den, [-c for c in self.nums])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        a = self.nums
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return Poly([], normalize=False)
-            (A, da), (B, db) = _numerators(a), _numerators(b)
-            den = da * db
-            return Poly([Fraction(c, den) for c in _int_convolve(A, B, len(a) + len(b) - 1)],
-                        normalize=False)._trim()
-        c = QQ.of(other)
-        return Poly([ci * c for ci in self.coeffs], normalize=False)._trim()
+            b = other.nums
+            return _poly(self.den * other.den, _int_convolve(a, b, len(a) + len(b) - 1))
+        c = other if isinstance(other, int) else QQ.of(other)
+        return _poly(self.den * c.denominator, [x * c.numerator for x in a])
 
     __rmul__ = __mul__
 
     def divrem(self, other):
         """Quotient and remainder; raises on division by the zero polynomial.
 
-        Integer pseudo-division by the primitive divisor (``_pdivrem``), with
-        one ``Fraction`` per output coefficient.
+        Integer pseudo-division by the primitive divisor (``_pdivrem``).
         """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        (A, da), (B, db) = _numerators(self.coeffs), _numerators(other.coeffs)
+        A, da, B, db = self.nums, self.den, other.nums, other.den
         P = _primitive(B)
         # s A = q P + r with B = (B[-1] / P[-1]) P, so self = A / da and
         # other = B / db give q db P[-1] / (s da B[-1]) and r / (s da)
         s, q, r = _pdivrem(A, P)
-        qd, rd = s * da * B[-1], s * da
         qn = db * P[-1]
-        return (Poly([Fraction(c * qn, qd) for c in q], normalize=False),
-                Poly([Fraction(c, rd) for c in r], normalize=False))
+        return _poly(s * da * B[-1], [c * qn for c in q]), _poly(s * da, r)
 
     def __mod__(self, other):
         return self.divrem(other)[1]
@@ -142,55 +137,53 @@ class Poly:
 
     def gcd(self, other):
         """Monic greatest common divisor (zero for two zeros): the primitive
-        integer gcd ``_int_gcd`` made monic once."""
-        a, b = self.coeffs, other.coeffs
+        integer gcd ``_int_gcd`` over its leading coefficient."""
+        a, b = self.nums, other.nums
         if not a:
             if not b:
-                return Poly([], normalize=False)
+                return _poly(1, [])
             a, b = b, a
-        g = _int_gcd(_numerators(a)[0], _numerators(b)[0])
-        return Poly([Fraction(c, g[-1]) for c in g], normalize=False)
+        g = _int_gcd(a, b)
+        return _poly(g[-1], g)
 
     def monic(self):
         if self.is_zero():
             return self
-        lead = self.leading()
-        return Poly([c / lead for c in self.coeffs], normalize=False)
+        # nums ends in a nonzero entry, so _poly pops nothing off it
+        return _poly(self.nums[-1], self.nums)
 
     def derivative(self):
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], normalize=False)
+        return _poly(self.den, [i * c for i, c in enumerate(self.nums)][1:])
 
     def __call__(self, v):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        acc = 0
+        for c in reversed(self.nums):
             acc = acc * v + c
-        return acc
+        return Fraction(1, self.den) * acc
 
     def sqrt(self):
-        """Exact square root, or None."""
+        """Exact square root, or None.  The root is R / den with R^2 = den
+        nums, and a rational R whose square has int coefficients has int
+        ones (Gauss), so R is solved from the top down on ints: an inexact
+        division means there is no root."""
         if self.is_zero():
             return self
         if self.degree % 2 != 0:
             return None
-        rl = QQ.sqrt(self.leading())
-        if rl is None:
-            return None
+        M = [c * self.den for c in self.nums]
         n = self.degree // 2
-        out = [Fraction(0)] * (n + 1)
-        out[n] = rl
-        # Solve (sum out_i x^i)^2 = self from the top coefficient down.
+        rl = isqrt(M[-1]) if M[-1] > 0 else 0
+        if rl * rl != M[-1]:
+            return None
+        R = [0] * n + [rl]
         for k in range(n - 1, -1, -1):
-            idx = k + n
-            acc = self.coeffs[idx]
+            acc = M[k + n]
             for i in range(k + 1, n):
-                j = idx - i
-                if k < j <= n:
-                    acc = acc - out[i] * out[j]
-            out[k] = acc / (rl + rl)
-        cand = Poly(out, normalize=False)
-        if cand * cand == self:
-            return cand
-        return None
+                acc -= R[i] * R[k + n - i]
+            R[k], rem = divmod(acc, 2 * rl)
+            if rem:
+                return None
+        return _poly(self.den, R) if _mul(R, R) == M else None
 
     def to_str(self, var="x"):
         if self.is_zero():
@@ -209,6 +202,12 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.to_str()})"
+
+
+def _poly(den, nums):
+    """The Poly nums / den for a list of ints the caller owns (or one that
+    ends in a nonzero entry): ``_take`` pops its trailing zeros in place."""
+    return Poly.__new__(Poly)._take(den, nums)
 
 
 #: largest degree ``factor_over`` accepts: the Hensel modulus grows like
@@ -234,10 +233,9 @@ def factor_over(p):
         raise ValueError(f"cannot factor a polynomial of degree {p.degree} "
                          f"(at most {MAX_FACTOR_DEGREE})")
     out = []
-    for mult, part in enumerate(_squarefree_parts(_primitive(_numerators(p.coeffs)[0])), 1):
+    for mult, part in enumerate(_squarefree_parts(_primitive(p.nums)), 1):
         if len(part) > 1:
-            out += [(Poly([Fraction(c, g[-1]) for c in g], normalize=False), mult)
-                    for g in _zassenhaus(part)]
+            out += [(_poly(g[-1], g), mult) for g in _zassenhaus(part)]
     out.sort(key=lambda fm: (fm[0].degree, tuple(str(c) for c in fm[0].coeffs)))
     return out
 
@@ -521,21 +519,18 @@ def _zassenhaus(f):
 
 class RatFunc:
     """Reduced quotient of polynomials over QQ with monic denominator; the
-    reduction runs on integer numerator lists (``_qq_reduced``)."""
+    reduction runs on the integer numerators of both (``_qq_reduced``)."""
 
     __slots__ = ("num", "den")
     field = QQ
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=None):
         if den is None:
-            den, reduce = Poly([Fraction(1)], normalize=False), False
+            self.num, self.den = num, _poly(1, [1])
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if reduce:
-            (N, dn), (D, dd) = _numerators(num.coeffs), _numerators(den.coeffs)
-            num, den = _qq_reduced(N, D, dd, dn)
-        self.num = num
-        self.den = den
+        self.num, self.den = _qq_reduced(num.nums, den.nums, den.den, num.den)
 
     @staticmethod
     def const(c):
@@ -570,7 +565,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den, reduce=False)
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -615,8 +610,8 @@ class RatFunc:
         other = A / B and k = max(deg num, deg den), self(A / B) is
         B^k num(A / B) / B^k den(A / B), two int polynomials in A and B
         (sum c_i A^i B^(k-i)) and one reduction."""
-        (N, dn), (D, dd) = _numerators(self.num.coeffs), _numerators(self.den.coeffs)
-        (A, da), (B, db) = _numerators(other.num.coeffs), _numerators(other.den.coeffs)
+        N, dn, D, dd = self.num.nums, self.num.den, self.den.nums, self.den.den
+        A, da, B, db = other.num.nums, other.num.den, other.den.nums, other.den.den
         # A / B over Z[x]: (A db) / (B da)
         A, B = [c * db for c in A], [c * da for c in B]
         k = max(len(N), len(D)) - 1
@@ -636,14 +631,14 @@ class RatFunc:
         if not den:
             raise ZeroDivisionError("division by zero rational function")
         # self = (N / dn) / (D / dd)
-        return RatFunc(*_qq_reduced(num, den, dd, dn), reduce=False)
+        return _ratfunc(*_qq_reduced(num, den, dd, dn))
 
     def sqrt(self):
         """Exact square root, or None.  The roots of a reduced num and a monic
         den are coprime and the den's is monic, so the root is reduced."""
         rn = self.num.sqrt()
         rd = None if rn is None else self.den.sqrt()
-        return None if rd is None else RatFunc(rn, rd, reduce=False)
+        return None if rd is None else _ratfunc(rn, rd)
 
     def order_at(self, place):
         """Order of vanishing at a place of P^1 (negative for a pole).
@@ -655,7 +650,7 @@ class RatFunc:
         if place is INF:
             return self.den.degree - self.num.degree
         if not isinstance(place, Poly):
-            place = Poly([-QQ.of(place), Fraction(1)], normalize=False)
+            place = Poly([-QQ.of(place), 1])
         return root_multiplicity(self.num, place) - root_multiplicity(self.den, place)
 
     def to_str(self, var="x"):
@@ -667,19 +662,24 @@ class RatFunc:
         return f"RatFunc({self.to_str()})"
 
 
+def _ratfunc(num, den):
+    """The RatFunc num / den of a pair already in lowest terms, den monic."""
+    f = RatFunc.__new__(RatFunc)
+    f.num, f.den = num, den
+    return f
+
+
 def _qq_reduced(N, D, sn, sd):
     """(num, den) Polys over QQ of sn N / (sd D) in lowest terms with a monic
-    den, for int lists N and D (D nonzero) and ints sn, sd != 0.  A constant D
-    runs no gcd."""
+    den, for int lists N and D (D nonzero, no trailing zero) and ints sn, sd
+    != 0.  A constant D runs no gcd."""
     if not N:
-        return Poly([], normalize=False), Poly([Fraction(1)], normalize=False)
+        return _poly(1, []), _poly(1, [1])
     if len(D) > 1:
         g = _int_gcd(D, N)
         if len(g) > 1:
             N, D = _exact_quotient(N, g), _exact_quotient(D, g)
-    sd *= D[-1]
-    return (Poly([Fraction(c * sn, sd) for c in N], normalize=False),
-            Poly([Fraction(c, D[-1]) for c in D], normalize=False))
+    return _poly(sd * D[-1], [c * sn for c in N]), _poly(D[-1], D)
 
 
 def ratfunc_sum(terms):
@@ -694,8 +694,7 @@ def ratfunc_sum(terms):
     groups = {}
     for c, num, den in terms:
         if c:
-            N, dn = _numerators(num.coeffs)
-            groups.setdefault(den, []).append((N, c.numerator, dn * c.denominator))
+            groups.setdefault(den, []).append((num.nums, c.numerator, num.den * c.denominator))
     parts = []
     for den, nums in groups.items():
         # sum_t c_t num_t = M / e over one denominator e
@@ -703,7 +702,7 @@ def ratfunc_sum(terms):
         M = []
         for N, cn, d in nums:
             M = _lincomb(M, N, cn * (e // d))
-        D, dd = _numerators(den.coeffs)
+        D, dd = den.nums, den.den
         P = _primitive(D)
         # den = (D[-1] / (dd P[-1])) P, so the group is (M dd P[-1] / (e D[-1])) / P
         parts.append((M, dd * P[-1], e * D[-1], P))
@@ -712,7 +711,7 @@ def ratfunc_sum(terms):
     total = []
     for M, n, d, P in parts:
         total = _lincomb(total, _mul(M, _exact_quotient(L, P)), n * (E // d))
-    return RatFunc(*_qq_reduced(total, L, 1, E), reduce=False)
+    return _ratfunc(*_qq_reduced(total, L, 1, E))
 
 
 def root_multiplicity(p, fac):
@@ -860,7 +859,7 @@ class FractionField(ElementField):
 
 def poly_pow(p, k):
     """p**k for k >= 0."""
-    out = Poly([Fraction(1)], normalize=False)
+    out = _poly(1, [1])
     for _ in range(k):
         out = out * p
     return out

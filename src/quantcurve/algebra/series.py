@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .fields import QQ, _int_convolve, _numerators
+from .fields import QQ, _int_convolve
 from .poly import INF
 
 
@@ -414,10 +414,9 @@ def expand_ratfunc(f, place, order, e=1):
     if f.is_zero():
         out = TruncSeries.zero(QQ, order)
     else:
-        (N, dn), (D, dd) = _numerators(f.num.coeffs), _numerators(f.den.coeffs)
-        n, d, val = _local_ints(N, D, place)
-        nums, den = _int_quotient(n, d, order - val + 1, dd)
-        out = _series(QQ, val, den * dn, nums, order)
+        n, d, val = _local_ints(f.num.nums, f.den.nums, place)
+        nums, den = _int_quotient(n, d, order - val + 1, f.den.den)
+        out = _series(QQ, val, den * f.num.den, nums, order)
     return out.scale_exponents(e) if e != 1 else out
 
 
@@ -502,9 +501,9 @@ def ratfunc_at_series(f, s):
     if s.field is not QQ:
         raise ValueError(f"a rational function is evaluated at a series over QQ, not {s.field!r}")
     lift = max(0, -s.val)
-    (N, dn), (D, dd) = _numerators(f.num.coeffs), _numerators(f.den.coeffs)
-    num = _horner(QQ, N, s, s.order - lift * f.num.degree)
-    den = _horner(QQ, D, s, s.order - lift * f.den.degree)
+    dn, dd = f.num.den, f.den.den
+    num = _horner(QQ, f.num.nums, s, s.order - lift * f.num.degree)
+    den = _horner(QQ, f.den.nums, s, s.order - lift * f.den.degree)
     if den.is_zero():
         raise ZeroDivisionError("inverse of zero series")
     # num times the inverse of den (val -den.val, order den.order - 2 den.val)

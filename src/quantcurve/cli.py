@@ -34,7 +34,7 @@ from .curvespec import (
 )
 from .lattice import count_check, lattice_from_spectral
 from .spectral import genus_report
-from .verify import engine_for, run_suites, wkb_state_for
+from .verify import SUITES, engine_for, run_suites, wkb_state_for
 from .wkb import verify_operator
 
 MAX_LEVEL = 6
@@ -245,7 +245,8 @@ def main(argv=None):
     add_common(p, curve=False)
     p.add_argument("--suite", default="all",
                    help="comma-separated: table1, wkb, cross, oracles, all")
-    p.add_argument("--depth", type=int, default=None, help="depth for the cross suite")
+    p.add_argument("--depth", type=int, default=None,
+                   help="the cross suite checks S_2 .. S_depth (2 at least)")
 
     p = sub.add_parser("plotdata", help="CSV sample of the real affine curve (floats)")
     add_common(p)
@@ -282,8 +283,11 @@ def main(argv=None):
             _emit(args, emit_plotdata(spec, args.xmin, args.xmax, args.samples))
             return 0
         elif args.command == "verify":
-            check_size("--depth", args.depth, 1, MAX_VERIFY_DEPTH)
+            check_size("--depth", args.depth, 2, MAX_VERIFY_DEPTH)
             names = [s.strip() for s in args.suite.split(",") if s.strip()]
+            if not names:
+                raise CurveSpecError(
+                    f"--suite names no suite; choose from {sorted(SUITES)} or 'all'")
             records = run_suites(names, depth=args.depth, stages=stages)
             all_ok = all(r["passed"] for r in records)
             for r in records:

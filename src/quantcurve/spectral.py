@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 
 from .algebra import INF, Poly, RatFunc, factor_over
-from .algebra.fields import _numerators
 from .algebra.poly import _int_lcm
 
 
@@ -246,7 +245,7 @@ def _uw_model(sd):
     t0 = u * u * u * u
     t1 = -A1 * u * u
     t2 = A2
-    den = Poly(_int_lcm([_numerators(t.den.coeffs)[0] for t in (t0, t1, t2)]))
+    den = Poly(_int_lcm([t.den.nums for t in (t0, t1, t2)]))
     polys = []
     for t in (t0, t1, t2):
         cleared = t * RatFunc(den)
@@ -258,8 +257,8 @@ def _uw_model(sd):
     if g.degree > 0:
         polys = [p // g for p in polys]
     # primitive integer normalization with a canonical sign
-    nums, denlcm = _numerators([c for p in polys for c in p.coeffs])
-    content = gcd(*nums)
+    denlcm = lcm(*[p.den for p in polys])
+    content = gcd(*[c * (denlcm // p.den) for p in polys for c in p.nums])
     if content:
         scale = Fraction(denlcm, content)
         polys = [p * scale for p in polys]

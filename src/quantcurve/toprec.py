@@ -93,7 +93,7 @@ def basis_function(key):
     if q is INF:
         out = RatFunc(Poly([0] * (d - 2) + [1])) if d > 2 else RatFunc.const(1)
     else:
-        out = RatFunc(Poly.const(1), poly_pow(Poly([-q, 1]), d), reduce=False)
+        out = RatFunc(Poly.const(1), poly_pow(Poly([-q, 1]), d))
     _basis_cache[key] = out
     return out
 

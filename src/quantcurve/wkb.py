@@ -286,7 +286,8 @@ def assemble_wavefunction(state, order_x=None):
 
 
 def _pack_hpoly(d):
-    """{h power: Fraction} -> element of QQ(h), without gcd work."""
+    """{h power: Fraction} -> element of QQ(h): the Laurent polynomial as a
+    reduced RatFunc over a power of h, one int gcd when that power is not 1."""
     if not d:
         return HBAR_FIELD.zero()
     shift = max(0, -min(d))
@@ -294,6 +295,4 @@ def _pack_hpoly(d):
     coeffs = [Fraction(0)] * (deg + 1)
     for p, c in d.items():
         coeffs[p + shift] = c
-    num = Poly(coeffs)
-    den = Poly([Fraction(0)] * shift + [Fraction(1)], normalize=False)
-    return HBAR_FIELD.of(RatFunc(num, den, reduce=False))
+    return HBAR_FIELD.of(RatFunc(Poly(coeffs), Poly([0] * shift + [1])))

@@ -413,6 +413,9 @@ def test_cli_wkb_guards():
     ["analyze", "--curve", "airy", "--genus", "-1"],
     ["wkb", "--curve", "gauss", "--place", "1/0"],
     ["wkb", "--curve", "gauss", "--place", "x"],
+    ["verify", "--suite", "cross", "--depth", "1"],
+    ["verify", "--suite", ""],
+    ["verify", "--suite", ",,"],
 ])
 def test_cli_size_knobs_capped(argv, capsys):
     assert main(argv) == 2

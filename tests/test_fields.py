@@ -103,3 +103,9 @@ def test_equal_elements_hash_alike():
     h = HBAR_FIELD.gen
     assert HBAR_FIELD.of(3) in {3} and HBAR_FIELD.of(0) in {0}
     assert h * h / h in {h}
+    # a string is no value: it neither equals an element nor coerces into QQ
+    half = HBAR_FIELD.of(Fraction(1, 2))
+    assert half != "1/2" and half not in {"1/2"} and HBAR_FIELD.one() != "x"
+    for v in ("1/2", "x"):
+        with pytest.raises(TypeError, match="into QQ"):
+            QQ.of(v)

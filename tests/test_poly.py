@@ -1,6 +1,7 @@
 import inspect
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -297,9 +298,12 @@ SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 @st.composite
 def small_ratfuncs(draw):
+    """A small RatFunc over QQ from a num and a den that may share one factor
+    of FACTOR_POOL, so that its reduction has a gcd to divide out."""
     num = Poly(draw(st.lists(SMALL, max_size=4)))
     den = Poly(draw(st.lists(SMALL, min_size=1, max_size=4)))
-    return RatFunc(num, den if not den.is_zero() else Poly.const(1))
+    common = draw(st.sampled_from([P(1)] + FACTOR_POOL))
+    return RatFunc(num * common, (den if not den.is_zero() else Poly.const(1)) * common)
 
 
 def _horner_compose(f, g):
@@ -320,3 +324,53 @@ def test_compose_matches_horner(f, g):
     got = f.compose(g)
     assert got == want
     assert got.den.leading() == 1
+
+
+# The one QQ layout: every result of the polynomial algebra holds int
+# numerators over one positive denominator, reduced, with no trailing zero,
+# and a RatFunc a coprime num over a monic den.
+
+def _layout(p):
+    assert isinstance(p, Poly) and type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.nums)
+    assert gcd(p.den, *p.nums) == 1 and (not p.nums or p.nums[-1])
+    return p
+
+
+def _reduced(f):
+    assert isinstance(f, RatFunc)
+    _layout(f.num)
+    assert _layout(f.den).leading() == 1 and f.num.gcd(f.den) == P(1)
+    return f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_ratfuncs(), small_ratfuncs(), SMALL, st.integers(-4, 4))
+def test_every_operation_keeps_the_layout(f, g, q, k):
+    a, b = f.num * f.den, g.num
+    polys = [a + b, a - b, -a, a * b, a * k, k * a, a * q, q * a,
+             a.gcd(b), b.gcd(a), a.monic(), a.derivative()]
+    if not b.is_zero():
+        polys += a.divrem(b)
+    for p in polys:
+        _layout(p)
+    assert _layout((a * a).sqrt()) in (a, -a)
+    funcs = [f + g, f - g, -f, f * g, f * q, k * f, f.derivative(),
+             ratfunc_sum([(q, f.num, f.den), (k, g.num, g.den)])]
+    assert _reduced((f * f).sqrt()) in (f, -f)
+    if not g.is_zero():
+        funcs.append(f / g)
+    try:
+        funcs.append(f.compose(g))
+    except ZeroDivisionError:
+        pass
+    for h in funcs:
+        _reduced(h)
+    # the same value from Fractions and from scaled ints: equal, alike hashes
+    m = k or 3
+    for p in (a, b, f.den):
+        scaled = Poly([c * m for c in p.nums]) * Fraction(1, p.den * m)
+        assert scaled == p == Poly(p.coeffs) and hash(scaled) == hash(p)
+    scaled = RatFunc(Poly([c * m for c in f.num.nums]), Poly([c * m for c in f.den.nums]))
+    scaled = scaled * Fraction(f.den.den, f.num.den)
+    assert scaled == f and hash(scaled) == hash(f)

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quantcurve.algebra import INF, QQ, Poly, RatFunc, TruncSeries, expand_ratfunc, factor_over
 from quantcurve.algebra import series as series_module
-from quantcurve.algebra.fields import _numerators
 from quantcurve.oracles import airy_closed_free_energy, enumerate_cellular
 from quantcurve.spectral import SpectralData
 from quantcurve import toprec
@@ -459,7 +458,7 @@ def _int_scalar(s):
 
 def _int_factor(vec):
     # ([[(key, numerator)] per power], den) of a vector series of Fraction dicts
-    nums, den = _numerators([c for part in vec for c in part.values()])
+    den, nums = QQ.split([c for part in vec for c in part.values()])
     it = iter(nums)
     return [[(b, next(it)) for b in part] for part in vec], den
 
