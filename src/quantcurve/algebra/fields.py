@@ -15,16 +15,20 @@ floating point anywhere.
 
 A series holds its coefficients as numerators over one denominator, and
 each field supplies the protocol for it: ``split`` values into (den, nums),
-``reduce`` a pair, read one ``value``, and ``convolve`` numerator lists.
-Over QQ the numerators are ints over a positive den with gcd(den, *nums) =
-1, the layout a ``Poly`` keeps too; ``QuadExtField`` and ``FractionField``
-elements hold their own denominators, so there den is 1 and the numerators
-are the elements.
+``reduce`` a pair, read one ``value``, ``convolve`` numerator lists, and
+``nil`` is the zero numerator.  Over QQ the numerators are ints over a
+positive den with gcd(den, *nums) = 1, the layout a ``Poly`` keeps too.
+Over ``QuadExtField(d)`` they are int pairs (a, b) over such a den, each
+meaning (a + b r) / den with r**2 = D = num(d) den(d), and gcd(den, every a
+and b) = 1: no product of the field builds a ``Fraction``.
+``FractionField`` elements hold their own denominators, so there den is 1
+and the numerators are the elements.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 
@@ -43,6 +47,7 @@ class RationalField:
     """The field of rational numbers; elements are ``Fraction`` objects."""
 
     name = "QQ"
+    nil = 0
 
     def zero(self):
         return Fraction(0)
@@ -190,7 +195,7 @@ class QuadExtElement:
         # equal to a rational when b == 0, so it must hash like one
         if not self.b:
             return hash(self.a)
-        return hash((id(self.field), self.a, self.b))
+        return hash((self.field.d, self.a, self.b))
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
@@ -209,24 +214,73 @@ class ElementField:
         return 1, list(values)
 
     def reduce(self, den, nums):
-        return den, nums
+        """nums over den = 1: any other den (an antiderivative's lcm) is
+        divided into each element."""
+        return (den, nums) if den == 1 else (1, [c / den for c in nums])
 
     def value(self, den, c):
         return c
 
+    @property
+    def nil(self):
+        return self.zero()
 
-class QuadExtField(ElementField):
-    """The quadratic extension QQ(sqrt(d)); d must not be a square in QQ."""
 
-    def __init__(self, d):
+class SurdPair:
+    """a + b r for ints a and b, r**2 = D: a numerator of QQ(sqrt d) over a
+    series' den.  Each ``QuadExtField`` has its own subclass, which holds
+    its D.  A pair is multiplied by an int, or by a pair of its field."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
+
+    def __add__(self, other):
+        return self.__class__(self.a + other.a, self.b + other.b)
+
+    def __neg__(self):
+        return self.__class__(-self.a, -self.b)
+
+    def __mul__(self, k):
+        if isinstance(k, int):
+            return self.__class__(self.a * k, self.b * k)
+        return self.__class__(self.a * k.a + self.D * self.b * k.b, self.a * k.b + self.b * k.a)
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+
+# one live field per d, so that elements built from two QuadExtField(d)
+# calls compare, add and hash as one field's
+_QUAD_FIELDS = weakref.WeakValueDictionary()
+
+
+class QuadExtField:
+    """The quadratic extension QQ(sqrt(d)); d must not be a square in QQ.
+
+    A series over it keeps int pairs (a, b) over its den (``SurdPair``):
+    with r**2 = D = num(d) den(d), sqrt(d) = r / den(d), so the pair means
+    a / den + (b den(d) / den) sqrt(d).  QuadExtField(d) returns the live
+    field of d when there is one."""
+
+    def __new__(cls, d):
         d = QQ.of(d)
+        field = _QUAD_FIELDS.get(d)
+        if field is not None:
+            return field
         if d == 0:
             raise ValueError("cannot adjoin sqrt(0)")
         if QQ.is_square(d):
             raise ValueError(f"{d} is already a square in QQ")
-        self.d = d
-        self.name = f"QQ(sqrt({d}))"
-        self.gen = QuadExtElement(self, Fraction(0), Fraction(1))
+        field = _QUAD_FIELDS[d] = super().__new__(cls)
+        field.d = d
+        field.name = f"QQ(sqrt({d}))"
+        field.gen = QuadExtElement(field, Fraction(0), Fraction(1))
+        field.num = type("SurdPair", (SurdPair,), {"__slots__": (), "D": d.numerator * d.denominator})
+        field.nil = field.num(0, 0)
+        return field
 
     def zero(self):
         return QuadExtElement(self, Fraction(0), Fraction(0))
@@ -260,26 +314,51 @@ class QuadExtField(ElementField):
         v = self.of(v)
         return f"[{v.a},{v.b}]"
 
-    def convolve(self, a, b, n):
-        """The first ``n`` coefficients of the product of coefficient lists.
+    def split(self, values):
+        """(den, pairs) of a list of elements over the least den; a list of
+        ints and Fractions splits as over QQ, to ints, which act on pairs
+        as scalars."""
+        if not values or not isinstance(values[0], QuadExtElement):
+            return QQ.split(values)
+        # a + b sqrt(d) = (a + (b / den(d)) r), both parts over QQ's least den
+        n, dd = len(values), self.d.denominator
+        den, nums = QQ.split([x.a for x in values] + [x.b / dd for x in values])
+        return den, [self.num(p, q) for p, q in zip(nums[:n], nums[n:])]
 
-        (A + B s)(C + D s) = (AC + d BD) + (AD + BC) s.  Each operand's two
-        parts are scaled once to integer numerators over one common
-        denominator; three int convolutions give AC, BD and (A + B)(C + D),
-        and d's numerator and denominator are folded in last, so the 2n
-        output ``Fraction``s hold the only gcds.
+    def reduce(self, den, nums):
+        """(den, pairs) over a positive den with gcd(den, every a and b) = 1."""
+        g = math.gcd(den, *[c.a for c in nums], *[c.b for c in nums]) * (-1 if den < 0 else 1)
+        if g == 1:
+            return den, nums
+        num = self.num
+        return den // g, [num(c.a // g, c.b // g) for c in nums]
+
+    def value(self, den, c):
+        return QuadExtElement(self, Fraction(c.a, den), Fraction(c.b * self.d.denominator, den))
+
+    def convolve(self, x, y, n):
+        """The first ``n`` coefficients of the product of pair lists.
+
+        (A + B r)(C + E r) = (AC + D BE) + (AE + BC) r, each part an int
+        convolution.  Only an operand with both parts nonzero needs all
+        four: mixed times mixed takes Karatsuba's three, AC, BE and
+        (A + B)(C + E).  Otherwise one of A, B, C, E is zero and at most
+        two cross products are not: one for a pure rational or pure surd
+        operand times another, two for a pure operand times a mixed one.
         """
-        a, b = a[:n], b[:n]
-        (dx, X), (dy, Y) = (QQ.split([x.a for x in a] + [x.b for x in a]),
-                            QQ.split([y.a for y in b] + [y.b for y in b]))
-        i, j = len(a), len(b)
-        aa, bb = _int_convolve(X[:i], Y[:j], n), _int_convolve(X[i:], Y[j:], n)
-        mixed = _int_convolve([p + q for p, q in zip(X[:i], X[i:])],
-                              [p + q for p, q in zip(Y[:j], Y[j:])], n)
-        dn, dd = self.d.numerator, self.d.denominator
-        den = dx * dy
-        return [QuadExtElement(self, Fraction(p * dd + dn * q, den * dd), Fraction(m - p - q, den))
-                for p, q, m in zip(aa, bb, mixed)]
+        x, y = x[:n], y[:n]
+        A, B, C, E = [c.a for c in x], [c.b for c in x], [c.a for c in y], [c.b for c in y]
+        a, b, c, e = any(A), any(B), any(C), any(E)
+        num, D = self.num, self.num.D
+        if a and b and c and e:
+            ac, be = _int_convolve(A, C, n), _int_convolve(B, E, n)
+            mixed = _int_convolve([p + q for p, q in zip(A, B)], [p + q for p, q in zip(C, E)], n)
+            return [num(p + D * q, m - p - q) for p, q, m in zip(ac, be, mixed)]
+        zero = [0] * n
+        re = (_int_convolve(A, C, n) if a and c
+              else [D * q for q in _int_convolve(B, E, n)] if b and e else zero)
+        im = _int_convolve(A, E, n) if a and e else _int_convolve(B, C, n) if b and c else zero
+        return [num(p, q) for p, q in zip(re, im)]
 
     def __repr__(self):
         return self.name

@@ -11,9 +11,10 @@ The coefficients are numerators over one denominator, in the field's
 protocol (``fields``): the coefficient of tau^(val + k) is nums[k] / den,
 with nums[0] and nums[-1] nonzero, and the zero series has no nums and val
 = order + 1.  Over QQ the nums are ints over den > 0 with gcd(den, *nums) =
-1, so a product is one int convolution and one gcd; over QQ(sqrt d) and
-QQ(h) den is 1 and the nums are the field's elements.  ``coeffs``,
-``coefficient`` and ``items`` read values.
+1, so a product is one int convolution and one gcd; over QQ(sqrt d) they
+are int pairs over such a den, so a product is one to three int
+convolutions; over QQ(h) den is 1 and the nums are the field's elements.
+``coeffs``, ``coefficient`` and ``items`` read values.
 
 ``LogSeries`` carries one extra logarithmic term ``lam * log(w)`` on top of a
 series body, and the chart's e; antiderivatives produce it, derivatives fold
@@ -44,11 +45,6 @@ def _scaled(nums, k):
     """nums times the int k; over a field of elements k is 1, which costs
     no element operation."""
     return nums if k == 1 else [c * k for c in nums]
-
-
-def _zero(field):
-    """The field's zero as a numerator: 0 over QQ, the element elsewhere."""
-    return 0 if field is QQ else field.zero()
 
 
 class TruncSeries:
@@ -112,14 +108,15 @@ class TruncSeries:
             return self
         return _series(self.field, self.val, self.den, self.nums, order)
 
-    def map_coeffs(self, fn, field=None):
-        field = field or self.field
-        return TruncSeries(field, self.val, [fn(c) for c in self.coeffs], self.order)
+    def over(self, field):
+        """This series over QQ as one over ``field``, a QuadExtField: the
+        same den, each int numerator n the pair (n, 0)."""
+        return _series(field, self.val, self.den, [field.num(c, 0) for c in self.nums], self.order)
 
     def scale_exponents(self, k):
         """Substitute tau -> tau^k (exponent dilation)."""
         nums = []
-        gap = [_zero(self.field)] * (k - 1)
+        gap = [self.field.nil] * (k - 1)
         for c in self.nums:
             nums += [c] + gap
         return _series(self.field, self.val * k, self.den, nums, self.order * k)
@@ -140,7 +137,7 @@ class TruncSeries:
         # both over the lcm of the dens, which is 1 over a field of elements
         den = lcm(self.den, other.den)
         val = min(self.val, other.val)
-        out = [_zero(f)] * (order - val + 1)
+        out = [f.nil] * (order - val + 1)
         lo, cs = self.val - val, _scaled(self.nums[: max(0, order - self.val + 1)], den // self.den)
         out[lo: lo + len(cs)] = cs
         for i, c in enumerate(_scaled(other.nums[: max(0, order - other.val + 1)], den // other.den),
@@ -163,7 +160,8 @@ class TruncSeries:
         f = self.field
         if not isinstance(other, TruncSeries):
             # a scalar splits like a coefficient: an int or a Fraction acts
-            # on QQ numerators and denominator, and on each element as it is
+            # on the denominator and as an int on QQ numerators and QQ(sqrt d)
+            # pairs, and on each element of QQ(h) as it is
             c = other if isinstance(other, (int, Fraction)) else f.of(other)
             cd, (cn,) = f.split([c])
             if not cn:
@@ -260,7 +258,7 @@ class TruncSeries:
         sign = 1
         power = u
         while power.val <= self.order:
-            out = out + power * (f.of(Fraction(sign, k)))
+            out = out + power * Fraction(sign, k)
             power = power * u
             k += 1
             sign = -sign
@@ -279,8 +277,11 @@ class TruncSeries:
         """
         f = self.field
         logc = self.coefficient(-1) if self.val <= -1 <= self.order else f.zero()
-        out = [f.zero() if k == -1 else c / (k + 1) for k, c in enumerate(self.coeffs, self.val)]
-        return logc, _series(f, self.val + 1, *f.split(out), self.order + 1)
+        # c / (k + 1) over one lcm L of the k + 1: c (L / (k + 1)) over den L
+        ks = range(self.val + 1, self.val + len(self.nums) + 1)
+        L = lcm(*[k for k in ks if k])
+        out = [c * (L // k) if k else f.nil for k, c in zip(ks, self.nums)]
+        return logc, _series(f, self.val + 1, self.den * L, out, self.order + 1)
 
     def compose(self, inner):
         """self(inner) for a power series self and inner of valuation >= 1.
@@ -365,7 +366,7 @@ def _horner(field, C, s, order):
             val, den, nums = order + 1, 1, []
         if c and order >= 0:
             if val > 0:
-                nums, val = [_zero(field)] * val + nums, 0
+                nums, val = [field.nil] * val + nums, 0
             nums[-val] += c if den == 1 else c * den
             while nums and not nums[0]:
                 del nums[0]

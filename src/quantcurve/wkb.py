@@ -133,8 +133,8 @@ def semiclassical_root(cfg):
     The local expansions and the discriminant are computed once over the
     field of the operator; when the square root of the discriminant's
     leading coefficient is not in that field, it is adjoined and the three
-    series are embedded coefficient by coefficient.  Returns a WkbState
-    holding S0 only.
+    series move over it on their int numerators (``TruncSeries.over``).
+    Returns a WkbState holding S0 only.
 
     Each depth of the hierarchy loses v/2 + e tau-orders where the
     discriminant vanishes to tau-order v (a division by 2 S0' + a1 and a
@@ -158,7 +158,7 @@ def semiclassical_root(cfg):
     root = field.sqrt(lead)
     if root is None:
         field = QuadExtField(lead)
-        a1s, a2s, disc = (s.map_coeffs(field.of, field=field) for s in (a1s, a2s, disc))
+        a1s, a2s, disc = (s.over(field) for s in (a1s, a2s, disc))
         root = field.gen
     sq = disc.sqrt(root)
     if cfg.branch == "plus":

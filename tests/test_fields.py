@@ -109,3 +109,30 @@ def test_equal_elements_hash_alike():
     for v in ("1/2", "x"):
         with pytest.raises(TypeError, match="into QQ"):
             QQ.of(v)
+
+
+def test_one_field_per_d():
+    # two QuadExtField(d) calls give one field: their elements compare, add
+    # and hash as one field's, and equality stays transitive through QQ
+    E1, E2 = QuadExtField(3), QuadExtField(Fraction(6, 2))
+    x, y = E1.of(Fraction(1, 2)), E2.of(Fraction(1, 2))
+    assert x == Fraction(1, 2) == y and x == y and hash(x) == hash(y)
+    assert x + y == E1.one() and E1.gen - E2.gen == 0
+    s1, s2 = E1.gen + 1, E2.gen + 1
+    assert s1 == s2 and hash(s1) == hash(s2) and len({s1, s2}) == 1
+    # the live field comes back as it was built
+    assert E2 is E1 and E2.gen is E1.gen and E2.nil is E1.nil
+    assert QuadExtField(3) != QuadExtField(5) and E1.gen != QuadExtField(5).gen
+
+
+def test_field_cache_holds_only_live_fields():
+    import gc
+
+    from quantcurve.algebra import fields as fields_module
+
+    d = Fraction(7919, 7)
+    E = QuadExtField(d)
+    assert fields_module._QUAD_FIELDS[d] is E
+    del E
+    gc.collect()
+    assert d not in fields_module._QUAD_FIELDS

@@ -209,11 +209,17 @@ def _division_reference(f, place, order, e, shift):
 
 def _check_representation(s):
     """The invariant every TruncSeries keeps: over QQ int numerators over a
-    positive den with gcd 1, over QQ(sqrt d) and QQ(h) the elements over 1;
-    no zero at either end, and the zero series at val = order + 1."""
+    positive den with gcd 1, over QQ(sqrt d) int pairs of the field over a
+    positive den with gcd 1, over QQ(h) the elements over 1; no zero at
+    either end, and the zero series at val = order + 1."""
     if s.field is QQ:
         assert type(s.den) is int and s.den > 0 and all(type(c) is int for c in s.nums)
         assert math.gcd(s.den, *s.nums) == 1
+    elif isinstance(s.field, QuadExtField):
+        assert type(s.den) is int and s.den > 0
+        assert all(type(c) is s.field.num and type(c.a) is int and type(c.b) is int
+                   for c in s.nums)
+        assert math.gcd(s.den, *[c.a for c in s.nums], *[c.b for c in s.nums]) == 1
     else:
         assert s.den == 1 and all(s.field.of(c) is c for c in s.nums)
     assert not s.nums or (s.nums[0] and s.nums[-1])
@@ -334,17 +340,29 @@ def test_laurent_ints_of_zero():
 # loop and the inverse recurrence they replaced
 
 SQRT2 = QuadExtField(2)
-# d with a denominator: the integer kernel folds it into every coefficient
+# d with a denominator: the pairs' r is sqrt(num(d) den(d)), and a value's
+# surd part carries den(d)
 SQRT_M35 = QuadExtField(Fraction(-3, 5))
+SQRT_83 = QuadExtField(Fraction(8, 3))
+# d not squarefree, as `smooth` adjoins it at 0
+SQRT_M4 = QuadExtField(-4)
 MIXED_QQ = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+def _surds(E):
+    return st.builds(lambda a, b: E.of(a) + E.gen * b, MIXED_QQ, MIXED_QQ)
+
+
 KERNEL_ELEMENTS = {
     "QQ": MIXED_QQ,
-    "QQ(sqrt 2)": st.builds(lambda a, b: SQRT2.of(a) + SQRT2.gen * b, MIXED_QQ, MIXED_QQ),
-    "QQ(sqrt(-3/5))": st.builds(lambda a, b: SQRT_M35.of(a) + SQRT_M35.gen * b,
-                                MIXED_QQ, MIXED_QQ),
+    "QQ(sqrt 2)": _surds(SQRT2),
+    "QQ(sqrt(-3/5))": _surds(SQRT_M35),
+    "QQ(sqrt(8/3))": _surds(SQRT_83),
+    "QQ(sqrt(-4))": _surds(SQRT_M4),
     "QQ(h)": st.builds(lambda a, b: HBAR_FIELD.of(a) + HBAR_FIELD.gen * b, SMALL_QQ, SMALL_QQ),
 }
-KERNEL_FIELDS = {"QQ": QQ, "QQ(sqrt 2)": SQRT2, "QQ(sqrt(-3/5))": SQRT_M35, "QQ(h)": HBAR_FIELD}
+KERNEL_FIELDS = {"QQ": QQ, "QQ(sqrt 2)": SQRT2, "QQ(sqrt(-3/5))": SQRT_M35,
+                 "QQ(sqrt(8/3))": SQRT_83, "QQ(sqrt(-4))": SQRT_M4, "QQ(h)": HBAR_FIELD}
 
 
 def _schoolbook(field, a, b, n):
@@ -410,6 +428,76 @@ def test_convolve_matches_schoolbook(fab, data):
     if field is QQ:  # polynomials are over QQ only
         prod = Poly(a) * Poly(b)
         assert prod == Poly(_schoolbook(field, a, b, max(0, len(a) + len(b) - 1)))
+
+
+# QuadExtField.convolve multiplies only the nonzero halves of its operands
+
+SURD_FIELDS = (SQRT2, SQRT_M35, SQRT_83, SQRT_M4)
+OPERAND_KINDS = ("zero", "rational", "surd", "mixed")
+
+
+@st.composite
+def surd_operand(draw, kind):
+    """(a, b) Fraction lists of one length for elements a + b sqrt(d) of a
+    kind: all zero, all b = 0, all a = 0, or both parts nonzero somewhere."""
+    n = draw(st.integers(0 if kind == "zero" else 1, 12))
+    a = draw(st.lists(MIXED_QQ, min_size=n, max_size=n)) if kind in ("rational", "mixed") else [0] * n
+    b = draw(st.lists(MIXED_QQ, min_size=n, max_size=n)) if kind in ("surd", "mixed") else [0] * n
+    # a nonzero part where the kind has one
+    if kind in ("rational", "mixed"):
+        a[draw(st.integers(0, n - 1))] = draw(NONZERO_QQ)
+    if kind in ("surd", "mixed"):
+        b[draw(st.integers(0, n - 1))] = draw(NONZERO_QQ)
+    return [Fraction(x) for x in a], [Fraction(y) for y in b]
+
+
+def _surd_schoolbook(d, x, y, n):
+    """The first n coefficients of the product, as Fraction pairs (a, b) of
+    a + b sqrt(d)."""
+    (xa, xb), (ya, yb) = x, y
+    out = [[Fraction(0), Fraction(0)] for _ in range(n)]
+    for i in range(len(xa)):
+        for j in range(len(ya)):
+            if i + j < n:
+                out[i + j][0] += xa[i] * ya[j] + d * xb[i] * yb[j]
+                out[i + j][1] += xa[i] * yb[j] + xb[i] * ya[j]
+    return [tuple(p) for p in out]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(SURD_FIELDS), st.sampled_from(OPERAND_KINDS),
+       st.sampled_from(OPERAND_KINDS), st.data())
+def test_surd_convolve_matches_the_fraction_schoolbook(E, kx, ky, data):
+    x, y = data.draw(surd_operand(kx)), data.draw(surd_operand(ky))
+    n = data.draw(st.integers(0, len(x[0]) + len(y[0]) + 1))
+    (dx, X), (dy, Y) = (E.split([E.of(a) + E.gen * b for a, b in zip(*ops)]) for ops in (x, y))
+    got = [E.value(dx * dy, c) for c in E.convolve(X, Y, n)]
+    assert [(c.a, c.b) for c in got] == _surd_schoolbook(E.d, x, y, n)
+
+
+@pytest.mark.parametrize("kx, ky, calls", [
+    ("rational", "rational", 1), ("surd", "surd", 1), ("rational", "surd", 1),
+    ("rational", "mixed", 2), ("mixed", "surd", 2), ("mixed", "mixed", 3),
+])
+def test_surd_convolve_skips_the_zero_halves(kx, ky, calls, monkeypatch):
+    # one int convolution per nonzero cross product, three for mixed x mixed
+    import quantcurve.algebra.fields as fields_module
+
+    calls_seen = []
+    convolve = fields_module._int_convolve
+
+    def counted(A, B, n):
+        calls_seen.append(n)
+        return convolve(A, B, n)
+
+    monkeypatch.setattr(fields_module, "_int_convolve", counted)
+    a, b = [Fraction(1), 0, Fraction(-2, 3), Fraction(5)], [Fraction(1, 2), Fraction(4), 0, Fraction(-1)]
+    x, y = ((a if k != "surd" else [0] * 4, b if k != "rational" else [0] * 4) for k in (kx, ky))
+    E = SQRT_83
+    (dx, X), (dy, Y) = (E.split([E.of(p) + E.gen * q for p, q in zip(*ops)]) for ops in (x, y))
+    got = [E.value(dx * dy, c) for c in E.convolve(X, Y, 6)]
+    assert len(calls_seen) == calls
+    assert [(c.a, c.b) for c in got] == _surd_schoolbook(E.d, x, y, 6)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -566,6 +654,21 @@ def qq_truncseries(draw, vals, fields=("QQ",)):
     return TruncSeries(KERNEL_FIELDS[name], val, coeffs, val + len(coeffs) - 1 + draw(st.integers(0, 3)))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(qq_truncseries(st.integers(-3, 3), tuple(sorted(KERNEL_FIELDS))))
+def test_integrate_matches_fraction_division(s):
+    # c_k / (k + 1) on ints over one lcm, against the Fraction division;
+    # the coefficient of tau^-1 is the log term
+    f = s.field
+    logc, body = s.integrate()
+    _check_representation(body)
+    assert body.order == s.order + 1
+    assert logc == (s.coefficient(-1) if s.val <= -1 <= s.order else f.zero())
+    for k in range(s.val, s.order + 1):
+        want = f.zero() if k == -1 else s.coefficient(k) / (k + 1)
+        assert body.coefficient(k + 1) == want
+
+
 QQ_RATFUNCS = st.builds(
     lambda num, den: RatFunc(Poly(num), Poly(den) if any(den) else Poly.const(1)),
     st.lists(SMALL_QQ, max_size=4), st.lists(SMALL_QQ, min_size=1, max_size=4))
@@ -645,5 +748,13 @@ def test_every_operation_keeps_the_representation(s, data):
         forms = [(q, 1, 2), (1, -q, -1), (0, q, 3)]
         out += [linear_forms_ints(forms, place, data.draw(st.integers(-3, 8))),
                 monomial_sum([((0, 1), 1, 3), ((1,), -2, 1)], {0: s, 1: t}, 8)]
+    if isinstance(f, QuadExtField):
+        # a surd scalar multiplies pairs by pairs; the QQ series moves over
+        # on its numerators
+        c = f.gen * q + k
+        out.append(s * c)
+        assert (s * c).coeffs == [x * c for x in s.coeffs]
+        qs = data.draw(qq_truncseries(st.integers(-2, 3)))
+        assert _fields(qs.over(f)) == _fields(TruncSeries(f, qs.val, qs.coeffs, qs.order))
     for r in out:
         _check_representation(r)
