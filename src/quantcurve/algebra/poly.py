@@ -156,6 +156,19 @@ class Poly:
         return _poly(self.den, [i * c for i, c in enumerate(self.nums)][1:])
 
     def __call__(self, v):
+        """The value at v.  At a rational p / q it is one int homogenized
+        Horner sum, sum c_k p^k q^(deg - k) over den q^deg, and one
+        ``Fraction``; any other argument takes the generic Horner steps."""
+        if isinstance(v, (int, Fraction)):
+            nums = self.nums
+            if not nums:
+                return Fraction(0)
+            p, q = v.numerator, v.denominator
+            acc, qk = nums[-1], 1
+            for c in nums[-2::-1]:
+                qk *= q
+                acc = acc * p + c * qk
+            return Fraction(acc, self.den * qk)
         acc = 0
         for c in reversed(self.nums):
             acc = acc * v + c

@@ -272,11 +272,13 @@ def arrangement_sum(M, value, last=None):
     sub-multiset is visited once and each value(key, slot) is evaluated
     once.  With a slot ``last`` that slot is left open and never evaluated:
     the result is the linear form {key: weight} with the sum equal to
-    sum(weight * value(key, last)), one weight per distinct key of M.
+    sum(weight * value(key, last)), one weight per distinct key of M.  The
+    products start from the int 1, so int values (numerators over one
+    denominator per slot) give int sums and weights.
     """
     counts = _multiset_counts(M)
     keys = list(counts)
-    partial = {tuple(counts.values()): Fraction(1)}
+    partial = {tuple(counts.values()): 1}
     for i in range(len(M)):
         if i == last:
             continue
@@ -293,6 +295,13 @@ def arrangement_sum(M, value, last=None):
         return {keys[left.index(1)]: acc for left, acc in partial.items()}
     (out,) = partial.values()
     return out
+
+
+def over_lcm(pairs):
+    """(den, {key: int}): the values num / d of {key: (num, d)} as int
+    numerators over den, the lcm of the ds."""
+    den = lcm(*[d for _, d in pairs.values()])
+    return den, {k: v * (den // d) for k, (v, d) in pairs.items()}
 
 
 def _residue(factors, scalar, target, sign, p):
@@ -608,7 +617,7 @@ class TopRecEngine:
         W_{0,2} is the single ("w2",)."""
         if (g, n) == (0, 2):
             return 1, [(("w2",), (), 1)]
-        den, ids = self.W(g, n)._ids
+        den, ids = self.int_items(self.W(g, n))
         return den, [(("phi", b), M[:i] + M[i + 1:], c)
                      for M, c in ids.items() for i, b in self._distinct(M)]
 
@@ -770,7 +779,7 @@ class TopRecEngine:
             raise ValueError("the table covers S_m for m >= 2 only")
         prims, terms = {}, []
         for (g, n), fgn in self.compute_level(m - 1):
-            den, ids = fgn._ids
+            den, ids = self.int_items(fgn)
             for M, v in ids.items():
                 terms.append((M, v * _permutation_count(M), den * factorial(n)))
                 for i in M:
@@ -785,48 +794,75 @@ class TopRecEngine:
         fgn = self.F(g, n)
         return self._eval_table(fgn, values, deriv=None)
 
-    def _eval_table(self, tab, values, deriv=None, primitive=None, memo=None):
+    def int_items(self, tab):
+        """(den, {sorted key-id tuples: int numerator}): a table's ``_ids``,
+        or, for a table built from its public ``.table`` alone, its items on
+        key ids over the lcm of their denominators."""
+        if tab._ids is not None:
+            return tab._ids
+        return over_lcm({tuple(sorted(map(self._key_id, M))): (c.numerator, c.denominator)
+                         for M, c in tab.items()})
+
+    def _columns(self, columns, ids, values, deriv, primitive):
+        """(den, cols): cols[i] maps each key id of ``ids`` to the basis
+        function (slot ``deriv``) or the primitive of its key at values[i],
+        as an int numerator over that slot's denominator, and den is the
+        product of those denominators; cols[i] is None where values[i] is
+        None.  ``columns`` keeps one column per (differentiated, point) for
+        the caller, and a column is extended by the keys it lacks, so each
+        value is read once per caller."""
+        den, cols = 1, []
+        for i, z in enumerate(values):
+            if z is None:
+                cols.append(None)
+                continue
+            at = (i == deriv, z)
+            d, col = columns.get(at, (1, {}))
+            missing = [b for b in ids if b not in col]
+            if missing:
+                fn = basis_function if i == deriv else primitive
+                pairs = {b: (v, d) for b, v in col.items()}
+                for b in missing:
+                    v = fn(self._key_of(b))(z)
+                    pairs[b] = v.numerator, v.denominator
+                d, col = columns[at] = over_lcm(pairs)
+            den *= d
+            cols.append(col)
+        return den, cols
+
+    def _eval_table(self, tab, values, deriv=None, primitive=None, columns=None):
         """Sum over labeled monomials; values[i] may be a Fraction or None
-        for one symbolic slot.  The monomials of a symbolic slot add up to one
-        linear form over its basis keys, which becomes a RatFunc in that slot
-        with a single reduction."""
+        for one symbolic slot.  The table's int numerators meet the slot
+        columns (``_columns``) in ``arrangement_sum``, so the sum is one int
+        over one denominator: one Fraction, or, with a symbolic slot, one
+        int linear form over its basis keys, which becomes a RatFunc in that
+        slot with a single reduction."""
         if len(values) != tab.n:
             raise ValueError(f"the table has {tab.n} slots, got {len(values)} values")
         if values.count(None) > 1:
             raise ValueError("at most one slot may stay symbolic")
-        value = self._slot_values(values, deriv, primitive or self.f_primitive, {} if memo is None else memo)
+        primitive = primitive or self.f_primitive
+        den, items = self.int_items(tab)
+        ids = {b for M in items for b in M}
+        cden, cols = self._columns({} if columns is None else columns, ids, values, deriv, primitive)
+        den *= cden
+
+        def value(b, i):
+            return cols[i][b]
+
         if None not in values:
-            total = Fraction(0)
-            for M, c in tab.items():
-                total += arrangement_sum(M, value) * c
-            return total
+            return Fraction(sum(c * arrangement_sum(M, value) for M, c in items.items()), den)
         slot = values.index(None)
-        form = defaultdict(Fraction)
-        for M, c in tab.items():
-            for key, w in arrangement_sum(M, value, slot).items():
-                form[key] += w * c
+        form = {}
+        for M, c in items.items():
+            for b, w in arrangement_sum(M, value, slot).items():
+                form[b] = form.get(b, 0) + w * c
+        fn = basis_function if slot == deriv else primitive
         terms = []
-        for key, w in form.items():
-            f = value(key, slot)
-            terms.append((w, f.num, f.den))
+        for b, w in form.items():
+            f = fn(self._key_of(b))
+            terms.append((Fraction(w, den), f.num, f.den))
         return ratfunc_sum(terms)
-
-    @staticmethod
-    def _slot_values(values, deriv, primitive, memo):
-        """value(key, i): the basis function (slot ``deriv``) or the primitive
-        of key at values[i], or the function itself where values[i] is None.
-        ``memo`` keeps each (key, differentiated, point) value, so calls that
-        share one primitive may share it."""
-
-        def value(key, i):
-            at = (key, i == deriv, values[i])
-            out = memo.get(at)
-            if out is None:
-                fn = basis_function(key) if i == deriv else primitive(key)
-                out = memo[at] = fn if values[i] is None else fn(values[i])
-            return out
-
-        return value
 
     def diff_recursion_check(self, g, n, points):
         """Compare d1 F_{g,n} with the right side of the differential recursion.
@@ -851,8 +887,9 @@ class TopRecEngine:
                 raise ValueError(f"sample point {z} hit the branch or polar locus")
             images.append(sz)
         prim = self._odd_primitive
-        # one value table for every evaluation of this check
-        memo = {}
+        # one column per (differentiated, point) for every evaluation of
+        # this check
+        columns = {}
         d1_cache = {}
 
         def d1(gg, idx):
@@ -861,7 +898,7 @@ class TopRecEngine:
             if hit is None:
                 values = [None] + [points[i] for i in idx]
                 hit = d1_cache[(gg, idx)] = self._eval_table(
-                    self.F(gg, len(idx) + 1), values, deriv=0, primitive=prim, memo=memo)
+                    self.F(gg, len(idx) + 1), values, deriv=0, primitive=prim, columns=columns)
             return hit
 
         idx = tuple(range(n - 1))
@@ -875,20 +912,24 @@ class TopRecEngine:
             kern_den = Poly([-zj, 1]) * Poly([-szj, 1])
             d1f = d1(g, idx[:j] + idx[j + 1:])
             terms.append((Fraction(1), kern_num * d1f.num, kern_den * d1f.den))
-            djf = self._eval_table(self.F(g, n - 1), list(points), deriv=j, primitive=prim, memo=memo)
+            djf = self._eval_table(self.F(g, n - 1), list(points), deriv=j, primitive=prim,
+                                   columns=columns)
             terms.append((-djf / omega(zj), kern_num * omega.num, kern_den * omega.den))
         # quadratic terms: F_{g-1,n+1} with both differentiated slots at z_1
         if g >= 1:
-            key_of = self._key_of
-            at_points = self._slot_values(points, None, prim, memo)
-            # int numerators c over the table's denominator, divided once
+            # int numerators c over the table's denominator times the
+            # columns' rest sums: ints over one denominator, divided once
             den, items = self._two_slots(g - 1, n + 1)
-            weights = defaultdict(Fraction)
+            cden, cols = self._columns(columns, {b for *_, rest, _ in items for b in rest},
+                                       points, None, prim)
+            den *= cden
+            weights = {}
             for (_, b1), (_, b2), rest, c in items:
-                weights[(b1, b2)] += c * arrangement_sum(rest, lambda b, i: at_points(key_of(b), i))
+                w = c * arrangement_sum(rest, lambda b, i: cols[i][b])
+                weights[(b1, b2)] = weights.get((b1, b2), 0) + w
             for (b1, b2), w in weights.items():
-                f1, f2 = basis_function(key_of(b1)), basis_function(key_of(b2))
-                terms.append((w / den, f1.num * f2.num, f1.den * f2.den))
+                f1, f2 = basis_function(self._key_of(b1)), basis_function(self._key_of(b2))
+                terms.append((Fraction(w, den), f1.num * f2.num, f1.den * f2.den))
         # and the products over the splittings of the sample points
         for g1 in range(0, g + 1):
             g2 = g - g1

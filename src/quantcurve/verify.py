@@ -31,6 +31,7 @@ from .toprec import (
     arrangement_sum,
     matching_branch_map,
     branch_maps,
+    over_lcm,
 )
 from .wkb import WkbConfig, assemble_wavefunction, solve_wkb, verify_operator
 
@@ -275,21 +276,29 @@ def catalan_mu_coefficient(eng, curve, g, n, mu, section=None):
     """Coefficient of prod x_i^(-mu_i) in the Catalan free energy, read from
     the primitives at ``section``, the branch section over x = INF (built
     through max(mu) + 4 when not given).  A section too short for mu
-    raises ValueError."""
+    raises ValueError.
+
+    The table's int numerators meet, slot by slot, the coefficients of
+    tau^mu_i of the primitive series as int numerators over one lcm per
+    slot, so the sum is one int over one denominator."""
     if section is None:
         section = branch_maps(curve, INF, 1, max(mu) + 4)[0]
-    series = {}
-
-    def coefficient(key, i):
-        s = series.get(key)
-        if s is None:
-            s = series[key] = ratfunc_at_series(eng.f_primitive(key), section)
-        return s.coefficient(mu[i])
-
-    total = Fraction(0)
-    for M, c in eng.F(g, n).items():
-        total += c * arrangement_sum(M, coefficient)
-    return total
+    den, items = eng.int_items(eng.F(g, n))
+    series = {b: ratfunc_at_series(eng.f_primitive(eng._key_of(b)), section)
+              for b in dict.fromkeys(b for M in items for b in M)}
+    cols = []
+    for m in mu:
+        pairs = {}
+        for b, s in series.items():
+            if m > s.order:
+                raise ValueError(f"coefficient {m} beyond guaranteed order {s.order}")
+            k = m - s.val
+            pairs[b] = (s.nums[k] if 0 <= k < len(s.nums) else 0), s.den
+        d, col = over_lcm(pairs)
+        den *= d
+        cols.append(col)
+    total = sum(c * arrangement_sum(M, lambda b, i: cols[i][b]) for M, c in items.items())
+    return Fraction(total, den)
 
 
 def suite_oracles(records=None, airy_level=3, catalan_mu_max=6, catalan_wave_order=6):

@@ -326,6 +326,40 @@ def test_compose_matches_horner(f, g):
     assert got.den.leading() == 1
 
 
+def _fraction_horner(p, v):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * v + c
+    return acc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(SMALL, max_size=6),
+       st.one_of(st.integers(-50, 50), st.fractions(min_value=-50, max_value=50, max_denominator=40)))
+def test_call_matches_a_fraction_horner(coeffs, v):
+    # the int homogenized Horner at p / q; the draws include the zero and
+    # the constant polynomials (lists of length 0 and 1, or trailing zeros)
+    p = Poly(coeffs)
+    got = p(v)
+    assert type(got) is Fraction and got == _fraction_horner(p, v)
+    assert p(Fraction(v)) == got
+    assert Poly([])(v) == 0 and Poly([Fraction(-5, 3)])(v) == Fraction(-5, 3)
+
+
+def test_call_at_a_pole_raises_and_other_arguments_stay_generic():
+    f = RatFunc(P(1, 1), P(Fraction(-1, 3), 1))
+    with pytest.raises(ZeroDivisionError):
+        f(Fraction(1, 3))
+    assert f(Fraction(2, 3)) == Fraction(5, 3) / Fraction(1, 3)
+    # a non-rational argument takes the generic steps: an element of
+    # QQ(sqrt 2) and a RatFunc
+    F = QuadExtField(2)
+    s = F.gen
+    got = P(1, Fraction(1, 2), 3)(s)
+    assert (got.a, got.b) == (Fraction(7), Fraction(1, 2))
+    assert P(1, 0, 1)(RatFunc.x() + RatFunc.const(1)) == RatFunc(P(2, 2, 1))
+
+
 # The one QQ layout: every result of the polynomial algebra holds int
 # numerators over one positive denominator, reduced, with no trailing zero,
 # and a RatFunc a coprime num over a monic den.

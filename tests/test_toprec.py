@@ -563,6 +563,21 @@ def test_diff_recursion_check_fails_on_a_perturbed_table(name, g, n, drop, reque
     assert not eng.diff_recursion_check(g, n, points)
 
 
+@pytest.mark.parametrize("name", ["airy", "catalan"])
+def test_diff_recursion_check_reads_the_int_items(name, request, monkeypatch):
+    # negative control on the int side: the public table of W(1, 2) stays,
+    # one numerator of the (den, {key ids: int}) items beside it is doubled
+    _, eng = request.getfixturevalue(f"{name}_engine")
+    points = DIFF_SAMPLE_POINTS[:2]
+    assert eng.diff_recursion_check(1, 3, points)
+    tab = eng.W(1, 2)
+    den, ids = tab._ids
+    M = next(iter(ids))
+    perturbed = toprec.SymTable(tab.n, tab.table, (den, {**ids, M: 2 * ids[M]}))
+    monkeypatch.setitem(eng._memo, ("_compute_w", 1, 2), perturbed)
+    assert not eng.diff_recursion_check(1, 3, points)
+
+
 @pytest.mark.parametrize("name, bad", [("airy", Fraction(0)), ("catalan", Fraction(0)),
                                        ("catalan", Fraction(1)), ("catalan", Fraction(-1))])
 def test_diff_recursion_check_rejects_support_points(name, bad, request):
@@ -775,11 +790,60 @@ def test_arrangement_sum_with_symbolic_slot(M, table, data):
     form = arrangement_sum(tuple(M), value, last)
     # a linear form over the keys of M; the open slot is never evaluated
     assert set(form) == set(M)
-    assert all(isinstance(w, Fraction) for w in form.values())
+    assert all(isinstance(w, (int, Fraction)) for w in form.values())
     assert len(calls) == len(set(calls)) == len(set(M)) * (len(M) - 1)
     assert all(i != last for _, i in calls)
     got = sum((w * value(key, last) for key, w in form.items()), RatFunc.const(0))
     assert got == _brute_arrangement_sum(M, value)
+
+
+def _reference_eval(tab, values, deriv, primitive):
+    """The public table at values (None: the symbolic slot), each monomial
+    summed over its orderings by ``_brute_arrangement_sum`` in Fractions;
+    a symbolic slot collects one Fraction weight per basis key first."""
+    fns, at = {}, {}
+
+    def fn(key, i):
+        gauge = i == deriv
+        if (key, gauge) not in fns:
+            fns[key, gauge] = basis_function(key) if gauge else primitive(key)
+        return fns[key, gauge]
+
+    def value(key, i):
+        if (key, i) not in at:
+            at[key, i] = fn(key, i)(values[i])
+        return at[key, i]
+
+    if None not in values:
+        return sum(c * _brute_arrangement_sum(M, value) for M, c in tab.items())
+    slot = values.index(None)
+    others = [i for i in range(tab.n) if i != slot]
+    weights = defaultdict(Fraction)
+    for M, c in tab.items():
+        for key in set(M):
+            rest = list(M)
+            rest.remove(key)
+            weights[key] += c * _brute_arrangement_sum(rest, lambda k, j: value(k, others[j]))
+    return sum((w * fn(key, slot) for key, w in weights.items()), RatFunc.const(0))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(["airy", "catalan"]), level=st.integers(1, 4), data=st.data())
+def test_eval_table_matches_a_fraction_reference(airy_engine, catalan_engine, name, level, data):
+    # random rationals off the support and its sigma-images, negatives and
+    # non-integers included; every slot at a point, then each slot symbolic
+    curve, eng = airy_engine if name == "airy" else catalan_engine
+    (g, n), tab = data.draw(st.sampled_from(eng.compute_level(level)))
+    point = st.fractions(min_value=-12, max_value=12, max_denominator=9).filter(
+        lambda z: z not in curve.support and curve.sigma_at(z) not in curve.support)
+    points = data.draw(st.lists(point, min_size=n, max_size=n))
+    deriv = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    primitive = data.draw(st.sampled_from([eng.f_primitive, eng._odd_primitive]))
+    for slot in [None, *range(n)]:
+        values = [None if i == slot else z for i, z in enumerate(points)]
+        got = eng._eval_table(tab, values, deriv=deriv, primitive=primitive)
+        assert isinstance(got, Fraction if slot is None else RatFunc)
+        assert got == _reference_eval(tab, values, deriv, primitive), (g, n, slot)
 
 
 def _three_branch_placements(rest, extras):
