@@ -7,6 +7,7 @@ from .poly import (
     RatFunc,
     factor_over,
     poly_pow,
+    ratfunc_of_fractions,
     ratfunc_sum,
     root_multiplicity,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "RatFunc",
     "factor_over",
     "poly_pow",
+    "ratfunc_of_fractions",
     "ratfunc_sum",
     "root_multiplicity",
     "INF",

@@ -11,10 +11,11 @@ into a coefficient field of its own.  ``RatFunc.order_at`` is the one
 valuation at a place of the projective line: INF, a point, or a monic
 irreducible polynomial.
 
-Products, ``divrem``, ``gcd``, the reduction of ``RatFunc``, ``compose`` and
-``ratfunc_sum`` run on those numerators: int convolutions, pseudo-division
-by the primitive divisor, primitive pseudo-remainder gcds and exact integer
-quotients, and each result is one ``_poly(den, nums)``.
+Products, ``divrem``, ``gcd``, the reduction of ``RatFunc``, ``compose``,
+``ratfunc_sum`` and ``ratfunc_of_fractions`` run on those numerators: int
+convolutions, pseudo-division by the primitive divisor, primitive
+pseudo-remainder gcds and exact integer quotients, and each result is one
+``_poly(den, nums)``.
 
 ``factor_over`` factors over the rationals in the package: Zassenhaus on
 integer coefficient lists (squarefree parts, a factorization modulo a small
@@ -725,6 +726,34 @@ def ratfunc_sum(terms):
     for M, n, d, P in parts:
         total = _lincomb(total, _mul(M, _exact_quotient(L, P)), n * (E // d))
     return _ratfunc(*_qq_reduced(total, L, 1, E))
+
+
+def ratfunc_of_fractions(fractions, den=1):
+    """The RatFunc (1 / den) sum c / (x - p)^k over partial fractions
+    {(p, k): c}, with c x^k for p = INF, c an int or a Fraction and p
+    rational.
+
+    Over the monic denominator prod (x - p)^D_p, D_p the largest k at p with
+    c != 0, the numerator at p is c_(p, D_p) prod_(p' != p) (p - p')^D_p',
+    which is not zero: the pair is in lowest terms and needs no gcd.  With
+    p = a / b and L_p = b x - a, the part at p is H_p / L_p^D_p, H_p = sum_k
+    c_(p, k) b^k L_p^(D_p - k) by Horner, and the parts meet over the
+    product of the L_p^D_p, all on ints over one lcm of the c's."""
+    fractions = {pk: c for pk, c in fractions.items() if c}
+    E = lcm(*[c.denominator for c in fractions.values()])
+    C = {pk: c.numerator * (E // c.denominator) for pk, c in fractions.items()}
+    top = {}
+    for p, k in C:
+        top[p] = max(top.get(p, 0), k)
+    num = [C.get((INF, k), 0) for k in range(top.pop(INF, -1) + 1)]
+    dens = [1]
+    for p, D in top.items():
+        a, b = p.numerator, p.denominator
+        L, part, power = [-a, b], [], [1]
+        for k in range(1, D + 1):
+            part, power = _lincomb(_mul(part, L), [b ** k], C.get((p, k), 0)), _mul(power, L)
+        num, dens = _lincomb(_mul(num, power), _mul(part, dens), 1), _mul(dens, power)
+    return _ratfunc(_poly(den * E * dens[-1], num), _poly(dens[-1], dens))
 
 
 def root_multiplicity(p, fac):

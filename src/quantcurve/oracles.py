@@ -13,7 +13,7 @@ import math
 import warnings
 from fractions import Fraction
 
-from .algebra import HBAR_FIELD
+from .algebra import HBAR_FIELD, Poly, RatFunc
 
 
 def double_factorial(n):
@@ -189,16 +189,16 @@ def catalan_closed_form(order_n):
     """Coefficient of x^(-2n) in the closed Catalan wavefunction over QQ(h).
 
     The value is h^n * (1/h)_{2n} / (2n)!! with the rising Pochhammer
-    product; n = 0 gives 1.
+    product; n = 0 gives 1.  As h^n (1/h)_{2n} = h^-n prod_{j < 2n} (1 + j
+    h), it is one int polynomial over (2n)!! h^n, in lowest terms since its
+    constant term is 1.
     """
-    F = HBAR_FIELD
-    h = F.gen
-    out = F.one()
+    nums = [1]
     for j in range(2 * order_n):
-        out = out * (F.one() / h + F.of(j))
-    for _ in range(order_n):
-        out = out * h
-    return out / F.of(double_factorial(2 * order_n))
+        # times 1 + j h
+        nums = [a + j * b for a, b in zip(nums + [0], [0] + nums)]
+    return HBAR_FIELD.of(RatFunc(Poly([Fraction(c, double_factorial(2 * order_n)) for c in nums]),
+                                 Poly([0] * order_n + [1])))
 
 
 def gauss_2f1_series(order, a=Fraction(1, 2), b=Fraction(1, 2), c=Fraction(1)):

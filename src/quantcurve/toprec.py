@@ -62,9 +62,10 @@ from math import comb, factorial, gcd, lcm
 
 from .algebra import (
     INF, QQ, LogSeries, Poly, RatFunc, expand_ratfunc, factor_over, linear_forms_ints, monomial_sum,
-    poly_pow, ratfunc_at_series, ratfunc_sum,
+    ratfunc_at_series, ratfunc_of_fractions, ratfunc_sum,
 )
 from .algebra.fields import _int_convolve
+from .algebra.series import _series
 from .spectral import KSection, divisor_of
 
 
@@ -84,18 +85,19 @@ def key_sort(k):
 _basis_cache = {}
 
 
+def basis_fractions(key):
+    """The basis function of a key as partial fractions {(place, k): c}:
+    c / (t - place)^k, or c t^k at INF."""
+    q, d = key
+    return {(INF, max(0, d - 2)) if q is INF else key: 1}
+
+
 def basis_function(key):
     """The rational function behind a basis key."""
     cached = _basis_cache.get(key)
-    if cached is not None:
-        return cached
-    q, d = key
-    if q is INF:
-        out = RatFunc(Poly([0] * (d - 2) + [1])) if d > 2 else RatFunc.const(1)
-    else:
-        out = RatFunc(Poly.const(1), poly_pow(Poly([-q, 1]), d))
-    _basis_cache[key] = out
-    return out
+    if cached is None:
+        cached = _basis_cache[key] = ratfunc_of_fractions(basis_fractions(key))
+    return cached
 
 
 def basis_order(key, r):
@@ -107,20 +109,24 @@ def basis_order(key, r):
     return d if r is INF else -d if r == q else 0
 
 
-def basis_antiderivative(key, normpt):
-    """Primitive of the basis function vanishing at the normalization point."""
+def primitive_fractions(key, normpt):
+    """The primitive of the basis function vanishing at the normalization
+    point, as partial fractions: -1 / ((d - 1) (t - q)^(d - 1)), or t^(d -
+    1) / (d - 1) at INF, minus its value at normpt, a constant (INF, 0)."""
     q, d = key
     if q is INF:
         if normpt is INF:
             raise ValueError("cannot normalize a polynomial primitive at infinity")
-        prim = RatFunc(Poly([0] * (d - 1) + [Fraction(1, d - 1)]))
-        return prim - RatFunc.const(prim(normpt))
-    if d == 1:
-        raise ValueError("first-order pole integrates to a log in the stable range")
-    prim = RatFunc(Poly.const(Fraction(-1, d - 1)), poly_pow(Poly([-q, 1]), d - 1))
-    if normpt is INF:
-        return prim
-    return prim - RatFunc.const(prim(normpt))
+        c = Fraction(1, d - 1)
+        out, at = {(INF, d - 1): c}, c * normpt ** (d - 1)
+    else:
+        if d == 1:
+            raise ValueError("first-order pole integrates to a log in the stable range")
+        c = Fraction(-1, d - 1)
+        out, at = {(q, d - 1): c}, 0 if normpt is INF else c / (normpt - q) ** (d - 1)
+    if at:
+        out[(INF, 0)] = -at
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +760,7 @@ class TopRecEngine:
 
     @_memo
     def f_primitive(self, key):
-        return basis_antiderivative(key, self.curve.normpt)
+        return ratfunc_of_fractions(primitive_fractions(key, self.curve.normpt))
 
     @_memo
     def _odd_primitive(self, key):
@@ -762,8 +768,79 @@ class TopRecEngine:
         # recursion holds in this gauge (for the Airy normalization both
         # gauges coincide), while tables and specializations use the
         # vanishing-at-normalization-point gauge
-        phi = basis_antiderivative(key, self.curve.normpt)
-        return (phi - phi.compose(self.curve.sigma)) * RatFunc.const(Fraction(1, 2))
+        return ratfunc_of_fractions(self.fractions(self._odd_primitive, key))
+
+    def fractions(self, gauge, key):
+        """The gauge ``basis_function``, ``f_primitive`` or
+        ``_odd_primitive`` at a basis key as partial fractions {(place, k):
+        c}, c / (t - place)^k or c t^k at INF.  The odd gauge is (phi - phi o
+        sigma) / 2, phi the primitive: with sigma(t) = (a t + b) / (c t + e),
+        (t - q)^-j pulls back to (c t + e)^j / ((a - q c) t + (b - q e))^j
+        and t^j to (a t + b)^j / (c t + e)^j, each (A t + B)^j / (C t +
+        E)^j with its pole at p = sigma(q), where A t + B = A (t - p) + (A p
+        + B) expands by the binomial theorem (a polynomial for C = 0)."""
+        if gauge is basis_function:
+            return basis_fractions(key)
+        phi = primitive_fractions(key, self.curve.normpt)
+        if gauge == self.f_primitive:
+            return phi
+        if gauge != self._odd_primitive:
+            raise ValueError(f"{gauge!r} is not a gauge of the engine")
+        a, b, c, e = self.curve.mobius
+        out = {pk: v / 2 for pk, v in phi.items()}
+        for (q, j), v in phi.items():
+            A, B, C, E = (a, b, c, e) if q is INF else (c, e, a - q * c, b - q * e)
+            p = -E / C if C else INF
+            B, v = B if p is INF else A * p + B, v / (2 * (C or E) ** j)
+            for i in range(j + 1):
+                pk = (INF, i) if p is INF else (p, j - i) if i < j else (INF, 0)
+                out[pk] = out.get(pk, 0) - v * comb(j, i) * A ** i * B ** (j - i)
+        return out
+
+    def primitive_series(self, ids, s):
+        """{id: f_primitive of its key at the section s}, s over QQ, with the
+        val, den, nums and order of ``ratfunc_at_series``: one power table
+        per place, P = s at INF and (s - q)^-1 at q, one product per power,
+        and each primitive is c P^k plus its constant.  The order is what
+        ``ratfunc_at_series`` claims for num(s) / den(s): a Horner sum of
+        degree n is claimed through o + v (2 n + 1) for v < 0, else through
+        o + v (l - 1), l the least power past the constant with a nonzero
+        coefficient (o + v for a constant), and the quotient through
+        min(order(num) - val(den), order(den) - 2 val(den) + val(num))."""
+        if s.field is not QQ:
+            raise ValueError(f"a primitive is evaluated at a series over QQ, not {s.field!r}")
+        v, o = s.val, s.order
+        keys = {b: self._key_of(b) for b in ids}
+        fracs = {b: primitive_fractions(key, self.curve.normpt) for b, key in keys.items()}
+        tables = {}
+        for q, d in keys.values():
+            if q not in tables:
+                tables[q] = [None, s if q is INF else (s - q).inverse()]
+            powers = tables[q]
+            while len(powers) < d:
+                powers.append(powers[-1] * powers[1])
+        out = {}
+        for b, (q, d) in keys.items():
+            c, K = fracs[b][(q, d - 1)], fracs[b].get((INF, 0), Fraction(0))
+            P = tables[q][d - 1]
+            # val(den), and the Horner orders of den and num (n = d - 1)
+            if q is INF:
+                dv, hd, hn = 0, o + v, o + v * (2 * d - 1 if v < 0 else d - 2)
+            else:
+                dv, hd = (1 - d) * tables[q][1].val, o + v * (2 * d - 1 if v < 0 else 0 if q else d - 2)
+                hn = hd if K else o + v
+            if dv > hd:
+                raise ZeroDivisionError("inverse of zero series")
+            # c P^(d - 1) + K on ints over P.den c.den K.den, K at u^0
+            val = min(P.val, 0) if K else P.val
+            nums = [0] * (P.val - val) + [x * c.numerator * K.denominator for x in P.nums]
+            if K:
+                nums += [0] * (1 - val - len(nums))
+                nums[-val] += K.numerator * P.den * c.denominator
+            lo = next((i for i, x in enumerate(nums[: P.order - val + 1]) if x), P.order + 1 - val)
+            order = min(P.order, hn - dv, hd - dv + val + lo)
+            out[b] = _series(QQ, val, P.den * c.denominator * K.denominator, nums, order)
+        return out
 
     def principal_specialize(self, m, branch_series):
         """S_m from the table: sum over 2g-2+n = m-1 of F_{g,n}(t,...,t)/n!.
@@ -771,20 +848,18 @@ class TopRecEngine:
         ``branch_series`` is the local expansion over QQ of the section t(x)
         in the comparison variable tau; the result is a LogSeries in tau,
         whose chart tau^e = w has e the local degree of x at the
-        normalization point.  Each primitive is evaluated once, and the
-        monomials of the level (key ids, int numerators over the table's
-        denominator) are summed by ``monomial_sum``.
+        normalization point.  The primitives of the level come from one
+        ``primitive_series`` call, and the monomials (key ids, int
+        numerators over the table's denominator) are summed by
+        ``monomial_sum``.
         """
         if m < 2:
             raise ValueError("the table covers S_m for m >= 2 only")
-        prims, terms = {}, []
+        terms = []
         for (g, n), fgn in self.compute_level(m - 1):
             den, ids = self.int_items(fgn)
-            for M, v in ids.items():
-                terms.append((M, v * _permutation_count(M), den * factorial(n)))
-                for i in M:
-                    if i not in prims:
-                        prims[i] = ratfunc_at_series(self.f_primitive(self._key_of(i)), branch_series)
+            terms += [(M, v * _permutation_count(M), den * factorial(n)) for M, v in ids.items()]
+        prims = self.primitive_series({i for M, _, _ in terms for i in M}, branch_series)
         body = monomial_sum(terms, prims, branch_series.order)
         return LogSeries(QQ.zero(), body, self.curve.local_degree())
 
@@ -835,8 +910,9 @@ class TopRecEngine:
         for one symbolic slot.  The table's int numerators meet the slot
         columns (``_columns``) in ``arrangement_sum``, so the sum is one int
         over one denominator: one Fraction, or, with a symbolic slot, one
-        int linear form over its basis keys, which becomes a RatFunc in that
-        slot with a single reduction."""
+        int linear form over its basis keys, whose gauge functions add up as
+        partial fractions (``fractions``) into one RatFunc in that slot,
+        in lowest terms with no gcd (``ratfunc_of_fractions``)."""
         if len(values) != tab.n:
             raise ValueError(f"the table has {tab.n} slots, got {len(values)} values")
         if values.count(None) > 1:
@@ -857,12 +933,12 @@ class TopRecEngine:
         for M, c in items.items():
             for b, w in arrangement_sum(M, value, slot).items():
                 form[b] = form.get(b, 0) + w * c
-        fn = basis_function if slot == deriv else primitive
-        terms = []
+        gauge = basis_function if slot == deriv else primitive
+        terms = {}
         for b, w in form.items():
-            f = fn(self._key_of(b))
-            terms.append((Fraction(w, den), f.num, f.den))
-        return ratfunc_sum(terms)
+            for pk, c in self.fractions(gauge, self._key_of(b)).items():
+                terms[pk] = terms.get(pk, 0) + w * c
+        return ratfunc_of_fractions(terms, den)
 
     def diff_recursion_check(self, g, n, points):
         """Compare d1 F_{g,n} with the right side of the differential recursion.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .algebra import INF, QuadExtField, RatFunc, expand_ratfunc, ratfunc_at_series
+from .algebra import INF, QuadExtField, RatFunc, expand_ratfunc
 from .curvespec import load_curve, place_repr
 from .lattice import count_check, lattice_from_spectral
 from .oracles import (
@@ -278,14 +278,14 @@ def catalan_mu_coefficient(eng, curve, g, n, mu, section=None):
     through max(mu) + 4 when not given).  A section too short for mu
     raises ValueError.
 
-    The table's int numerators meet, slot by slot, the coefficients of
-    tau^mu_i of the primitive series as int numerators over one lcm per
-    slot, so the sum is one int over one denominator."""
+    The primitives come from one ``primitive_series`` call, and the
+    table's int numerators meet, slot by slot, the coefficients of tau^mu_i
+    of those series as int numerators over one lcm per slot, so the sum is
+    one int over one denominator."""
     if section is None:
         section = branch_maps(curve, INF, 1, max(mu) + 4)[0]
     den, items = eng.int_items(eng.F(g, n))
-    series = {b: ratfunc_at_series(eng.f_primitive(eng._key_of(b)), section)
-              for b in dict.fromkeys(b for M in items for b in M)}
+    series = eng.primitive_series({b for M in items for b in M}, section)
     cols = []
     for m in mu:
         pairs = {}

@@ -132,6 +132,26 @@ def test_catalan_closed_form():
         assert expect == double_factorial(2 * n - 1)
 
 
+def _pochhammer_closed_form(n):
+    # h^n (1/h)_{2n} / (2n)!! as 3n products in QQ(h), each reduced by a
+    # polynomial gcd: the construction catalan_closed_form replaced
+    F = HBAR_FIELD
+    h = F.gen
+    out = F.one()
+    for j in range(2 * n):
+        out = out * (F.one() / h + F.of(j))
+    for _ in range(n):
+        out = out * h
+    return out / F.of(double_factorial(2 * n))
+
+
+def test_catalan_closed_form_matches_the_pochhammer_loop():
+    for n in range(11):
+        got, want = catalan_closed_form(n), _pochhammer_closed_form(n)
+        assert got == want, n
+        assert (got.rf.num, got.rf.den) == (want.rf.num, want.rf.den), n
+
+
 def test_gauss_2f1_series():
     cs = gauss_2f1_series(4)
     F = HBAR_FIELD

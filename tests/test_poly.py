@@ -17,6 +17,7 @@ from quantcurve.algebra import (
     expand_ratfunc,
     factor_over,
     poly_pow,
+    ratfunc_of_fractions,
     ratfunc_sum,
 )
 from quantcurve.algebra.poly import MAX_FACTOR_DEGREE
@@ -288,6 +289,33 @@ def test_ratfunc_sum_reduces_like_sympy(terms):
         num, den = num * _sym(d) + _sym(n * c) * den, den * _sym(d)
     f = ratfunc_sum(terms)
     assert (f.num, f.den) == _sympy_reduced(num, den) and f.den.leading() == 1
+
+
+# ratfunc_of_fractions against the sum of its terms in the RatFunc algebra
+
+_FRACTION_PLACES = [INF, Fraction(0), Fraction(-1), Fraction(2, 3), Fraction(5)]
+
+
+@KERNEL_SETTINGS
+@given(terms=st.dictionaries(st.tuples(st.sampled_from(_FRACTION_PLACES), st.integers(0, 5)),
+                             st.one_of(st.integers(-3, 3), st.fractions(-4, 4, max_denominator=6)),
+                             max_size=8),
+       den=st.integers(1, 12))
+def test_ratfunc_of_fractions_matches_the_ratfunc_sum(terms, den):
+    # c / (x - p)^k, c x^k at INF; a finite place carries k >= 1
+    terms = {(p, k): c for (p, k), c in terms.items() if p is INF or k}
+    want = RatFunc.const(0)
+    for (p, k), c in terms.items():
+        power = poly_pow(P(0, 1) if p is INF else P(-p, 1), k)
+        want = want + (RatFunc(power) if p is INF else RatFunc(P(1), power)) * Fraction(c)
+    got = _reduced(ratfunc_of_fractions(terms, den))
+    assert got == want * Fraction(1, den)
+    # the denominator is prod (x - p)^D_p, D_p the largest k with c != 0
+    tops = {}
+    for (p, k), c in terms.items():
+        if c and p is not INF:
+            tops[p] = max(tops.get(p, 0), k)
+    assert got.den.degree == sum(tops.values())
 
 
 # RatFunc.compose against the Horner evaluation in the RatFunc algebra it

@@ -11,7 +11,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from quantcurve.algebra import INF, QQ, Poly, RatFunc, TruncSeries, expand_ratfunc, factor_over
+from quantcurve.algebra import (
+    INF, QQ, Poly, QuadExtField, RatFunc, TruncSeries, expand_ratfunc, factor_over, poly_pow,
+    ratfunc_of_fractions,
+)
 from quantcurve.algebra import series as series_module
 from quantcurve.oracles import airy_closed_free_energy, enumerate_cellular
 from quantcurve.spectral import SpectralData
@@ -26,6 +29,7 @@ from quantcurve.toprec import (
     branch_maps,
     key_sort,
     matching_branch_map,
+    primitive_fractions,
     ratfunc_at_series,
 )
 from quantcurve.verify import (
@@ -998,17 +1002,124 @@ def test_reads_leave_no_reference_cycles(catalan_engine):
         gc.enable()
 
 
-def test_principal_specialize_evaluates_each_primitive_once(monkeypatch, catalan_engine, airy_engine):
+def test_principal_specialize_builds_each_power_table_once(monkeypatch, catalan_engine, airy_engine):
+    # one power table per place of the level's keys: one inverse (s - q)^-1
+    # per finite place and (largest exponent - 1) products per place; no
+    # primitive goes through ratfunc_at_series
     calls = []
-    evaluate = toprec.ratfunc_at_series
-    monkeypatch.setattr(toprec, "ratfunc_at_series", lambda f, s: calls.append(f) or evaluate(f, s))
+    for attr in ("inverse", "__mul__"):
+        orig = getattr(TruncSeries, attr)
+        monkeypatch.setattr(TruncSeries, attr, lambda *a, _f=orig, _n=attr: calls.append(_n) or _f(*a))
+    monkeypatch.setattr(toprec, "ratfunc_at_series", lambda f, s: calls.append("ratfunc_at_series"))
     for (curve, eng), e, m in ((catalan_engine, 1, 4), (catalan_engine, 1, 5), (airy_engine, 2, 5)):
         bm = branch_maps(curve, INF, e, 12)[0]
-        keys = {key for g in range((m - 1) // 2 + 2) if m + 1 - 2 * g >= 1
-                for M, _ in eng.F(g, m + 1 - 2 * g).items() for key in M}
+        top = {}
+        for g in range((m - 1) // 2 + 2):
+            if m + 1 - 2 * g >= 1:
+                for M, _ in eng.F(g, m + 1 - 2 * g).items():
+                    for q, d in M:
+                        top[q] = max(top.get(q, 0), d - 1)
         calls.clear()
         eng.principal_specialize(m, bm)
-        assert len(calls) == len(keys)
+        assert sorted(calls) == sorted(["__mul__"] * sum(k - 1 for k in top.values())
+                                       + ["inverse"] * sum(q is not INF for q in top)), (m, top)
+
+
+def _old_antiderivative(key, normpt):
+    # the RatFunc construction primitive_fractions replaced
+    q, d = key
+    if q is INF:
+        if normpt is INF:
+            raise ValueError("cannot normalize a polynomial primitive at infinity")
+        prim = RatFunc(Poly([0] * (d - 1) + [Fraction(1, d - 1)]))
+        return prim - RatFunc.const(prim(normpt))
+    if d == 1:
+        raise ValueError("first-order pole integrates to a log in the stable range")
+    prim = RatFunc(Poly.const(Fraction(-1, d - 1)), poly_pow(Poly([-q, 1]), d - 1))
+    return prim if normpt is INF else prim - RatFunc.const(prim(normpt))
+
+
+def _gauge_engine(family, seed):
+    if family in ("airy", "catalan"):
+        return engine_for(load_curve(family))[1]
+    curve = (scaled_airy if family == "scaled_airy" else xy_family)(random.Random(seed))
+    curve.normpt = Fraction(0)  # xy_family leaves it open; z = 0 lies over x = inf
+    return TopRecEngine(curve)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(family=st.sampled_from(["airy", "catalan", "scaled_airy", "xy_family"]), seed=st.integers(0, 30))
+def test_gauge_fractions_match_the_ratfunc_constructions(family, seed):
+    # every key of levels 1-4: the basis function by poly_pow, the primitive
+    # as basis_antiderivative built it, and the odd gauge by composition
+    # with sigma; xy_family's sigma = c / z expands by the binomial theorem
+    eng = _gauge_engine(family, seed)
+    curve = eng.curve
+    keys = {key for level in range(1, 5) for _, tab in eng.compute_level(level) for M in tab.table
+            for key in M}
+    for key in keys:
+        q, d = key
+        if q is INF:
+            basis = RatFunc(Poly([0] * (d - 2) + [1])) if d > 2 else RatFunc.const(1)
+        else:
+            basis = RatFunc(Poly.const(1), poly_pow(Poly([-q, 1]), d))
+        prim = _old_antiderivative(key, curve.normpt)
+        odd = (prim - prim.compose(curve.sigma)) * RatFunc.const(Fraction(1, 2))
+        for gauge, want in ((basis_function, basis), (eng.f_primitive, prim), (eng._odd_primitive, odd)):
+            assert ratfunc_of_fractions(eng.fractions(gauge, key)) == want, (key, gauge)
+            assert gauge(key) == want, (key, gauge)
+
+
+@pytest.mark.parametrize("key,normpt", [((INF, 3), INF), ((Fraction(2), 1), Fraction(0)),
+                                        ((Fraction(2), 3), Fraction(2)), ((INF, 1), Fraction(1))])
+def test_primitive_fractions_raise_where_the_antiderivative_raises(key, normpt):
+    with pytest.raises((ValueError, ZeroDivisionError)) as old:
+        _old_antiderivative(key, normpt)
+    with pytest.raises(old.type):
+        primitive_fractions(key, normpt)
+
+
+def _outcome(fn):
+    # the series' fields, or the type of what it raised
+    try:
+        return _series_fields(fn())
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+_SECTION_SUPPORT = [Fraction(-1), Fraction(0), Fraction(1, 2), INF]
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(normpt=st.sampled_from(_SECTION_SUPPORT + [Fraction(3)]), val=st.sampled_from([-1, 0]),
+       coeffs=st.lists(st.fractions(-5, 5, max_denominator=4), min_size=1, max_size=10),
+       extra=st.integers(0, 2), data=st.data())
+def test_primitive_series_matches_ratfunc_at_series(normpt, val, coeffs, extra, data):
+    # random sections over QQ of val -1 and 0; at val 0 the constant term
+    # may sit on the normalization point or on a place of the keys (and at
+    # 0 the section has val 1); short sections reach the raising branches
+    eng = TopRecEngine(SimpleNamespace(support=_SECTION_SUPPORT, normpt=normpt))
+    if val == 0:
+        coeffs[0] = data.draw(st.sampled_from([coeffs[0]] + [p for p in _SECTION_SUPPORT + [normpt]
+                                                             if p is not INF]))
+    assume(coeffs[0] or val == 0)
+    s = TruncSeries(QQ, val, coeffs, val + len(coeffs) - 1 + extra)
+    ids = data.draw(st.lists(st.builds(lambda q, d: eng._key_id((q, d)), st.sampled_from(_SECTION_SUPPORT),
+                                       st.integers(1, 8)), min_size=1, max_size=6))
+    wants = {}
+    for b in ids:
+        want = _outcome(lambda: ratfunc_at_series(eng.f_primitive(eng._key_of(b)), s))
+        assert _outcome(lambda: eng.primitive_series([b], s)[b]) == want, eng._key_of(b)
+        wants[b] = want
+    if all(isinstance(w, tuple) for w in wants.values()):
+        together = eng.primitive_series(ids, s)
+        assert {b: _outcome(lambda: together[b]) for b in ids} == wants
+
+
+def test_primitive_series_takes_qq_only(catalan_engine):
+    _, eng = catalan_engine
+    with pytest.raises(ValueError):
+        eng.primitive_series([eng._key_id((INF, 2))], TruncSeries.uniformizer(QuadExtField(2), 4))
 
 
 def _truncseries_at(f, s):
