@@ -43,14 +43,16 @@ scalar carries sigma'/Omega, which is one factor per point, and the scalar
 of a transform is one int convolution chain of its factors' numerators.
 The kernel and coupled vectors are (key id, int) pairs over one
 denominator per point, and a transform returns ints over one denominator
-per point.  A table keeps (den, {key ids: int}) beside its public table,
-the bracket's job coefficients are ints over one denominator per bracket,
-and the accumulation adds ints over one common denominator per table.
-Keys are decoded (``TopRecEngine._key_of``) where they leave the
-recursion: in the public tables of ``W``/``F`` (keyed by (place, order)
-tuples sorted by ``key_sort``, with ``Fraction`` coefficients), in the
-scalar factors of basis functions, in the differential-recursion check
-and in error messages.
+per point.  A table's data are its int items (den, {key ids: int}), the
+bracket's job coefficients are ints over one denominator per bracket,
+and the accumulation adds ints over one common denominator per table;
+every read of a table is one ``contract`` of its items with a column per
+slot, the values of a named gauge ("basis", "primitive" or "odd") of each
+key at one point.  Keys are decoded (``TopRecEngine._key_of``) where they
+leave the recursion: in the public view that a table builds once (keyed
+by (place, order) tuples sorted by ``key_sort``, with ``Fraction``
+coefficients), in the gauge functions, in the scalar factors of basis
+functions and in error messages.
 """
 
 from __future__ import annotations
@@ -229,16 +231,17 @@ class ParamCurve:
 
 
 class SymTable:
-    """Symmetric table: sorted key tuple -> coefficient of a labeled monomial.
+    """Symmetric table of n slots: its items on the engine's int keys,
+    {sorted key-id tuples: int numerator} over ``den``, are what every read
+    takes; ``table``, built once here by ``keys_of`` (the engine's decoding
+    of a key-id tuple), maps sorted (place, order) key tuples to the
+    ``Fraction`` coefficient of each labeled monomial."""
 
-    A table built by the engine also holds its items on the engine's integer
-    keys (sorted int tuples) as (den, {key ids: int numerator}), which is
-    what the recursion reads."""
-
-    def __init__(self, n, table=None, ids=None):
+    def __init__(self, n, den, ids, keys_of):
         self.n = n
-        self.table = dict(table or {})
-        self._ids = ids
+        self.den = den
+        self.ids = ids
+        self.table = {keys_of(M): Fraction(v, den) for M, v in ids.items()}
 
     def items(self):
         return self.table.items()
@@ -301,6 +304,24 @@ def arrangement_sum(M, value, last=None):
         return {keys[left.index(1)]: acc for left, acc in partial.items()}
     (out,) = partial.values()
     return out
+
+
+def contract(items, cols, slot=None):
+    """sum(c * arrangement_sum(M, value)) over the (M, c) items, value(b, i)
+    = cols[i][b]: int numerators give an int over the product of the
+    columns' denominators and the items'.  With an open ``slot``, its column
+    unread, it is the linear form {key: weight} in that slot's values."""
+
+    def value(b, i):
+        return cols[i][b]
+
+    if slot is None:
+        return sum(c * arrangement_sum(M, value) for M, c in items)
+    form = {}
+    for M, c in items:
+        for b, w in arrangement_sum(M, value, slot).items():
+            form[b] = form.get(b, 0) + w * c
+    return form
 
 
 def over_lcm(pairs):
@@ -417,11 +438,7 @@ class TopRecEngine:
             raise ValueError("W is tabulated only in the stable range")
         return self._compute_w(g, n)
 
-    def F(self, g, n):
-        """Free energy table: the W table, read with slotwise primitives."""
-        if 2 * g - 2 + n <= 0:
-            raise ValueError("free energies are tabulated only in the stable range")
-        return self.W(g, n)
+    F = W  # the free energy F_{g,n}: the table of W_{g,n}, read in primitives
 
     def compute_level(self, level):
         """All (g, n) with 2g - 2 + n == level."""
@@ -623,9 +640,9 @@ class TopRecEngine:
         W_{0,2} is the single ("w2",)."""
         if (g, n) == (0, 2):
             return 1, [(("w2",), (), 1)]
-        den, ids = self.int_items(self.W(g, n))
-        return den, [(("phi", b), M[:i] + M[i + 1:], c)
-                     for M, c in ids.items() for i, b in self._distinct(M)]
+        tab = self.W(g, n)
+        return tab.den, [(("phi", b), M[:i] + M[i + 1:], c)
+                         for M, c in tab.ids.items() for i, b in self._distinct(M)]
 
     def _two_slots(self, g, n):
         """(den, items): a second slot set apart from the rest of each
@@ -739,7 +756,7 @@ class TopRecEngine:
             if q is not INF and d < 2:
                 raise AssertionError(f"residue term dt/(t - {q}) in stable W_{(g, n)}")
         k = gcd(den, *ids.values())
-        return self._public_table(n, den // k, {M: v // k for M, v in ids.items()})
+        return SymTable(n, den // k, {M: v // k for M, v in ids.items()}, self._keys_of)
 
     def _keys_of(self, M):
         """The basis keys of the key ids M, sorted by key_sort: by the rank
@@ -747,14 +764,6 @@ class TopRecEngine:
         places = self._places()
         P = len(places)
         return tuple((places[i % P], i // P) for i in sorted(M, key=lambda i: (i % P, i)))
-
-    def _public_table(self, n, den, ids):
-        """The boundary where a table leaves the recursion: the public table is
-        keyed by (place, order) tuples sorted by key_sort, with Fraction
-        coefficients, and the id-keyed int numerators over ``den`` stay beside
-        it for the recursion to read."""
-        table = {self._keys_of(M): Fraction(v, den) for M, v in ids.items()}
-        return SymTable(n, table, (den, ids))
 
     # -- free energies: evaluation, specialization, checks -----------------------
 
@@ -768,24 +777,31 @@ class TopRecEngine:
         # recursion holds in this gauge (for the Airy normalization both
         # gauges coincide), while tables and specializations use the
         # vanishing-at-normalization-point gauge
-        return ratfunc_of_fractions(self.fractions(self._odd_primitive, key))
+        return ratfunc_of_fractions(self.fractions("odd", key))
+
+    def _gauge(self, gauge):
+        """The memoized RatFunc of a basis key in the named gauge."""
+        fns = {"basis": basis_function, "primitive": self.f_primitive, "odd": self._odd_primitive}
+        if gauge not in fns:
+            raise ValueError(f"{gauge!r} is not a gauge: choose from {list(fns)}")
+        return fns[gauge]
 
     def fractions(self, gauge, key):
-        """The gauge ``basis_function``, ``f_primitive`` or
-        ``_odd_primitive`` at a basis key as partial fractions {(place, k):
-        c}, c / (t - place)^k or c t^k at INF.  The odd gauge is (phi - phi o
+        """The gauge named "basis" (``basis_function``), "primitive"
+        (``f_primitive``) or "odd" (``_odd_primitive``) at a basis key as
+        partial fractions {(place, k): c}, c / (t - place)^k or c t^k at
+        INF.  The odd gauge is (phi - phi o
         sigma) / 2, phi the primitive: with sigma(t) = (a t + b) / (c t + e),
         (t - q)^-j pulls back to (c t + e)^j / ((a - q c) t + (b - q e))^j
         and t^j to (a t + b)^j / (c t + e)^j, each (A t + B)^j / (C t +
         E)^j with its pole at p = sigma(q), where A t + B = A (t - p) + (A p
         + B) expands by the binomial theorem (a polynomial for C = 0)."""
-        if gauge is basis_function:
+        if gauge == "basis":
             return basis_fractions(key)
+        self._gauge(gauge)  # a ValueError for an unknown name
         phi = primitive_fractions(key, self.curve.normpt)
-        if gauge == self.f_primitive:
+        if gauge == "primitive":
             return phi
-        if gauge != self._odd_primitive:
-            raise ValueError(f"{gauge!r} is not a gauge of the engine")
         a, b, c, e = self.curve.mobius
         out = {pk: v / 2 for pk, v in phi.items()}
         for (q, j), v in phi.items():
@@ -857,8 +873,7 @@ class TopRecEngine:
             raise ValueError("the table covers S_m for m >= 2 only")
         terms = []
         for (g, n), fgn in self.compute_level(m - 1):
-            den, ids = self.int_items(fgn)
-            terms += [(M, v * _permutation_count(M), den * factorial(n)) for M, v in ids.items()]
+            terms += [(M, v * _permutation_count(M), fgn.den * factorial(n)) for M, v in fgn.ids.items()]
         prims = self.primitive_series({i for M, _, _ in terms for i in M}, branch_series)
         body = monomial_sum(terms, prims, branch_series.order)
         return LogSeries(QQ.zero(), body, self.curve.local_degree())
@@ -866,76 +881,57 @@ class TopRecEngine:
     def f_evaluate(self, g, n, values):
         """F_{g,n} at n rational points; one None among them leaves that
         slot symbolic, and the result is then a RatFunc in it."""
-        fgn = self.F(g, n)
-        return self._eval_table(fgn, values, deriv=None)
+        return self._eval_table(self.W(g, n), [("primitive", z) for z in values])
 
-    def int_items(self, tab):
-        """(den, {sorted key-id tuples: int numerator}): a table's ``_ids``,
-        or, for a table built from its public ``.table`` alone, its items on
-        key ids over the lcm of their denominators."""
-        if tab._ids is not None:
-            return tab._ids
-        return over_lcm({tuple(sorted(map(self._key_id, M))): (c.numerator, c.denominator)
-                         for M, c in tab.items()})
-
-    def _columns(self, columns, ids, values, deriv, primitive):
-        """(den, cols): cols[i] maps each key id of ``ids`` to the basis
-        function (slot ``deriv``) or the primitive of its key at values[i],
-        as an int numerator over that slot's denominator, and den is the
-        product of those denominators; cols[i] is None where values[i] is
-        None.  ``columns`` keeps one column per (differentiated, point) for
-        the caller, and a column is extended by the keys it lacks, so each
-        value is read once per caller."""
+    def _columns(self, columns, ids, slots):
+        """(den, cols): cols[i] maps each key id of ``ids`` to its gauge
+        function at the point of slot i = (gauge, point), as an int
+        numerator over that slot's denominator, and den is the product of
+        those denominators; cols[i] is None where the point is None.
+        ``columns`` keeps one column per (gauge, point) for the caller, and
+        a column is extended by the keys it lacks, so each value is read
+        once per caller."""
         den, cols = 1, []
-        for i, z in enumerate(values):
+        for gauge, z in slots:
             if z is None:
                 cols.append(None)
                 continue
-            at = (i == deriv, z)
-            d, col = columns.get(at, (1, {}))
+            d, col = columns.get((gauge, z), (1, {}))
             missing = [b for b in ids if b not in col]
             if missing:
-                fn = basis_function if i == deriv else primitive
+                fn = self._gauge(gauge)
                 pairs = {b: (v, d) for b, v in col.items()}
                 for b in missing:
                     v = fn(self._key_of(b))(z)
                     pairs[b] = v.numerator, v.denominator
-                d, col = columns[at] = over_lcm(pairs)
+                d, col = columns[gauge, z] = over_lcm(pairs)
             den *= d
             cols.append(col)
         return den, cols
 
-    def _eval_table(self, tab, values, deriv=None, primitive=None, columns=None):
-        """Sum over labeled monomials; values[i] may be a Fraction or None
-        for one symbolic slot.  The table's int numerators meet the slot
-        columns (``_columns``) in ``arrangement_sum``, so the sum is one int
+    def _eval_table(self, tab, slots, columns=None):
+        """Sum over labeled monomials, each slot read as (gauge, point): the
+        gauge function of its keys at a Fraction point, or, for one slot
+        whose point is None, symbolic.  The table's int items meet the slot
+        columns (``_columns``) in one ``contract``, so the sum is one int
         over one denominator: one Fraction, or, with a symbolic slot, one
         int linear form over its basis keys, whose gauge functions add up as
         partial fractions (``fractions``) into one RatFunc in that slot,
         in lowest terms with no gcd (``ratfunc_of_fractions``)."""
-        if len(values) != tab.n:
-            raise ValueError(f"the table has {tab.n} slots, got {len(values)} values")
-        if values.count(None) > 1:
+        if len(slots) != tab.n:
+            raise ValueError(f"the table has {tab.n} slots, got {len(slots)}")
+        points = [z for _, z in slots]
+        if points.count(None) > 1:
             raise ValueError("at most one slot may stay symbolic")
-        primitive = primitive or self.f_primitive
-        den, items = self.int_items(tab)
-        ids = {b for M in items for b in M}
-        cden, cols = self._columns({} if columns is None else columns, ids, values, deriv, primitive)
-        den *= cden
-
-        def value(b, i):
-            return cols[i][b]
-
-        if None not in values:
-            return Fraction(sum(c * arrangement_sum(M, value) for M, c in items.items()), den)
-        slot = values.index(None)
-        form = {}
-        for M, c in items.items():
-            for b, w in arrangement_sum(M, value, slot).items():
-                form[b] = form.get(b, 0) + w * c
-        gauge = basis_function if slot == deriv else primitive
+        ids = {b for M in tab.ids for b in M}
+        den, cols = self._columns({} if columns is None else columns, ids, slots)
+        den *= tab.den
+        if None not in points:
+            return Fraction(contract(tab.ids.items(), cols), den)
+        slot = points.index(None)
+        gauge = slots[slot][0]
         terms = {}
-        for b, w in form.items():
+        for b, w in contract(tab.ids.items(), cols, slot).items():
             for pk, c in self.fractions(gauge, self._key_of(b)).items():
                 terms[pk] = terms.get(pk, 0) + w * c
         return ratfunc_of_fractions(terms, den)
@@ -962,9 +958,8 @@ class TopRecEngine:
             if sz is INF or sz == z:
                 raise ValueError(f"sample point {z} hit the branch or polar locus")
             images.append(sz)
-        prim = self._odd_primitive
-        # one column per (differentiated, point) for every evaluation of
-        # this check
+        # one column per (gauge, point) for every evaluation of this check:
+        # d1 reads the basis function in slot 1 and the odd gauge elsewhere
         columns = {}
         d1_cache = {}
 
@@ -972,9 +967,8 @@ class TopRecEngine:
             """d_1 F_{gg, len(idx)+1}(z_1, points[idx]) as a RatFunc in z_1."""
             hit = d1_cache.get((gg, idx))
             if hit is None:
-                values = [None] + [points[i] for i in idx]
-                hit = d1_cache[(gg, idx)] = self._eval_table(
-                    self.F(gg, len(idx) + 1), values, deriv=0, primitive=prim, columns=columns)
+                slots = [("basis", None)] + [("odd", points[i]) for i in idx]
+                hit = d1_cache[(gg, idx)] = self._eval_table(self.W(gg, len(idx) + 1), slots, columns)
             return hit
 
         idx = tuple(range(n - 1))
@@ -988,21 +982,20 @@ class TopRecEngine:
             kern_den = Poly([-zj, 1]) * Poly([-szj, 1])
             d1f = d1(g, idx[:j] + idx[j + 1:])
             terms.append((Fraction(1), kern_num * d1f.num, kern_den * d1f.den))
-            djf = self._eval_table(self.F(g, n - 1), list(points), deriv=j, primitive=prim,
-                                   columns=columns)
+            slots = [("basis" if i == j else "odd", z) for i, z in enumerate(points)]
+            djf = self._eval_table(self.W(g, n - 1), slots, columns)
             terms.append((-djf / omega(zj), kern_num * omega.num, kern_den * omega.den))
         # quadratic terms: F_{g-1,n+1} with both differentiated slots at z_1
         if g >= 1:
-            # int numerators c over the table's denominator times the
-            # columns' rest sums: ints over one denominator, divided once
+            # each rest, int numerators over the table's denominator, meets
+            # the odd columns in contract: an int weight per (b1, b2), divided once
             den, items = self._two_slots(g - 1, n + 1)
             cden, cols = self._columns(columns, {b for *_, rest, _ in items for b in rest},
-                                       points, None, prim)
+                                       [("odd", z) for z in points])
             den *= cden
-            weights = {}
+            weights = defaultdict(int)
             for (_, b1), (_, b2), rest, c in items:
-                w = c * arrangement_sum(rest, lambda b, i: cols[i][b])
-                weights[(b1, b2)] = weights.get((b1, b2), 0) + w
+                weights[(b1, b2)] += contract([(rest, c)], cols)
             for (b1, b2), w in weights.items():
                 f1, f2 = basis_function(self._key_of(b1)), basis_function(self._key_of(b2))
                 terms.append((Fraction(w, den), f1.num * f2.num, f1.den * f2.den))

@@ -8,6 +8,7 @@ identity, recursion cross-checks, and oracle triangulations.
 
 from __future__ import annotations
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .spectral import genus_report
 from .toprec import (
     ParamCurve,
     TopRecEngine,
-    arrangement_sum,
+    contract,
     matching_branch_map,
     branch_maps,
     over_lcm,
@@ -279,14 +280,14 @@ def catalan_mu_coefficient(eng, curve, g, n, mu, section=None):
     raises ValueError.
 
     The primitives come from one ``primitive_series`` call, and the
-    table's int numerators meet, slot by slot, the coefficients of tau^mu_i
-    of those series as int numerators over one lcm per slot, so the sum is
+    table's int items meet in one ``contract`` the coefficients of tau^mu_i
+    of those series, as int numerators over one lcm per slot, so the sum is
     one int over one denominator."""
     if section is None:
         section = branch_maps(curve, INF, 1, max(mu) + 4)[0]
-    den, items = eng.int_items(eng.F(g, n))
-    series = eng.primitive_series({b for M in items for b in M}, section)
-    cols = []
+    tab = eng.W(g, n)
+    series = eng.primitive_series({b for M in tab.ids for b in M}, section)
+    den, cols = tab.den, []
     for m in mu:
         pairs = {}
         for b, s in series.items():
@@ -297,16 +298,22 @@ def catalan_mu_coefficient(eng, curve, g, n, mu, section=None):
         d, col = over_lcm(pairs)
         den *= d
         cols.append(col)
-    total = sum(c * arrangement_sum(M, lambda b, i: cols[i][b]) for M, c in items.items())
-    return Fraction(total, den)
+    return Fraction(contract(tab.ids.items(), cols), den)
 
 
-def suite_oracles(records=None, airy_level=3, catalan_mu_max=6, catalan_wave_order=6):
+# the oracle suite's reach: Airy levels against the psi correlators, the
+# largest |mu| of the Catalan cellular counts, the Catalan wave's x-order
+AIRY_LEVEL = 3
+CATALAN_MU_MAX = 6
+CATALAN_WAVE_ORDER = 6
+
+
+def suite_oracles(records=None):
     records = [] if records is None else records
     # (a) Airy free energies against the closed psi-correlator formula
     spec = load_curve("airy")
     _, eng = engine_for(spec)
-    for level in range(1, airy_level + 1):
+    for level in range(1, AIRY_LEVEL + 1):
         for (g, n), _ in eng.compute_level(level):
             got = airy_table_as_exponents(eng, g, n)
             want = airy_closed_free_energy(g, n)
@@ -319,14 +326,12 @@ def suite_oracles(records=None, airy_level=3, catalan_mu_max=6, catalan_wave_ord
     # (b) Catalan coefficients against brute-force cellular graph counts
     spec = load_curve("catalan")
     curve, eng = engine_for(spec)
-    import itertools
-
     cases = 0
     okall = True
-    section = branch_maps(curve, INF, 1, catalan_mu_max + 4)[0]
+    section = branch_maps(curve, INF, 1, CATALAN_MU_MAX + 4)[0]
     for (g, n) in [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]:
-        for mu in itertools.product(range(1, catalan_mu_max + 1), repeat=n):
-            if sum(mu) % 2 or sum(mu) > catalan_mu_max:
+        for mu in itertools.product(range(1, CATALAN_MU_MAX + 1), repeat=n):
+            if sum(mu) % 2 or sum(mu) > CATALAN_MU_MAX:
                 continue
             got = catalan_mu_coefficient(eng, curve, g, n, mu, section)
             cell = enumerate_cellular(g, n, mu)
@@ -339,8 +344,8 @@ def suite_oracles(records=None, airy_level=3, catalan_mu_max=6, catalan_wave_ord
 
     # (c) Catalan wavefunction against the closed Pochhammer form
     # exactness of the x^(-2n) coefficient needs depth >= n
-    nmax = catalan_wave_order // 2
-    st = wkb_state_for(spec, depth=nmax + 1, order=catalan_wave_order + 4)
+    nmax = CATALAN_WAVE_ORDER // 2
+    st = wkb_state_for(spec, depth=nmax + 1, order=CATALAN_WAVE_ORDER + 4)
     wave = assemble_wavefunction(st)
     F = wave.body.field
     okc = wave.prefactor_exponent == F.one() / F.gen

@@ -54,18 +54,21 @@ def test_traced_expand_ratfunc_reads_the_ratfunc_field(monkeypatch):
     assert tracer.calls["series.field.qq"] == 1
 
 
-def test_traced_toprec_job_reaches_the_series_layers(monkeypatch):
-    # layers.py maps series.mul, series.inverse and series.expand_ratfunc to
-    # toprec-cold: a traced toprec job must record a call of each, or the
-    # traced run of that workload fails its coverage check
+@pytest.mark.parametrize("name", ["toprec-cold", "wkb-random", "verify-cross"])
+def test_traced_round_covers_the_mapped_layers(name, monkeypatch):
+    # a traced benchmark run is judged incorrect when a job fails under the
+    # tracer's wrappers or when a layer that layers.py maps to the workload
+    # records no call: one seeded round, traced job by job, must do neither
     tracer = _tracer(monkeypatch)
+    import layers
     import workloads
 
-    job = workloads.toprec_job("airy", 3)
-    result = tracer.run_job(1, job.kind, job.run)
-    assert job.check(result) == []
-    for name in ("series.mul", "series.inverse", "series.expand_ratfunc"):
-        assert tracer.calls[name] > 0, name
+    load = workloads.Workload(name, 1)
+    load.warm_up()
+    for i, job in enumerate(load.next_round()):
+        assert job.check(tracer.run_job(i, job.kind, job.run)) == [], job.describe()
+    _, missing = layers.layer_metrics(tracer, name)
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", ["toprec-cold", "wkb-random", "verify-cross"])

@@ -555,31 +555,18 @@ def test_diff_recursion_check_reduces_once_per_table(catalan_engine, monkeypatch
 @pytest.mark.parametrize("name", ["airy", "catalan"])
 @pytest.mark.parametrize("g, n, drop", [(0, 4, 0), (0, 4, 1), (1, 3, 0), (1, 3, 1)])
 def test_diff_recursion_check_fails_on_a_perturbed_table(name, g, n, drop, request, monkeypatch):
-    # negative control: one coefficient of F(g, n) or F(g, n - 1) moved
+    # negative control: one int numerator of F(g, n) or F(g, n - 1) moved
+    # by one, which moves its coefficient by 1 / den
     _, eng = request.getfixturevalue(f"{name}_engine")
     points = DIFF_SAMPLE_POINTS[: n - 1]
     assert eng.diff_recursion_check(g, n, points)
     target = (g, n - drop)
-    tab = eng.F(*target)
-    M = next(iter(tab.table))
-    perturbed = toprec.SymTable(tab.n, {**tab.table, M: tab.table[M] + Fraction(1, 7)})
+    tab = eng.W(*target)
+    M = next(iter(tab.ids))
+    perturbed = toprec.SymTable(tab.n, tab.den, {**tab.ids, M: tab.ids[M] + 1}, eng._keys_of)
+    assert perturbed.table != tab.table
     monkeypatch.setitem(eng._memo, ("_compute_w", *target), perturbed)
     assert not eng.diff_recursion_check(g, n, points)
-
-
-@pytest.mark.parametrize("name", ["airy", "catalan"])
-def test_diff_recursion_check_reads_the_int_items(name, request, monkeypatch):
-    # negative control on the int side: the public table of W(1, 2) stays,
-    # one numerator of the (den, {key ids: int}) items beside it is doubled
-    _, eng = request.getfixturevalue(f"{name}_engine")
-    points = DIFF_SAMPLE_POINTS[:2]
-    assert eng.diff_recursion_check(1, 3, points)
-    tab = eng.W(1, 2)
-    den, ids = tab._ids
-    M = next(iter(ids))
-    perturbed = toprec.SymTable(tab.n, tab.table, (den, {**ids, M: 2 * ids[M]}))
-    monkeypatch.setitem(eng._memo, ("_compute_w", 1, 2), perturbed)
-    assert not eng.diff_recursion_check(1, 3, points)
 
 
 @pytest.mark.parametrize("name, bad", [("airy", Fraction(0)), ("catalan", Fraction(0)),
@@ -601,7 +588,23 @@ def test_f_evaluate_rejects_bad_values(airy_engine, values):
     with pytest.raises(ValueError):
         eng.f_evaluate(0, 3, values)
     with pytest.raises(ValueError):
-        eng._eval_table(eng.F(0, 3), values)
+        eng._eval_table(eng.W(0, 3), [("primitive", v) for v in values])
+    # and an unknown gauge, at a point or symbolic
+    for point in (Fraction(2), None):
+        slots = [("primitive", Fraction(3)), ("primitive", Fraction(5)), ("even", point)]
+        with pytest.raises(ValueError, match="not a gauge"):
+            eng._eval_table(eng.W(0, 3), slots)
+
+
+def test_column_cache_is_keyed_by_gauge(catalan_engine):
+    # one columns dict shared by a primitive and an odd evaluation of W(0, 3)
+    # at (3, 5, 7): each reads its own gauge, as on a fresh dict
+    _, eng = catalan_engine
+    tab, points = eng.W(0, 3), [Fraction(3), Fraction(5), Fraction(7)]
+    columns = {}
+    for gauge, want in (("primitive", Fraction(-424, 35)), ("odd", Fraction(-5513, 840))):
+        slots = [(gauge, z) for z in points]
+        assert eng._eval_table(tab, slots, columns) == eng._eval_table(tab, slots) == want, gauge
 
 
 @pytest.mark.parametrize("name", ["airy", "catalan"])
@@ -801,17 +804,18 @@ def test_arrangement_sum_with_symbolic_slot(M, table, data):
     assert got == _brute_arrangement_sum(M, value)
 
 
-def _reference_eval(tab, values, deriv, primitive):
-    """The public table at values (None: the symbolic slot), each monomial
-    summed over its orderings by ``_brute_arrangement_sum`` in Fractions;
-    a symbolic slot collects one Fraction weight per basis key first."""
+def _reference_eval(eng, tab, values, gauges):
+    """The public table at values (None: the symbolic slot), slot i read in
+    the gauge gauges[i], each monomial summed over its orderings by
+    ``_brute_arrangement_sum`` in Fractions; a symbolic slot collects one
+    Fraction weight per basis key first."""
     fns, at = {}, {}
+    gauge_fns = {"basis": basis_function, "primitive": eng.f_primitive, "odd": eng._odd_primitive}
 
     def fn(key, i):
-        gauge = i == deriv
-        if (key, gauge) not in fns:
-            fns[key, gauge] = basis_function(key) if gauge else primitive(key)
-        return fns[key, gauge]
+        if (key, i) not in fns:
+            fns[key, i] = gauge_fns[gauges[i]](key)
+        return fns[key, i]
 
     def value(key, i):
         if (key, i) not in at:
@@ -841,13 +845,12 @@ def test_eval_table_matches_a_fraction_reference(airy_engine, catalan_engine, na
     point = st.fractions(min_value=-12, max_value=12, max_denominator=9).filter(
         lambda z: z not in curve.support and curve.sigma_at(z) not in curve.support)
     points = data.draw(st.lists(point, min_size=n, max_size=n))
-    deriv = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
-    primitive = data.draw(st.sampled_from([eng.f_primitive, eng._odd_primitive]))
+    gauges = data.draw(st.lists(st.sampled_from(["basis", "primitive", "odd"]), min_size=n, max_size=n))
     for slot in [None, *range(n)]:
         values = [None if i == slot else z for i, z in enumerate(points)]
-        got = eng._eval_table(tab, values, deriv=deriv, primitive=primitive)
+        got = eng._eval_table(tab, list(zip(gauges, values)))
         assert isinstance(got, Fraction if slot is None else RatFunc)
-        assert got == _reference_eval(tab, values, deriv, primitive), (g, n, slot)
+        assert got == _reference_eval(eng, tab, values, gauges), (g, n, slot)
 
 
 def _three_branch_placements(rest, extras):
@@ -1065,9 +1068,11 @@ def test_gauge_fractions_match_the_ratfunc_constructions(family, seed):
             basis = RatFunc(Poly.const(1), poly_pow(Poly([-q, 1]), d))
         prim = _old_antiderivative(key, curve.normpt)
         odd = (prim - prim.compose(curve.sigma)) * RatFunc.const(Fraction(1, 2))
-        for gauge, want in ((basis_function, basis), (eng.f_primitive, prim), (eng._odd_primitive, odd)):
-            assert ratfunc_of_fractions(eng.fractions(gauge, key)) == want, (key, gauge)
-            assert gauge(key) == want, (key, gauge)
+        wants = {"basis": basis, "primitive": prim, "odd": odd}
+        for gauge, fn in (("basis", basis_function), ("primitive", eng.f_primitive),
+                          ("odd", eng._odd_primitive)):
+            assert ratfunc_of_fractions(eng.fractions(gauge, key)) == wants[gauge], (key, gauge)
+            assert fn(key) == wants[gauge], (key, gauge)
 
 
 @pytest.mark.parametrize("key,normpt", [((INF, 3), INF), ((Fraction(2), 1), Fraction(0)),
