@@ -150,24 +150,34 @@ def wkb_report(spec, place=None, branch=None, order=None, depth=None, stages=Non
     }, st
 
 
-def toprec_report(spec, level=3, stages=None):
+def toprec_report(spec, level=3, stages=None, counters=None):
     """The toprec report; a ``stages`` dict receives the wall seconds of each
-    level, as ``level<k>`` (the curve's set-up is in none of them)."""
+    level, as ``level<k>`` (the curve's set-up is in none of them), and a
+    ``counters`` dict the engine's counters of each level, read once the
+    report is built (``TopRecEngine.counters``)."""
     curve, eng = engine_for(spec)
     lap = _stage_clock(stages)
     entries = []
-    # each basis key's repr and report cell, once per report; the terms sort
-    # by the tuple of reprs, which is the order of str(M): no key's repr is a
-    # prefix of another's, and the multisets of one table have one length
+    # each key id's key_sort rank, repr and report cell, once per report;
+    # terms sort by their keys' reprs, the order of str(M): no key's repr is
+    # a prefix of another's, and the multisets of one table have one length
     cells = {}
     for lv in range(1, level + 1):
         for (g, n), tab in eng.compute_level(lv):
-            for k in {k for M in tab.table for k in M}.difference(cells):
-                cells[k] = (repr(k), [place_repr(k[0]), k[1]])
-            rows = sorted(tab.items(), key=lambda mc: tuple(cells[k][0] for k in mc[0]))
-            terms = [{"key": [cells[k][1] for k in M], "coeff": frac_str(c)} for M, c in rows]
+            P, den = len(tab.places), tab.den
+            for i in {i for M in tab.ids for i in M}.difference(cells):
+                k = (tab.places[i % P], i // P)
+                cells[i] = ((i % P, i), repr(k), [place_repr(k[0]), k[1]])
+            rows = []
+            for M, v in tab.ids.items():
+                ks, c = sorted(cells[i] for i in M), math.gcd(v, den)
+                rows.append(([k[1] for k in ks], {"key": [k[2] for k in ks],
+                                                  "coeff": f"{v // c}/{den // c}" if c < den else str(v // c)}))
+            terms = [term for _, term in sorted(rows, key=lambda row: row[0])]
             entries.append({"g": g, "n": n, "level": lv, "terms": terms})
         lap(f"level{lv}")
+    if counters is not None:
+        counters.update(eng.counters(level))
     return {
         "curve": spec.name,
         "ramification_points": [place_repr(p) for p in curve.ram_points],
@@ -257,6 +267,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     stages = {} if args.timing else None
+    counters = {} if args.timing else None
     status = 0
     try:
         if args.command in ("analyze", "wkb", "toprec", "plotdata"):
@@ -273,7 +284,7 @@ def main(argv=None):
             payload = {"report": rep}
         elif args.command == "toprec":
             check_size("--depth", args.depth, 1, MAX_LEVEL)
-            payload = {"report": toprec_report(spec, level=args.depth, stages=stages)}
+            payload = {"report": toprec_report(spec, level=args.depth, stages=stages, counters=counters)}
         elif args.command == "plotdata":
             check_size("--samples", args.samples, 1, MAX_SAMPLES)
             for what, value in (("--xmin", args.xmin), ("--xmax", args.xmax),
@@ -305,6 +316,8 @@ def main(argv=None):
         payload["meta"] = {"seconds": round(time.perf_counter() - t0, 3)}
         if stages:
             payload["meta"]["stages"] = stages
+        if counters:
+            payload["meta"]["counters"] = counters
     _emit(args, serialize_report(payload))
     return status
 

@@ -17,50 +17,43 @@ labeled monomial product.  The basis function of (q, d) is dt/(t-q)^d, and
 (INF, d) stands for t^(d-2) dt.  Residues are extracted from local series
 whose coefficients are vectors over the same basis in the external
 variables, so each step stays one-dimensional.  Each residue transform is
-computed once per engine, from local series taken through the exact order
+computed once per engine, from local series through at least the order
 that the valuations of its inputs fix; an input shorter than that raises.
-A local series is rebuilt only when a transform reads beyond it, and then
-through at least twice its old order.  Since sigma is a Mobius map, the
-pullback of a basis function by sigma is written down in closed form from
-``curve.mobius``, and its valuation at p is that of the basis function at
-sigma(p) (``curve.images``): a basis function and its pullback are products
-of powers of linear forms in t, whose local series are binomial series
-(``series.linear_forms_ints``).  So are the powers of sigma's local
-coordinate in the kernel and coupled factors: at p it is alpha u / (1 +
-gamma u) (``curve.germs``).
+A local series is first built through 16 terms past its valuation, and
+again only when a transform reads beyond it, through at least twice its
+old order.  A basis function, its pullback by the Mobius map sigma and the
+powers of sigma's local coordinate alpha u / (1 + gamma u)
+(``curve.germs``) are products of powers of linear forms, with binomial
+series (``series.linear_forms_ints``); valuations come from ``curve.images``
+and, for sigma'/Omega, from the divisor of Omega (``curve.sigw_orders``).
 
 Inside the recursion a basis key is a small int, d * P + rank(q) with P
 the number of support places ranked in ``key_sort`` order
-(``TopRecEngine._key_id``), and a multiset of keys is a sorted tuple of
-ints; the local vectors, the transforms, the bracket jobs and the
-accumulation all hash and sort ints only.  So do the local memo keys: a
-support point is its index in ``curve.support``, a transform maps indices
-to its coefficients, and a factor's valuations are one tuple over the
-indices.  The arithmetic is on int numerators over one denominator per
-piece.  A local series is a ``TruncSeries`` over QQ, which holds int
-numerators over one denominator (``den``, ``nums``); every transform's
-scalar carries sigma'/Omega, which is one factor per point, and the scalar
-of a transform is one int convolution chain of its factors' numerators.
-The kernel and coupled vectors are (key id, int) pairs over one
-denominator per point, and a transform returns ints over one denominator
-per point.  A table's data are its int items (den, {key ids: int}), the
-bracket's job coefficients are ints over one denominator per bracket,
-and the accumulation adds ints over one common denominator per table;
-every read of a table is one ``contract`` of its items with a column per
-slot, the values of a named gauge ("basis", "primitive" or "odd") of each
-key at one point.  Keys are decoded (``TopRecEngine._key_of``) where they
-leave the recursion: in the public view that a table builds once (keyed
-by (place, order) tuples sorted by ``key_sort``, with ``Fraction``
-coefficients), in the gauge functions, in the scalar factors of basis
-functions and in error messages.
+(``TopRecEngine._key_id``), a monomial is a sorted tuple of key ids, and a
+support point is its index in ``curve.support``.  The bracket's rest
+multisets have small int ids per engine (``_Rests``), and the bracket
+carries each value times N(rest), its rest's number of distinct orderings:
+a split pair of one-slot items c1 N(k1), c2 N(k2) adds C(|k1| + |k2|,
+|k1|) c1 N(k1) c2 N(k2) to the job row of (fspec, gspec) at the merged
+rest's id, the accumulation adds each transform entry into one int dict
+per (support point, slot key), keyed by rest id, and each table term is
+divided by its N once.  All arithmetic is on int numerators over one
+denominator per piece: local series (``TruncSeries`` over QQ), vectors,
+transforms, job rows and tables.  A table's data are its int items (den,
+{key ids: int}); every read is one ``contract`` of them with a column per
+slot of a named gauge ("basis", "primitive" or "odd").  Keys are decoded
+only where they leave the recursion: in the public ``(place, order)`` /
+``Fraction`` view a table builds on its first read, in the report, the
+gauge functions, the basis factors' series and error messages.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 
 from .algebra import (
     INF, QQ, LogSeries, Poly, RatFunc, expand_ratfunc, factor_over, linear_forms_ints, monomial_sum,
@@ -154,8 +147,9 @@ class ParamCurve:
     sheets of x, and the points of P^1 that the recursion reads, each derived
     once here: ``mobius`` = (a, b, c, e) with sigma(t) = (a t + b) / (c t +
     e), the ramification points (zeros of dx that sigma fixes), the
-    ``support`` (the zeros and poles of Omega), its ``images`` under sigma
-    and sigma's ``germs`` there, by index."""
+    ``support`` (the zeros and poles of Omega), its ``images`` under sigma,
+    sigma's ``germs`` there and ``sigw_orders``, the orders of sigma' and of
+    Omega, by index."""
 
     def __init__(self, x, y, sigma, normalization_point, spectral=None):
         self.x = x
@@ -188,8 +182,13 @@ class ParamCurve:
         if self.xprime.order_at(INF) > 2:
             dx_zeros.append(INF)
         self.ram_points = [p for p in _points(dx_zeros, "dx") if self.sigma_at(p) == p]
-        self.support = _points(divisor_of(KSection(self.omega, 1)).items, "Omega")
+        div = divisor_of(KSection(self.omega, 1)).items
+        self.support = _points(div, "Omega")
         self.images = tuple(map(self.sigma_at, self.support))
+        # sigma' = (a e - b c) / (c t + e)^2 has order -2 at -e/c, 2 at INF
+        # for c != 0; the function Omega has that of Omega dt, + 2 at INF
+        self.sigw_orders = tuple((2 * ((p is INF) - (q is INF)), m + 2 * (p is INF))
+                                 for p, q, m in zip(self.support, self.images, div.values()))
         self.germs = tuple(map(self._germ, self.support, self.images))
         for r in self.ram_points:
             if r not in self.support:
@@ -233,18 +232,26 @@ class ParamCurve:
 class SymTable:
     """Symmetric table of n slots: its items on the engine's int keys,
     {sorted key-id tuples: int numerator} over ``den``, are what every read
-    takes; ``table``, built once here by ``keys_of`` (the engine's decoding
-    of a key-id tuple), maps sorted (place, order) key tuples to the
-    ``Fraction`` coefficient of each labeled monomial."""
+    takes; ``table``, built on its first read from ``places`` (the engine's
+    ranked support, which decodes a key id), maps sorted (place, order) key
+    tuples to the ``Fraction`` coefficient of each labeled monomial."""
 
-    def __init__(self, n, den, ids, keys_of):
-        self.n = n
-        self.den = den
-        self.ids = ids
-        self.table = {keys_of(M): Fraction(v, den) for M, v in ids.items()}
+    def __init__(self, n, den, ids, places):
+        self.n, self.den, self.ids, self.places = n, den, ids, places
+
+    @cached_property
+    def table(self):
+        return {keys_of(self.places, M): Fraction(v, self.den) for M, v in self.ids.items()}
 
     def items(self):
         return self.table.items()
+
+
+def keys_of(places, M):
+    """The basis keys of the key ids M, sorted by key_sort: by the rank of
+    the place (the id mod P), then by order (the id)."""
+    P = len(places)
+    return tuple((places[i % P], i // P) for i in sorted(M, key=lambda i: (i % P, i)))
 
 
 def _multiset_counts(M):
@@ -254,23 +261,19 @@ def _multiset_counts(M):
     return out
 
 
-def _merge_binomial(k1, k2):
-    """Number of slot splittings realizing the (K1, K2) decomposition."""
-    out = 1
-    for v, m in _multiset_counts(k1).items():
-        out *= comb(m + k2.count(v), m)
-    return out
+class _Rests(dict):
+    """{rest multiset: small int id}, given on first lookup; by id, ``rests``
+    holds the multiset and ``counts`` its number N of distinct orderings;
+    ``merges`` caches {id or coupled keys: {id: merged multiset's id}}."""
 
+    def __init__(self):
+        self.rests, self.counts, self.merges = [], [], defaultdict(dict)
 
-def _placements(rest, extras):
-    """Ways to put the coupled keys ``extras`` into the slots of rest + extras
-    that carry them: the product over extras[i] of its count in rest + extras
-    less its count in extras[:i]."""
-    full = rest + extras
-    out = 1
-    for i, r in enumerate(extras):
-        out *= full.count(r) - extras[:i].count(r)
-    return out
+    def __missing__(self, rest):
+        self.rests.append(rest)
+        self.counts.append(_permutation_count(rest))
+        rid = self[rest] = len(self.rests) - 1
+        return rid
 
 
 def arrangement_sum(M, value, last=None):
@@ -449,6 +452,19 @@ class TopRecEngine:
                 out.append(((g, n), self.W(g, n)))
         return out
 
+    def counters(self, level):
+        """Per level through ``level``, once its tables are built: the new
+        transforms, job rows, their distinct rests and accumulated terms."""
+        out, seen = {}, set()
+        for lv in range(1, level + 1):
+            rows = [item for (g, n), _ in self.compute_level(lv) for item in self._jobs(g, n)[1].items()]
+            out[f"level{lv}"] = {
+                "transforms": len({key for key, _ in rows} - seen), "job_rows": len(rows),
+                "rests": len({rid for _, row in rows for rid in row}),
+                "terms": sum(len(row) * len(e) for key, row in rows for _, e in self._transform(*key).values())}
+            seen.update(key for key, _ in rows)
+        return out
+
     # -- basis keys as ints ----------------------------------------------------
 
     @_memo
@@ -487,9 +503,10 @@ class TopRecEngine:
         curve = self.curve
         support = curve.support
         if tag == "sigw":
-            return tuple(curve.sigma_prime.order_at(p) - curve.omega.order_at(p) for p in support)
-        if tag == "diag":
-            return tuple(self._diag().order_at(p) for p in support)
+            return tuple(s - w for s, w in curve.sigw_orders)
+        if tag == "diag":  # t - sigma(t): poles at INF, -e/c; simple fixed points
+            return tuple(2 if p is INF or q is INF else -2 if p == q else 0
+                         for p, q in zip(support, curve.images))
         # a Mobius map keeps orders: phi(sigma(t)) has at p the order that
         # phi has at sigma(p)
         key = self._key_of(tag[1])
@@ -507,7 +524,7 @@ class TopRecEngine:
         if tag == "sigw":
             # Omega (order w at p) through order - s + 2 w inverts to order - s,
             # and times sigma' (order s) through order + w is exact through order
-            s, w = curve.sigma_prime.order_at(p), curve.omega.order_at(p)
+            s, w = curve.sigw_orders[i]
             return (expand_ratfunc(curve.omega, p, order - s + 2 * w).inverse()
                     * expand_ratfunc(curve.sigma_prime, p, order + w))
         # a basis function, or its pullback by sigma(t) = (a t + b) / (c t + e),
@@ -594,10 +611,10 @@ class TopRecEngine:
         (t1_key,) possibly extended by resolved keys of coupled slots (z side
         first), all key ids.  Each point reads its inputs through the order
         that their valuations fix: with v_s the valuation of the scalar part,
-        a scalar factor of valuation v_i is expanded through target - (v_s -
-        v_i) and each vector factor through top = target - v_s.  The vector
-        factors start at u^0, so for top < 0 the point contributes nothing
-        and is left out.
+        the first top + 1 terms, top = target - v_s, of each vector factor
+        and of each scalar factor past its valuation.  The vector factors
+        start at u^0, so for top < 0 the point contributes nothing and is
+        left out.
         """
         # scalar part of H: sigma'/Omega times the z-factors that are
         # functions, 1/(z - sigma(z))^2 for the diagonal; vector factors: the
@@ -621,131 +638,147 @@ class TopRecEngine:
             top = target - sum(vals[i])
             if top < 0:
                 continue
-            # the first top + 1 terms of each factor: a cached series may
-            # run longer than this transform reads
-            nums, den = [1], 1
+            # built through at least 16 terms: a shorter build costs about
+            # its fixed part, so it would only add rebuilds
+            nums, den, reach = [1], 1, max(top, 16)
             for tag, v in zip(tags, vals[i]):
-                ser = self._expansion(i, v + top, tag)
+                ser = self._expansion(i, v + reach, tag)
                 nums, den = _int_convolve(nums, ser.nums, top + 1), den * ser.den
-            factors = [self._kernel_vectors(i, top)]
-            factors += [self._coupled_vectors(i, top, side) for side in sides]
+            factors = [self._kernel_vectors(i, reach)]
+            factors += [self._coupled_vectors(i, reach, side) for side in sides]
             result[i] = _residue(factors, (target - top, den, nums), target, sign, p)
         return result
 
     # -- bracket assembly -------------------------------------------------------
 
+    @_memo
+    def _rests(self):
+        return _Rests()
+
+    @_memo
     def _one_slot(self, g, n):
-        """(den, items): one slot of W_{g,n} set apart, one item (spec, rest,
-        c) per distinct key id of each monomial, c an int numerator over den;
-        W_{0,2} is the single ("w2",)."""
+        """(den, {("phi", b): [(rest id, c N(rest))]}): one slot b of W_{g,n}
+        set apart, per distinct key id b of each monomial, c an int numerator
+        over den; W_{0,2} is the single ("w2",)."""
         if (g, n) == (0, 2):
-            return 1, [(("w2",), (), 1)]
-        tab = self.W(g, n)
-        return tab.den, [(("phi", b), M[:i] + M[i + 1:], c)
-                         for M, c in tab.ids.items() for i, b in self._distinct(M)]
+            return 1, {("w2",): [(self._rests()[()], 1)]}
+        tab, ids = self.W(g, n), self._rests()
+        items = defaultdict(list)
+        for M, c in tab.ids.items():
+            for i, b in enumerate(M):
+                if not i or M[i - 1] != b:
+                    rid = ids[M[:i] + M[i + 1:]]
+                    items[("phi", b)].append((rid, c * ids.counts[rid]))
+        return tab.den, items
 
     def _two_slots(self, g, n):
-        """(den, items): a second slot set apart from the rest of each
-        _one_slot item, items (spec1, spec2, rest, c); W_{0,2} is the single
-        pair ("diag",) twice."""
+        """(den, items): two slots set apart from each monomial, one item
+        (spec1, spec2, rest, c) per distinct key id and distinct key id of
+        its rest; W_{0,2} is the single pair ("diag",) twice."""
         if (g, n) == (0, 2):
             return 1, [(("diag",), ("diag",), (), 1)]
-        den, items = self._one_slot(g, n)
-        return den, [(spec1, ("phi", b), rest1[:i] + rest1[i + 1:], c)
-                     for spec1, rest1, c in items for i, b in self._distinct(rest1)]
+        tab = self.W(g, n)
+        return tab.den, [(("phi", b1), ("phi", b2), rest[:j] + rest[j + 1:], c)
+                         for M, c in tab.ids.items() for i, b1 in enumerate(M) if not i or M[i - 1] != b1
+                         for rest in (M[:i] + M[i + 1:],)
+                         for j, b2 in enumerate(rest) if not j or rest[j - 1] != b2]
 
     def _jobs(self, g, n):
-        """(jden, {(fspec, gspec, rest_multiset): numerator}): half of each
-        job coefficient of the bracket, as ints over the one denominator
-        jden (twice the lcm of the denominators of the tables it reads)."""
+        """(jden, {(fspec, gspec): {rest id: numerator}}): half of each job
+        coefficient of the bracket times N(rest), as ints over jden (twice the
+        lcm of the denominators of the tables it reads), zeros left out.  A
+        split pair (k1, k2) of _one_slot items has C(|k1| + |k2|, |k1|) N(k1)
+        N(k2) / N(k1 + k2) slot splittings, so their c N(k) multiply; a twin
+        term takes the N of its rest."""
+        ids = self._rests()
         # W_{g-1, n+1}(z, sigma z, rest)
         twin = self._two_slots(g - 1, n + 1) if g >= 1 else (1, [])
-        # splits W_{g1, n1}(z, .) W_{g2, n2}(sigma z, .), W_{0,2} allowed on either side
+        # splits W_{g1, n1}(z, .) W_{g2, n2}(sigma z, .), W_{0,2} allowed on
+        # either side, where its other slot is coupled: |k| = 0, not n - 1
         splits = []
         for g1 in range(0, g + 1):
             for n1 in range(1, n + 1):
                 g2, n2 = g - g1, n + 1 - n1
                 if 2 * g1 - 2 + n1 >= 0 and 2 * g2 - 2 + n2 >= 0:
-                    splits.append((self._one_slot(g1, n1), self._one_slot(g2, n2)))
-        den = lcm(twin[0], *[d1 * d2 for (d1, _), (d2, _) in splits])
-        jobs = defaultdict(int)
+                    C = 1 if (0, 2) in ((g1, n1), (g2, n2)) else comb(n - 1, n1 - 1)
+                    splits.append((C, self._one_slot(g1, n1), self._one_slot(g2, n2)))
+        den = lcm(twin[0], *[d1 * d2 for _, (d1, _), (d2, _) in splits])
+        sums, counts = defaultdict(lambda: defaultdict(int)), ids.counts
         scale = den // twin[0]
         for fspec, gspec, rest, c in twin[1]:
-            jobs[(fspec, gspec, rest)] += scale * c
-        for (d1, left), (d2, right) in splits:
-            scale = den // (d1 * d2)
-            for fspec, k1, c1 in left:
-                for gspec, k2, c2 in right:
-                    rest = tuple(sorted(k1 + k2))
-                    jobs[(fspec, gspec, rest)] += scale * c1 * c2 * _merge_binomial(k1, k2)
-        return 2 * den, jobs
-
-    @staticmethod
-    def _distinct(M):
-        seen = set()
-        for i, b in enumerate(M):
-            if b not in seen:
-                seen.add(b)
-                yield i, b
+            sums[fspec, gspec][ids[rest]] += scale * c * counts[ids[rest]]
+        for C, (d1, left), (d2, right) in splits:
+            scale = C * (den // (d1 * d2))
+            for fspec, items1 in left.items():
+                for gspec, items2 in right.items():
+                    acc = sums[fspec, gspec]
+                    for r1, a1 in items1:
+                        merged, a1 = ids.merges[r1], scale * a1
+                        for r2, a2 in items2:
+                            m = merged.get(r2)
+                            if m is None:
+                                m = merged[r2] = ids[tuple(sorted(ids.rests[r1] + ids.rests[r2]))]
+                            acc[m] += a1 * a2
+        return 2 * den, {key: row for key, acc in sums.items() if (row := {m: v for m, v in acc.items() if v})}
 
     @_memo
     def _compute_w(self, g, n):
         # each term, half a job coefficient times a transform coefficient, is
         # an int over jden * tden: jden is the denominator of the halved job
         # coefficients, tden the lcm of the denominators of the transforms
-        jden, jobs = self._jobs(g, n)
-        work = [(self._transform(fspec, gspec), rest, hc)
-                for (fspec, gspec, rest), hc in jobs.items() if hc]
-        tden = lcm(*[den for transform, _, _ in work for den, _ in transform.values()])
-        # accumulate per support point to verify vanishing away from
-        # ramification; coupled keys merge into the rest once per (rest,
-        # extras) pair
-        support = self.curve.support
-        perp = [defaultdict(int) for _ in support]
-        merged = {}
+        jden, rows = self._jobs(g, n)
+        work = [(self._transform(fspec, gspec), row) for (fspec, gspec), row in rows.items()]
+        tden = lcm(*[den for transform, _ in work for den, _ in transform.values()])
+        # accumulate per slot key and rest id, the ramification points into
+        # one total and each other point apart, to verify that it vanishes,
+        # each value times the N of its rest: coupled keys e merge a rest r
+        # into r + e (cached) with perm(n - 1, |e|) N(r) / N(r + e) placements
+        ids = self._rests()
+        ram = self.curve.ram_points
+        total = defaultdict(lambda: defaultdict(int))
+        accs = [total if p in ram else defaultdict(lambda: defaultdict(int)) for p in self.curve.support]
         try:
-            for transform, rest, hc in work:
+            for transform, row in work:
                 for i, (den, entries) in transform.items():
-                    acc = perp[i]
-                    scale = hc * (tden // den)
+                    acc, scale = accs[i], tden // den
                     for entry, v in entries.items():
+                        dst, v = acc[entry[0]], v * scale
                         if len(entry) == 1:
-                            acc[(entry[0], rest)] += scale * v
-                        else:
-                            extras = entry[1:]
-                            hit = merged.get((rest, extras))
-                            if hit is None:
-                                hit = merged[(rest, extras)] = (tuple(sorted(rest + extras)),
-                                                                _placements(rest, extras))
-                            acc[(entry[0], hit[0])] += scale * v * hit[1]
-            # non-ramification support must contribute nothing
-            total = defaultdict(int)
-            for p, acc in zip(support, perp):
-                nonzero = {k: v for k, v in acc.items() if v}
-                if p not in self.curve.ram_points and nonzero:
+                            for rid, hc in row.items():
+                                dst[rid] += hc * v
+                            continue
+                        extras = entry[1:]
+                        merged, v = ids.merges[extras], v * perm(n - 1, len(extras))
+                        for rid, hc in row.items():
+                            m = merged.get(rid)
+                            if m is None:
+                                m = merged[rid] = ids[tuple(sorted(ids.rests[rid] + extras))]
+                            dst[m] += hc * v
+            for p, acc in zip(self.curve.support, accs):
+                if acc is not total and any(v for part in acc.values() for v in part.values()):
                     raise AssertionError(f"nonzero residue contribution at non-ramification point {p}")
-                for k, v in nonzero.items():
-                    total[k] += v
         except AssertionError as exc:  # name the table; _finalize's messages do
             raise AssertionError(f"W_{(g, n)}: {exc}") from exc
         return self._finalize(g, n, total, jden * tden)
 
     def _finalize(self, g, n, bk, den):
-        """Cross-check slot-1 symmetry and compress (b, rest) numerators over
-        ``den`` to multisets of key ids, reduced to the table's least common
-        denominator."""
+        """Cross-check slot-1 symmetry and compress {b: {rest id: numerator
+        times N(rest)}} over ``den`` to multisets of key ids, reduced to the
+        table's least common denominator."""
+        reg, places = self._rests(), self._places()
         by_multiset = defaultdict(dict)
-        for (b, rest), v in bk.items():
-            if v:
-                by_multiset[tuple(sorted(rest + (b,)))][b] = v
+        for b, part in bk.items():
+            for rid, v in part.items():
+                if v:
+                    by_multiset[tuple(sorted(reg.rests[rid] + (b,)))][b] = v // reg.counts[rid]
         ids = {}
         for M, parts in by_multiset.items():
             vals = {parts.get(b, 0) for b in set(M)}
             if len(vals) != 1:
                 named = ", ".join(f"{k}: {Fraction(parts[self._key_id(k)], den)!r}"
-                                  for k in self._keys_of(parts))
+                                  for k in keys_of(places, parts))
                 raise AssertionError(f"W_{(g, n)} fails the symmetry re-check at "
-                                     f"{self._keys_of(M)}: {{{named}}}")
+                                     f"{keys_of(places, M)}: {{{named}}}")
             v = vals.pop()
             if v:
                 ids[M] = v
@@ -756,14 +789,7 @@ class TopRecEngine:
             if q is not INF and d < 2:
                 raise AssertionError(f"residue term dt/(t - {q}) in stable W_{(g, n)}")
         k = gcd(den, *ids.values())
-        return SymTable(n, den // k, {M: v // k for M, v in ids.items()}, self._keys_of)
-
-    def _keys_of(self, M):
-        """The basis keys of the key ids M, sorted by key_sort: by the rank
-        of the place (the id mod P), then by order (the id)."""
-        places = self._places()
-        P = len(places)
-        return tuple((places[i % P], i // P) for i in sorted(M, key=lambda i: (i % P, i)))
+        return SymTable(n, den // k, {M: v // k for M, v in ids.items()}, places)
 
     # -- free energies: evaluation, specialization, checks -----------------------
 

@@ -30,6 +30,7 @@ from quantcurve.curvespec import (
     serialize_report,
 )
 from quantcurve.toprec import TopRecEngine
+from quantcurve.verify import engine_for
 
 
 def rf(num, den=(1,)):
@@ -291,9 +292,26 @@ def test_cli_toprec_and_analyze_timing_stages(argv, names, capsys):
     assert main(argv + ["--timing"]) == 0
     timed = json.loads(capsys.readouterr().out)
     meta = timed.pop("meta")
-    assert set(meta) == {"seconds", "stages"} and set(meta["stages"]) == names
+    # toprec also counts the bracket of each level
+    counted = {"counters"} if argv[0] == "toprec" else set()
+    assert set(meta) == {"seconds", "stages"} | counted and set(meta["stages"]) == names
     assert all(isinstance(t, float) and t >= 0 for t in meta["stages"].values())
     assert serialize_report(timed) == plain and "meta" not in json.loads(plain)
+
+
+def test_toprec_timing_counts_the_bracket_of_each_level():
+    # catalan through level 3: the per-level counters of the bracket, next
+    # to the wall seconds; the transforms of all levels are the engine's
+    counters = {}
+    toprec_report(load_curve("catalan"), level=3, counters=counters)
+    assert counters == {
+        "level1": {"transforms": 2, "job_rows": 2, "rests": 1, "terms": 6},
+        "level2": {"transforms": 10, "job_rows": 14, "rests": 5, "terms": 64},
+        "level3": {"transforms": 22, "job_rows": 56, "rests": 21, "terms": 400},
+    }
+    _, eng = engine_for(load_curve("catalan"))
+    eng.compute_level(3)
+    assert sum(c["transforms"] for c in counters.values()) == sum(k[0] == "_transform" for k in eng._memo)
 
 
 def test_reports_read_no_clock_without_stages(monkeypatch):

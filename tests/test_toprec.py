@@ -4,7 +4,7 @@ import random
 from collections import defaultdict
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, gcd
+from math import comb, factorial, gcd, perm
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +22,6 @@ from quantcurve import toprec
 from quantcurve.toprec import (
     ParamCurve,
     TopRecEngine,
-    _placements,
     _residue,
     arrangement_sum,
     basis_function,
@@ -254,9 +253,10 @@ def test_engine_state_is_the_curve_and_one_memo():
 def test_tables_do_not_depend_on_history(name):
     _, cold = engine_for(load_curve(name))
     _, used = engine_for(load_curve(name))
-    used.compute_level(5)
+    used.compute_level(6)
     # recompute levels 1-4 with no transform cached, from the local series
-    # and vectors that level 5 left longer than those transforms request
+    # and vectors that level 6 left longer than those transforms request
+    # (through level 5 every series stays at its first build of 16 terms)
     for key in list(used._memo):
         if key[0] == "_transform" or key[0] == "_compute_w" and 2 * key[1] - 2 + key[2] <= 4:
             del used._memo[key]
@@ -563,7 +563,7 @@ def test_diff_recursion_check_fails_on_a_perturbed_table(name, g, n, drop, reque
     target = (g, n - drop)
     tab = eng.W(*target)
     M = next(iter(tab.ids))
-    perturbed = toprec.SymTable(tab.n, tab.den, {**tab.ids, M: tab.ids[M] + 1}, eng._keys_of)
+    perturbed = toprec.SymTable(tab.n, tab.den, {**tab.ids, M: tab.ids[M] + 1}, tab.places)
     assert perturbed.table != tab.table
     monkeypatch.setitem(eng._memo, ("_compute_w", *target), perturbed)
     assert not eng.diff_recursion_check(g, n, points)
@@ -854,8 +854,8 @@ def test_eval_table_matches_a_fraction_reference(airy_engine, catalan_engine, na
 
 
 def _three_branch_placements(rest, extras):
-    # the scatter multiplier of _compute_w before _placements: one branch per
-    # number of coupled keys
+    # the scatter multiplier of _compute_w before it held values times N(rest):
+    # one branch per number of coupled keys
     if not extras:
         return 1
     if len(extras) == 1:
@@ -878,7 +878,11 @@ def test_placements_count_slot_assignments(rest, extras):
     # turn, holding that key
     brute = sum(1 for slots in permutations(range(len(full)), len(extras))
                 if all(full[i] == r for i, r in zip(slots, extras)))
-    assert _placements(rest, extras) == brute
+    # _compute_w holds each value times the N of its rest, the number of
+    # its distinct orderings: the placements are perm(|full|, |extras|)
+    # N(rest) / N(full)
+    N = toprec._permutation_count
+    assert perm(len(full), len(extras)) * N(rest) == brute * N(full)
     if len(extras) <= 2:
         assert _three_branch_placements(rest, extras) == brute
 
@@ -1271,3 +1275,94 @@ def test_branch_map_at_normalization_point_inf(airy_spec, catalan_spec):
             assert _sections_text(got, e) == _sections_text(_composed_branch_maps(curve, INF, e, order), e)
             for s, t in zip(got, branch_maps(original, INF, e, order)):
                 assert s.eq_through(move(t))
+
+
+# every curve with a recursion support: the parametrized builtins, the spec
+# files and two members of each family
+def _support_curves():
+    rng = random.Random(29)
+    return ([engine_for(load_curve(name))[0] for name in PARAMETRIZED]
+            + [_spec_file_curve(name) for name in ("node", "cusp")]
+            + [builder(rng) for builder in (scaled_airy, xy_family) for _ in range(2)])
+
+
+def test_valuations_from_the_curve_match_order_at():
+    # sigma' and Omega from the Mobius coefficients and the divisor of Omega
+    # dt, and the two scalar factors they give, against RatFunc.order_at
+    for curve in _support_curves():
+        eng = TopRecEngine(curve)
+        assert curve.sigw_orders == tuple((curve.sigma_prime.order_at(p), curve.omega.order_at(p))
+                                          for p in curve.support)
+        assert eng._vals("sigw") == tuple(curve.sigma_prime.order_at(p) - curve.omega.order_at(p)
+                                          for p in curve.support)
+        assert eng._vals("diag") == tuple(eng._diag().order_at(p) for p in curve.support)
+
+
+def _merge_binomial(k1, k2):
+    # the number of slot splittings realizing the (K1, K2) decomposition
+    out = 1
+    for v in set(k1):
+        out *= comb(k1.count(v) + k2.count(v), k1.count(v))
+    return out
+
+
+def _reference_jobs(eng, g, n):
+    # the bracket's halved job coefficients {(fspec, gspec, rest): Fraction},
+    # one _merge_binomial per split pair of one-slot items
+    def one_slot(g, n):
+        if (g, n) == (0, 2):
+            return [(("w2",), (), Fraction(1))]
+        tab = eng.W(g, n)
+        return [(("phi", b), M[:i] + M[i + 1:], Fraction(c, tab.den))
+                for M, c in tab.ids.items() for i, b in enumerate(M) if b not in M[:i]]
+
+    jobs = defaultdict(Fraction)
+    if g >= 1:
+        if (g - 1, n + 1) == (0, 2):
+            jobs[("diag",), ("diag",), ()] += 1
+        else:
+            for spec, rest1, c in one_slot(g - 1, n + 1):
+                for i, b in enumerate(rest1):
+                    if b not in rest1[:i]:
+                        jobs[spec, ("phi", b), rest1[:i] + rest1[i + 1:]] += c
+    for g1 in range(g + 1):
+        for n1 in range(1, n + 1):
+            g2, n2 = g - g1, n + 1 - n1
+            if 2 * g1 - 2 + n1 >= 0 and 2 * g2 - 2 + n2 >= 0:
+                for fspec, k1, c1 in one_slot(g1, n1):
+                    for gspec, k2, c2 in one_slot(g2, n2):
+                        jobs[fspec, gspec, tuple(sorted(k1 + k2))] += c1 * c2 * _merge_binomial(k1, k2)
+    return {key: c / 2 for key, c in jobs.items() if c}
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(name=st.sampled_from(["airy", "catalan", "scaled_airy", "xy_family"]), seed=st.integers(0, 99))
+def test_job_rows_match_the_per_pair_construction(name, seed):
+    # the rows {rest id: numerator times N(rest)} over jden, each split
+    # pair's C(|k1| + |k2|, |k1|) a1 a2 summed per merged rest, against the
+    # per-pair _merge_binomial reference, for every (g, n) through level 5
+    if name in ("airy", "catalan"):
+        eng = engine_for(load_curve(name))[1]
+    else:
+        eng = TopRecEngine((scaled_airy if name == "scaled_airy" else xy_family)(random.Random(seed)))
+    ids = eng._rests()
+    for level in range(1, 6):
+        for (g, n), _ in eng.compute_level(level):
+            jden, rows = eng._jobs(g, n)
+            got = {(fspec, gspec, ids.rests[rid]): Fraction(v, jden * ids.counts[rid])
+                   for (fspec, gspec), row in rows.items() for rid, v in row.items()}
+            assert got == _reference_jobs(eng, g, n), (name, g, n)
+
+
+CATALAN_LEVEL_7_SHA256 = "164174cbbf2c2fccb1e53fa0cad238ddb1905be6ddf9e98c3829106a32511d03"
+
+
+def test_catalan_int_tables_through_level_7_are_pinned():
+    # the bracket dominates these levels, which no CLI pin reaches: one cold
+    # engine, every table's (g, n, den, sorted int items) in level order
+    _, eng = engine_for(load_curve("catalan"))
+    h = hashlib.sha256()
+    for level in range(1, 8):
+        for (g, n), tab in eng.compute_level(level):
+            h.update(repr((g, n, tab.den, sorted(tab.ids.items()))).encode())
+    assert h.hexdigest() == CATALAN_LEVEL_7_SHA256
