@@ -113,6 +113,23 @@ class TruncSeries:
         same den, each int numerator n the pair (n, 0)."""
         return _series(field, self.val, self.den, [field.num(c, 0) for c in self.nums], self.order)
 
+    def dilate(self, c):
+        """The series at c tau for a nonzero rational c: the coefficient of
+        tau^k times c^k, with the same val and order.  With c = p / q the
+        numerator at tau^(val + i) takes p^i q^(n - 1 - i) and c^val, all
+        over den q^(n - 1): one int product per coefficient and one gcd."""
+        c = Fraction(c)
+        n = len(self.nums)
+        if c == 1 or not n:
+            return self
+        p, q, v = c.numerator, c.denominator, self.val
+        top, bot = (p ** v, q ** v) if v >= 0 else (q ** -v, p ** -v)
+        x, nums = q ** (n - 1), []
+        for a in self.nums:
+            nums.append(a * (x * top))
+            x = x // q * p
+        return _series(self.field, v, self.den * q ** (n - 1) * bot, nums, self.order)
+
     def scale_exponents(self, k):
         """Substitute tau -> tau^k (exponent dilation)."""
         nums = []

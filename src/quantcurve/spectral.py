@@ -104,7 +104,8 @@ class SpectralData:
             raise ValueError("a1 must have weight 1 and a2 weight 2")
         self.a1 = a1
         self.a2 = a2
-        d = self._disc_func()
+        # a1^2/4 - a2, built once: discriminant() and pole_profile read it
+        self._disc = d = a1.f * a1.f * RatFunc.const(Fraction(1, 4)) - a2.f
         if d.is_zero():
             raise ValueError("zero discriminant: the spectral curve is reducible")
         if d.sqrt() is not None:
@@ -118,13 +119,9 @@ class SpectralData:
         a2 = m00 * m11 - m01 * m10
         return SpectralData(a1, a2)
 
-    def _disc_func(self):
-        quarter = RatFunc.const(Fraction(1, 4))
-        return self.a1.f * self.a1.f * quarter - self.a2.f
-
     def discriminant(self):
         """a1^2/4 - a2 as a weight-2 section."""
-        return KSection(self._disc_func(), 2)
+        return KSection(self._disc, 2)
 
     def pole_places(self):
         """Places where a1 or a2 has a pole (including infinity)."""

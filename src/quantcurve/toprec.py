@@ -276,55 +276,33 @@ class _Rests(dict):
         return rid
 
 
-def arrangement_sum(M, value, last=None):
-    """Sum over the distinct orderings k of the multiset M of the products
-    value(k[0], 0) * ... * value(k[n-1], n-1).
-
-    A dynamic program over the counts of the keys not yet placed: each
-    sub-multiset is visited once and each value(key, slot) is evaluated
-    once.  With a slot ``last`` that slot is left open and never evaluated:
-    the result is the linear form {key: weight} with the sum equal to
-    sum(weight * value(key, last)), one weight per distinct key of M.  The
-    products start from the int 1, so int values (numerators over one
-    denominator per slot) give int sums and weights.
-    """
-    counts = _multiset_counts(M)
-    keys = list(counts)
-    partial = {tuple(counts.values()): 1}
-    for i in range(len(M)):
-        if i == last:
-            continue
-        vals = [value(key, i) for key in keys]
-        nxt = {}
-        for left, acc in partial.items():
-            for j, v in enumerate(vals):
-                if left[j]:
-                    rest = left[:j] + (left[j] - 1,) + left[j + 1:]
-                    term = v * acc
-                    nxt[rest] = nxt[rest] + term if rest in nxt else term
-        partial = nxt
-    if last is not None:
-        return {keys[left.index(1)]: acc for left, acc in partial.items()}
-    (out,) = partial.values()
-    return out
-
-
 def contract(items, cols, slot=None):
-    """sum(c * arrangement_sum(M, value)) over the (M, c) items, value(b, i)
-    = cols[i][b]: int numerators give an int over the product of the
-    columns' denominators and the items'.  With an open ``slot``, its column
-    unread, it is the linear form {key: weight} in that slot's values."""
+    """The sum over the (M, c) items, M a sorted tuple of key ids, of c times
+    the sum over the distinct orderings k of M of cols[0][k[0]] * ... *
+    cols[n-1][k[n-1]]: int numerators give an int over the product of the
+    columns' denominators and the items'.  With an open ``slot``, its
+    column unread, it is the linear form {key: weight} in that slot's
+    values.
 
-    def value(b, i):
-        return cols[i][b]
-
-    if slot is None:
-        return sum(c * arrangement_sum(M, value) for M, c in items)
-    form = {}
+    One slot at a time: the partial sums live on the multisets of keys not
+    yet placed, and each M gives c * col[b] to M - b once per distinct key
+    b of M, so the multisets that the monomials share are summed once."""
+    part = {}
     for M, c in items:
-        for b, w in arrangement_sum(M, value, slot).items():
-            form[b] = form.get(b, 0) + w * c
-    return form
+        part[M] = part.get(M, 0) + c
+    for i, col in enumerate(cols):
+        if i == slot:
+            continue
+        nxt = {}
+        for M, c in part.items():
+            for j, b in enumerate(M):
+                if not j or M[j - 1] != b:
+                    rest = M[:j] + M[j + 1:]
+                    nxt[rest] = nxt.get(rest, 0) + c * col[b]
+        part = nxt
+    if slot is None:
+        return part.get((), 0)
+    return {M[0]: c for M, c in part.items()}
 
 
 def over_lcm(pairs):

@@ -17,6 +17,19 @@ tau**e equal to the uniformizer, so the same code handles finite points,
 the point at infinity, and square-root branch charts (e = 2).  Integration
 constants are fixed by: no constant term in any S_m, log terms recorded on
 the side.
+
+The series products run in a rescaled parameter sigma = tau / scale, one
+positive int scale per state (``_chart_scale``).  Where 1 / sqrt(disc) has
+tau^j coefficients with denominators of about P^j, every low coefficient
+carries the top one's growth over one common denominator; the sigma^j
+coefficient is the tau^j one times scale^j, which cancels it, so the
+products multiply integers of about half the height.  In sigma the
+uniformizer is w sigma^e with w = scale^e: d/dx and the antiderivative take
+that factor, and the log coefficient is the same, since log(w sigma^e) and
+e log(sigma) differ by a constant, which is dropped.  The state's S, S',
+a1s and a2s are tau-series, each converted once (``TruncSeries.dilate``),
+and ``verify_operator`` moves the tau-series it checks back to sigma.  The
+scale changes time only, never a value.
 """
 
 from __future__ import annotations
@@ -63,23 +76,38 @@ class WkbConfig:
 
 class WkbState:
     """S_0 .. S_M as LogSeries plus their x-derivatives as plain series,
-    with the local expansions a1s, a2s of the operator's coefficients.
+    with the local expansions a1s, a2s of the operator's coefficients, all
+    in the chart's tau.
 
-    S and S_prime are append-only: the solver extends them and nothing
-    replaces an entry, so the ``rhs`` memo of a level stays valid."""
+    The solver builds every S_m' in sigma = tau / scale and converts it
+    once; its sigma copies of a1 and the S_m' and the ``rhs`` memo are its
+    own.  S and S_prime are append-only: the solver extends them and
+    nothing replaces an entry, so the ``rhs`` memo of a level stays
+    valid."""
 
-    def __init__(self, config, field, S, S_prime, a1s, a2s):
+    def __init__(self, config, field, a1s, a2s, scale):
         self.config = config
         self.field = field
-        self.S = S
-        self.S_prime = S_prime
+        self.S = []
+        self.S_prime = []
         self.a1s = a1s
         self.a2s = a2s
+        self.scale = scale
+        self._a1 = a1s.dilate(scale)
+        self._sp = []
         self._rhs = {}
 
     @property
     def depth(self):
         return len(self.S) - 1
+
+    def push(self, sp):
+        """Append S_m' given in sigma, its tau-series and S_m."""
+        cfg, back = self.config, Fraction(1, self.scale)
+        lam, body = _antiderivative_x(sp, cfg.place, cfg.e, self.scale ** cfg.e)
+        self.S.append(LogSeries(lam, body.dilate(back), cfg.e))
+        self.S_prime.append(sp.dilate(back))
+        self._sp.append(sp)
 
     @cached_property
     def denom(self):
@@ -88,18 +116,19 @@ class WkbState:
 
     @cached_property
     def inv_denom(self):
-        """1 / (2 S0' + a1), the divisor of every S_m' with m >= 1."""
-        if self.denom.is_zero():
+        """1 / (2 S0' + a1) in sigma, the divisor of every S_m' with m >= 1."""
+        denom = 2 * self._sp[0] + self._a1
+        if denom.is_zero():
             raise ValueError("2 S0' + a1 vanishes: reducible curve")
-        return self.denom.inverse()
+        return denom.inverse()
 
     def rhs(self, k):
-        """S_{k-1}'' + sum of S_a' S_b' over a + b = k with a, b >= 1, for
-        k >= 1; reads S_0' .. S_{k-1}' only and forms each unordered
-        product once."""
+        """S_{k-1}'' + sum of S_a' S_b' over a + b = k with a, b >= 1, in
+        sigma, for k >= 1; reads S_0' .. S_{k-1}' only and forms each
+        unordered product once."""
         if k not in self._rhs:
-            sp, cfg = self.S_prime, self.config
-            acc = _ddx(sp[k - 1], cfg.place, cfg.e)
+            sp, cfg = self._sp, self.config
+            acc = _ddx(sp[k - 1], cfg.place, cfg.e, self.scale ** cfg.e)
             for a in range(1, k // 2 + 1):
                 p = sp[a] * sp[k - a]
                 acc = acc + (p if 2 * a == k else 2 * p)
@@ -107,34 +136,85 @@ class WkbState:
         return self._rhs[k]
 
 
-def _ddx(series, place, e):
-    """d/dx through the chain rule; exact monomial for dtau/dx."""
+def _ddx(series, place, e, w=1):
+    """d/dx through the chain rule in a local parameter s with w s^e the
+    uniformizer (s = tau for w = 1); exact monomial for ds/dx."""
     d = series.derivative()
     if place is INF:
-        return d.shift(1 + e) * Fraction(-1, e)
-    if e == 1:
+        return d.shift(1 + e) * Fraction(-w, e)
+    if e == 1 and w == 1:
         return d
-    return d.shift(1 - e) * Fraction(1, e)
+    return d.shift(1 - e) * Fraction(1, e * w)
 
 
-def _antiderivative_x(series, place, e):
-    """Antiderivative in x; returns (lambda, body) with lambda on log(tau^e)."""
+def _antiderivative_x(series, place, e, w):
+    """Antiderivative in x, in a local parameter s with w s^e the
+    uniformizer; returns (lambda, body) with lambda on log(w s^e), the
+    constant log(w) dropped."""
     if place is INF:
-        integrand = series.shift(-1 - e) * -e
+        integrand = series.shift(-1 - e) * Fraction(-e, w)
     else:
-        integrand = series.shift(e - 1) * e
+        integrand = series.shift(e - 1) * (e * w)
     logc, body = integrand.integrate()
     return logc / e, body
+
+
+# the terms of _chart_scale's probe, the bound on the primes it takes into
+# the scale, and the bits that their powers must take out of a series'
+# denominator
+_PROBE_TERMS = 12
+_PRIME_BOUND = 2000
+_MIN_GAIN_BITS = 120
+
+
+def _chart_scale(disc):
+    """The scale of the solver's chart sigma = tau / scale, for the
+    tau-series of the discriminant a1^2 - 4 a2.
+
+    The S_m' inherit the growth of 1 / sqrt(disc), whose coefficient of
+    tau^j has a denominator of about P^j, P from the places where disc
+    vanishes or has a pole.  Over one common denominator every low
+    coefficient then carries the top one's growth; in sigma the
+    coefficient j is times scale^j, which cancels it.  The square root of
+    the unit part through _PROBE_TERMS terms shows the slope: a prime
+    p < _PRIME_BOUND whose power in the denominator grows by p^v from its first
+    h = _PROBE_TERMS / 2 terms to all of them enters the scale to the
+    power v / h, rounded half down (a constant factor, such as the leading
+    coefficient's, does not count).  A scale whose powers take out fewer
+    than _MIN_GAIN_BITS over the whole series does not pay for the
+    conversions, and gives 1.  The scale changes time only, never a
+    value."""
+    unit = disc.truncate(disc.val + _PROBE_TERMS).shift(-disc.val) * (1 / disc.coefficient(disc.val))
+    h = unit.order // 2
+    if h < 2:
+        return 1
+    root = unit.sqrt()
+    den, low = root.den, root.truncate(h).den
+    scale = 1
+    # trial division: a composite p divides no more, and once p^2 > den
+    # what is left is one prime to the power 1, which rounds to 0
+    for p in range(2, _PRIME_BOUND):
+        if p * p > den:
+            break
+        v = 0
+        while den % p == 0:
+            den //= p
+            v += 1
+        while v and low % p == 0:
+            low //= p
+            v -= 1
+        scale *= p ** ((2 * v + h - 1) // (2 * h))
+    return scale if (scale ** (disc.order - disc.val)).bit_length() > _MIN_GAIN_BITS else 1
 
 
 def semiclassical_root(cfg):
     """Solve the leading equation; extends the field by a square root if needed.
 
-    The local expansions and the discriminant are computed once over the
-    field of the operator; when the square root of the discriminant's
-    leading coefficient is not in that field, it is adjoined and the three
-    series move over it on their int numerators (``TruncSeries.over``).
-    Returns a WkbState holding S0 only.
+    The local expansions and the discriminant are computed once over QQ,
+    in tau.  The square root of the discriminant is sqrt(lead) times the
+    square root of disc / lead, taken over QQ in sigma; when sqrt(lead) is
+    not in QQ it is adjoined, and the series move over it on their int
+    numerators (``TruncSeries.over``).  Returns a WkbState holding S0 only.
 
     Each depth of the hierarchy loses v/2 + e tau-orders where the
     discriminant vanishes to tau-order v (a division by 2 S0' + a1 and a
@@ -155,23 +235,22 @@ def semiclassical_root(cfg):
     if disc.is_zero():
         raise ValueError("degenerate operator: zero discriminant")
     lead = disc.coefficient(disc.val)
+    scale = _chart_scale(disc)
+    sq = (disc * (1 / lead)).dilate(scale).sqrt()
     root = field.sqrt(lead)
     if root is None:
         field = QuadExtField(lead)
-        a1s, a2s, disc = (s.over(field) for s in (a1s, a2s, disc))
+        a1s, a2s, sq = (s.over(field) for s in (a1s, a2s, sq))
         root = field.gen
-    sq = disc.sqrt(root)
-    if cfg.branch == "plus":
-        s0p = (sq - a1s) * Fraction(1, 2)
-    else:
-        s0p = (-sq - a1s) * Fraction(1, 2)
-    lam, body = _antiderivative_x(s0p, cfg.place, cfg.e)
-    return WkbState(cfg, field, [LogSeries(lam, body, cfg.e)], [s0p], a1s, a2s)
+    sq = sq * root
+    state = WkbState(cfg, field, a1s, a2s, scale)
+    state.push(((sq if cfg.branch == "plus" else -sq) - state._a1) * Fraction(1, 2))
+    return state
 
 
 def wkb_extend(state):
-    """Extend the hierarchy up to S_depth: S_k' = -rhs(k) / (2 S0' + a1).
-    At k = 1 the pair sum is empty: S1' = -S0'' / (2 S0' + a1)."""
+    """Extend the hierarchy up to S_depth: S_k' = -rhs(k) / (2 S0' + a1),
+    in sigma.  At k = 1 the pair sum is empty: S1' = -S0'' / (2 S0' + a1)."""
     cfg = state.config
     while state.depth < cfg.depth:
         k = state.depth + 1
@@ -181,9 +260,7 @@ def wkb_extend(state):
                 f"truncation exhausted at depth {k}: guaranteed order "
                 f"{sp.order} below requested {cfg.order}"
             )
-        lam, body = _antiderivative_x(sp, cfg.place, cfg.e)
-        state.S.append(LogSeries(lam, body, cfg.e))
-        state.S_prime.append(sp)
+        state.push(sp)
     return state
 
 
@@ -203,13 +280,18 @@ def verify_operator(state):
     the sum term by term, S0'^2 + a1 S0' + a2 or rhs(k) + 2 S0' S_k' +
     a1 S_k': 2 S0' + a1 may cancel to a higher valuation than either term,
     which would raise the order of the product.
+
+    The products run in sigma on the state's tau-series S_m', a1s, a2s and
+    2 S0' + a1, each moved to sigma here, with the solver's ``rhs`` memo.
     """
-    s0p, a1s = state.S_prime[0], state.a1s
+    scale = state.scale
+    s0p, a1s, a2s, denom = (s.dilate(scale) for s in (state.S_prime[0], state.a1s, state.a2s,
+                                                      state.denom))
     report = []
     ok = True
     for k in range(state.depth + 1):
-        sk = state.S_prime[k]
-        rest, factor = (state.a2s, s0p + a1s) if k == 0 else (state.rhs(k), state.denom)
+        sk = s0p if k == 0 else state.S_prime[k].dilate(scale)
+        rest, factor = (a2s, s0p + a1s) if k == 0 else (state.rhs(k), denom)
         order = min(s0p.order, rest.order, product_order(s0p, sk), product_order(a1s, sk))
         resid = (rest + factor * sk).truncate(order)
         zero = resid.is_zero()
@@ -258,13 +340,15 @@ def assemble_wavefunction(state, order_x=None):
     for m, s in enumerate(state.S):
         if not state.field.is_zero(s.lam):
             pref[m - 1] = pref.get(m - 1, Fraction(0)) + s.lam
-        for k, c in s.body.items():
-            if k < 0:
-                raise ValueError(
-                    "exponent body has nonpositive valuation: essential prefactor not supported"
-                )
-            if k <= body_order:
-                B[k][m - 1] = B[k].get(m - 1, Fraction(0)) + c
+        body = s.body
+        if body.nums and body.val < 0:
+            raise ValueError(
+                "exponent body has nonpositive valuation: essential prefactor not supported"
+            )
+        # only the coefficients through body_order, each read once
+        for k, c in enumerate(body.nums[: max(0, body_order - body.val + 1)], body.val):
+            if c:
+                B[k][m - 1] = B[k].get(m - 1, Fraction(0)) + Fraction(c, body.den)
     if B[0]:
         raise ValueError("exponent body must vanish at the expansion center")
     E = [dict() for _ in range(body_order + 1)]

@@ -758,3 +758,21 @@ def test_every_operation_keeps_the_representation(s, data):
         assert _fields(qs.over(f)) == _fields(TruncSeries(f, qs.val, qs.coeffs, qs.order))
     for r in out:
         _check_representation(r)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=8),
+       st.integers(-3, 3), st.integers(0, 4),
+       st.fractions(min_value=-40, max_value=40, max_denominator=15).filter(bool),
+       st.booleans())
+def test_dilate_scales_coefficient_k_by_c_to_the_k(coeffs, val, extra, c, surd):
+    field = QuadExtField(-3) if surd else QQ
+    values = [field.of(x) * (field.gen if surd and i % 2 else 1) for i, x in enumerate(coeffs)]
+    s = TruncSeries(field, val, values, val + len(coeffs) - 1 + extra)
+    d = s.dilate(c)
+    assert (d.val, d.order) == (s.val, s.order)
+    assert all(d.coefficient(k) == s.coefficient(k) * c ** k for k in range(s.val, s.order + 1))
+    # over the least denominator, as every operation leaves a series
+    assert d.den == TruncSeries(field, d.val, d.coeffs, d.order).den
+    back = d.dilate(1 / c)
+    assert back.den == s.den and back.coeffs == s.coeffs

@@ -23,9 +23,9 @@ from quantcurve.toprec import (
     ParamCurve,
     TopRecEngine,
     _residue,
-    arrangement_sum,
     basis_function,
     branch_maps,
+    contract,
     key_sort,
     matching_branch_map,
     primitive_fractions,
@@ -763,43 +763,52 @@ _ARRANGEMENT_SETTINGS = settings(derandomize=True, max_examples=80, deadline=Non
 _FRACTIONS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
+def _columns_of(table, n, slot=None):
+    """Slot columns {key: value} over the keys "abc" from a flat table, the
+    open slot's None."""
+    return [None if i == slot else {k: table[6 * "abc".index(k) + i] for k in "abc"}
+            for i in range(n)]
+
+
 @_ARRANGEMENT_SETTINGS
-@given(M=st.lists(st.sampled_from("abc"), max_size=6),
-       table=st.lists(_FRACTIONS, min_size=18, max_size=18))
-def test_arrangement_sum_matches_permutations(M, table):
-    calls = []
+@given(data=st.data(), table=st.lists(_FRACTIONS, min_size=18, max_size=18))
+def test_contract_matches_permutations(data, table):
+    # several monomials of one table, sharing sub-multisets, in one contraction
+    n = data.draw(st.integers(0, 6))
+    items = data.draw(st.lists(st.tuples(st.lists(st.sampled_from("abc"), min_size=n, max_size=n),
+                                         st.integers(-5, 5)), max_size=4))
+    items = [(tuple(sorted(M)), c) for M, c in items]
+    cols = _columns_of(table, n)
 
     def value(key, i):
-        calls.append((key, i))
-        return table[6 * "abc".index(key) + i]
+        return cols[i][key]
 
-    got = arrangement_sum(tuple(M), value)
-    assert len(calls) == len(set(calls)) == len(set(M)) * len(M)
-    assert got == _brute_arrangement_sum(M, value)
+    got = contract(items, cols)
+    assert got == sum(c * _brute_arrangement_sum(M, value) for M, c in items)
+    # int columns and coefficients give an int
+    int_cols = [{k: v.numerator for k, v in col.items()} for col in cols]
+    assert isinstance(contract(items, int_cols), int)
 
 
 @_ARRANGEMENT_SETTINGS
 @given(M=st.lists(st.sampled_from("abc"), min_size=1, max_size=6),
        table=st.lists(_FRACTIONS, min_size=18, max_size=18),
        data=st.data())
-def test_arrangement_sum_with_symbolic_slot(M, table, data):
+def test_contract_with_symbolic_slot(M, table, data):
     last = data.draw(st.integers(0, len(M) - 1))
-    calls = []
+    cols = _columns_of(table, len(M), last)
 
     def value(key, i):
-        calls.append((key, i))
         c = table[6 * "abc".index(key) + i]
         if i != last:
             return c
         # c / (t + index of key): one rational function per key
         return rf([c], ["abc".index(key), 1])
 
-    form = arrangement_sum(tuple(M), value, last)
-    # a linear form over the keys of M; the open slot is never evaluated
+    form = contract([(tuple(sorted(M)), 1)], cols, last)
+    # a linear form over the keys of M; the open slot's column is None
     assert set(form) == set(M)
     assert all(isinstance(w, (int, Fraction)) for w in form.values())
-    assert len(calls) == len(set(calls)) == len(set(M)) * (len(M) - 1)
-    assert all(i != last for _, i in calls)
     got = sum((w * value(key, last) for key, w in form.items()), RatFunc.const(0))
     assert got == _brute_arrangement_sum(M, value)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from quantcurve import cli
+from quantcurve import wkb as wkb_module
 from quantcurve.algebra import INF, LogSeries, QuadExtField, RatFunc, TruncSeries, expand_ratfunc
 from quantcurve.curvespec import load_curve, parse_curve_spec, serialize_report
 from quantcurve.verify import wkb_state_for
@@ -185,6 +186,17 @@ def test_hermite_hbar_one_double_factorials():
         assert wave.coefficient(2 * n).rf(one) == expect
         if 2 * n + 1 <= wave.body.order:
             assert wave.coefficient(2 * n + 1).rf(one) == 0
+
+
+def test_wave_through_a_lower_order_is_the_truncation():
+    # order_x below the valuation of some S_m bodies reads none of their terms
+    st = solve_wkb(WkbConfig(*HERMITE, INF, branch="plus", order=14, depth=6))
+    assert max(s.body.val for s in st.S) > 2
+    full = assemble_wavefunction(st)
+    for k in range(full.body.order + 1):
+        part = assemble_wavefunction(st, order_x=k)
+        assert part.body.order == k and part.prefactor_exponent == full.prefactor_exponent
+        assert [part.coefficient(j) for j in range(k + 1)] == [full.coefficient(j) for j in range(k + 1)]
 
 
 def test_assemble_rejects_essential_prefactor():
@@ -389,3 +401,57 @@ def test_verify_operator_catches_a_moved_coefficient(a1, a2, place):
         moved = max(k, 0)
         assert [lv["zero"] for lv in rep["levels"]] == [j != moved for j in range(depth + 1)]
         assert not rep["ok"]
+
+
+# ---------------------------------------------------------------------------
+# the solver's chart sigma = tau / scale: time only, never a value
+
+
+def _tau_values(state):
+    """Every tau-series and log coefficient a state exposes, as values."""
+    def key(s):
+        return s.val, s.order, s.coeffs
+
+    return ([key(s) for s in state.S_prime], [(s.lam, key(s.body)) for s in state.S],
+            key(state.a1s), key(state.a2s), key(state.denom), state.field.name)
+
+
+# the surd charts of SURD_SPECS, as operators
+SURD_E2 = (rf([0, 1]), rf([Fraction(5, 12), 0, Fraction(-1, 6)]), Fraction(1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_operator(), st.sampled_from(["plus", "minus"]))
+@example((AIRY[0], AIRY[1], Fraction(0)), "plus")
+@example((rf([0]), rf([0, -3]), INF), "minus")
+@example((rf([1, 1], [2, -1]), rf([2, 0, 1]), Fraction(1, 2)), "plus")
+@example(SURD_E2, "minus")
+def test_chart_scale_changes_no_value(op, branch):
+    # finite and infinite places, e = 1 and 2, QQ and QQ(sqrt d): the same
+    # tau-series, log coefficients and check levels whatever the scale
+    a1, a2, place = op
+    runs = {}
+    for scale in (1, 2, 6, 3835):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wkb_module, "_chart_scale", lambda disc, s=scale: s)
+            state = solve_wkb(WkbConfig(a1, a2, place, branch=branch, order=8, depth=3))
+            runs[scale] = _tau_values(state), verify_operator(state)
+        assert state.scale == scale
+    ref = runs[1]
+    assert ref[1]["ok"]
+    for scale, got in runs.items():
+        assert got == ref, scale
+
+
+def test_chart_scale_lowers_the_denominators():
+    # a QQ(sqrt(767/60)) operator of the benchmark's pool: the tau^j
+    # coefficient of 1 / sqrt(disc) has a denominator of about
+    # (5 13 59)^j, which the chart sigma = tau / 3835 takes out of S_6'
+    a1 = rf([-3, -4, -3], [-2, -3])
+    a2 = rf([2, 7, 6, 2], [3, 4, 4, 1])
+    state = solve_wkb(WkbConfig(a1, a2, Fraction(-1, 2), branch="plus", order=12, depth=6))
+    assert state.field.name == "QQ(sqrt(767/60))" and state.scale == 3835
+    tau, sigma = state.S_prime[-1], state._sp[-1]
+    assert (tau.den.bit_length(), sigma.den.bit_length()) == (594, 126)
+    assert sigma.dilate(Fraction(1, 3835)).coeffs == tau.coeffs
+    assert verify_operator(state)["ok"]
